@@ -3,9 +3,9 @@
 Two roles exist: "recovery" laws must have support in [1, inf) and "weight"
 laws must live in [0, 1] with positive mass above 0.  The family menu is
 deliberately small (constant, uniform, two_point, and a shifted wrapper) so
-that the mean weight, the mean inverse recovery rate, and the mean inverse
-square all have closed forms, which the critical-rate and no-spread formulas
-require exactly.
+that the mean weight, the mean inverse recovery rate, the mean inverse
+square and the Laplace transforms all have closed forms, which the
+critical-rate and no-spread formulas require exactly.
 
 Text syntax, used verbatim by config files and CLI flags::
 
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.special import gammainc
 
 from .errors import DegenerateMoments, ParamViolation, SupportViolation
 
@@ -324,6 +325,55 @@ def expect_self_over_self_plus_vec(spec: DistSpec, c: np.ndarray) -> np.ndarray:
             a, b = comp[1], comp[2]
             total += w * (1.0 - c * np.log1p((b - a) / (a + c)) / (b - a))
     return total
+
+
+def _logsumexp(terms: list) -> float:
+    top = max(terms)
+    return top + math.log(sum(math.exp(x - top) for x in terms))
+
+
+def log_laplace(spec: DistSpec, s: float) -> float:
+    """log E[exp(-s X)] for s >= 0, closed form per mixture component.
+
+    Components are summed in log space, so the value stays finite where
+    exp(-s X) underflows.  A Uniform(a, b) component contributes
+    exp(-s a) (1 - exp(-s (b - a))) / (s (b - a)), with expm1 for small s.
+    """
+    terms = []
+    for w, comp in as_mixture(spec):
+        if comp[0] == "atom":
+            terms.append(math.log(w) - s * comp[1])
+        else:
+            a, b = comp[1], comp[2]
+            z = s * (b - a)
+            log_h = math.log(-math.expm1(-z) / z) if z > 0.0 else 0.0
+            terms.append(math.log(w) - s * a + log_h)
+    return _logsumexp(terms)
+
+
+def log_laplace_deriv(spec: DistSpec, t: float) -> float:
+    """log E[X exp(-t X)] (minus the Laplace transform's derivative), t >= 0.
+
+    Requires support in (0, inf), as every recovery law has.  A Uniform(a, b)
+    component contributes exp(-t a) (a h(z) + (b - a) g(z)) with z = t (b - a),
+    h(z) = (1 - e^-z) / z and g(z) = (1 - e^-z (1 + z)) / z^2, the latter
+    through the regularized incomplete gamma P(2, z) to avoid cancellation.
+    """
+    terms = []
+    for w, comp in as_mixture(spec):
+        if comp[0] == "atom":
+            v = comp[1]
+            terms.append(math.log(w * v) - t * v)
+        else:
+            a, b = comp[1], comp[2]
+            d = b - a
+            z = t * d
+            if z < 1e-8:  # Taylor terms; the error is below 1e-16 relative
+                inner = a * (1.0 - 0.5 * z) + d * (0.5 - z / 3.0)
+            else:
+                inner = a * -math.expm1(-z) / z + d * float(gammainc(2.0, z)) / (z * z)
+            terms.append(math.log(w * inner) - t * a)
+    return _logsumexp(terms)
 
 
 # ---------------------------------------------------------------------------

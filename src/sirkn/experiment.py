@@ -15,22 +15,24 @@ import concurrent.futures
 import hashlib
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import stats as spstats
+from scipy.integrate import quad
 
 from . import seeding
-from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT, as_mixture,
+from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT,
                             critical_lambda, expect_self_over_self_plus,
-                            expect_self_over_self_plus_vec, format_dist, mean,
-                            moments, parse_dist, quantile, validate_spec)
+                            format_dist, log_laplace, log_laplace_deriv, mean,
+                            moments, parse_dist, validate_spec)
+# Not used here; perfbench/child.py traces it under this module's name.
+from .distributions import quantile  # noqa: F401
 from .dynamics import SimParams, gillespie_run
 from .environment import Environment
-from .errors import ParamViolation, SirknError
+from .errors import ParamViolation, QuadratureFailure, SirknError
 from .meanfield import classic_specs, final_size_fixed_point
 from .percolation import percolation_final_size
 
@@ -43,7 +45,6 @@ UNITS_LAMBDA_C = "lambda_c"
 
 _TAG_ENV = 0x454E56
 _TAG_RUN = 0x52554E
-_TAG_NOSPREAD = 0x4E53
 
 VERSION = "0.1.0"
 
@@ -290,7 +291,7 @@ def _run_seed(master_seed: int, grid_index: int, rep: int) -> int:
 def _collect_range(config: ExperimentConfig, n: int, lam: float,
                    grid_index: int, start: int, stop: int):
     out = np.zeros(stop - start, dtype=np.uint32)
-    failures = 0
+    done = 0
     env = None
     for rep in range(start, stop):
         env_seed = _env_seed(config.master_seed, grid_index, rep, config.measure)
@@ -299,13 +300,14 @@ def _collect_range(config: ExperimentConfig, n: int, lam: float,
         run_seed = _run_seed(config.master_seed, grid_index, rep)
         try:
             if config.engine == ENGINE_PERCOLATION:
-                out[rep - start] = percolation_final_size(env, lam, run_seed).r_infinity
+                out[done] = percolation_final_size(env, lam, run_seed).r_infinity
             else:
-                out[rep - start] = gillespie_run(
+                out[done] = gillespie_run(
                     env, SimParams(lam=lam, run_seed=run_seed)).r_infinity
         except SirknError:
-            failures += 1
-    return out, failures
+            continue
+        done += 1
+    return out[:done], stop - start - done
 
 
 def _worker(payload):
@@ -317,7 +319,8 @@ def _worker(payload):
 def collect_final_sizes(config: ExperimentConfig, n: int, lam: float,
                         grid_index: int = 0, jobs: int = 1
                         ) -> Tuple[np.ndarray, int]:
-    """Final sizes for every replication of one (n, lambda) grid point.
+    """Final sizes of the completed replications of one (n, lambda) grid
+    point, in replication order, and the number of failed ones.
 
     Stream ids depend only on (master_seed, grid_index, replication), so the
     output is byte-identical for every `jobs` value.
@@ -325,87 +328,65 @@ def collect_final_sizes(config: ExperimentConfig, n: int, lam: float,
     validate_config(config)
     reps = config.replications
     if jobs <= 1 or reps < 64:
-        return _collect_range(config, n, lam, grid_index, 0, reps)
-    bounds = np.linspace(0, reps, jobs + 1, dtype=int)
-    payloads = [(config_to_dict(config), n, lam, grid_index, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    chunks = []
-    failures = 0
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for arr, fails in pool.map(_worker, payloads):
-            chunks.append(arr)
-            failures += fails
-    return np.concatenate(chunks), failures
+        samples, failures = _collect_range(config, n, lam, grid_index, 0, reps)
+    else:
+        bounds = np.linspace(0, reps, jobs + 1, dtype=int)
+        payloads = [(config_to_dict(config), n, lam, grid_index, int(a), int(b))
+                    for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        chunks = []
+        failures = 0
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            for arr, fails in pool.map(_worker, payloads):
+                chunks.append(arr)
+                failures += fails
+        samples = np.concatenate(chunks)
+    if samples.size == 0:
+        raise SirknError(f"all {reps} replications failed at n={n}, lambda={lam}")
+    return samples, failures
 
 
 # ---------------------------------------------------------------------------
 # No-spread probability: exact / analytic references
 
 
+def _check_lambda(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ParamViolation(f"lambda must be finite and >= 0 (got {lam})")
+
+
 def no_spread_limit(xi_spec: DistSpec, rho_spec: DistSpec, lam: float) -> float:
     """Large-n limit of P(the initial infective infects nobody)."""
+    _check_lambda(lam)
     return expect_self_over_self_plus(xi_spec, lam * mean(rho_spec))
-
-
-def _spec_key_parts(spec: DistSpec):
-    text = format_dist(spec)
-    return [len(text)] + [ord(ch) for ch in text]
 
 
 def no_spread_finite_n(xi_spec: DistSpec, rho_spec: DistSpec, lam: float,
                        n: int) -> float:
-    """E[: xi / (xi + (lam/n) * sum of n-1 weights) :] over the environment.
+    """E[xi / (xi + (lam/n) S)], S the sum of n-1 iid weights: P(r = 1).
 
-    Exact (binomial convolution) when the weight law is purely atomic;
-    otherwise a deterministic Monte Carlo average over environment draws
-    with standard error below 5e-5.
+    With 1/y = int_0^inf e^{-t y} dt and c = lam/n this is the 1-d integral
+
+        int_0^inf E[xi e^{-t xi}] * phi(c t)^(n-1) dt,   phi(s) = E e^{-s rho},
+
+    whose factors have closed forms for every law in the menu, so the value
+    is exact (to quadrature tolerance) for atomic and uniform laws alike.
+    The integrand is formed in log space; phi^(n-1) underflows otherwise.
     """
+    _check_lambda(lam)
     if n < 1:
         raise ParamViolation(f"n must satisfy n >= 1 (got {n})")
     if n == 1 or lam == 0.0:
         return 1.0
-    mix = as_mixture(rho_spec)
-    if all(comp[0] == "atom" for _, comp in mix):
-        return _no_spread_exact_atoms(xi_spec, mix, lam / n, n)
-    return _no_spread_mc(xi_spec, rho_spec, lam, n)
-
-
-def _no_spread_exact_atoms(xi_spec, mix, c, n):
-    if len(mix) == 1:
-        s_values = np.array([mix[0][1][1] * (n - 1)], dtype=float)
-        weights = np.array([1.0])
-    else:
-        (p1, (_, v1)), (_, (_, v2)) = mix  # two_point: k draws land on v1
-        k = np.arange(n)
-        weights = spstats.binom.pmf(k, n - 1, p1)
-        s_values = k * v1 + (n - 1 - k) * v2
-    vals = expect_self_over_self_plus_vec(xi_spec, c * s_values)
-    return float(np.dot(weights, vals))
-
-
-def _no_spread_mc(xi_spec, rho_spec, lam, n, target_se=5e-5):
-    key = seeding.derive_key(_TAG_NOSPREAD, n,
-                             int.from_bytes(struct.pack("<d", lam), "little"),
-                             *_spec_key_parts(xi_spec), *_spec_key_parts(rho_spec))
-    rng = seeding.stream(key)
     c = lam / n
-    max_samples = int(min(1_000_000, max(20_000, 3e8 / (n - 1))))
-    chunk = max(1, min(20_000, int(4e6 / (n - 1))))
-    total = 0
-    acc = 0.0
-    acc_sq = 0.0
-    while total < max_samples:
-        u = rng.random((chunk, n - 1))
-        s = np.asarray(quantile(rho_spec, u)).sum(axis=1)
-        vals = expect_self_over_self_plus_vec(xi_spec, c * s)
-        acc += float(vals.sum())
-        acc_sq += float((vals * vals).sum())
-        total += chunk
-        if total >= 20_000:
-            var = max(acc_sq / total - (acc / total) ** 2, 0.0)
-            if math.sqrt(var / total) < target_se:
-                break
-    return acc / total
+
+    def integrand(t):
+        return math.exp(log_laplace_deriv(xi_spec, t)
+                        + (n - 1) * log_laplace(rho_spec, c * t))
+
+    val, err = quad(integrand, 0.0, math.inf, epsabs=1e-14, epsrel=1e-12, limit=200)
+    if not err <= max(1e-10 * abs(val), 1e-13):
+        raise QuadratureFailure(f"no-spread integral error {err} exceeds tolerance")
+    return val
 
 
 class NoSpreadEstimate(NamedTuple):
@@ -438,7 +419,7 @@ class BatchStats:
     n: int
     lam: float
     lam_over_lambda_c: float
-    replications: int
+    replications: int  # completed; the statistics use these only
     failures: int
     mean_r_inf: float
     mean_ci: Tuple[float, float]

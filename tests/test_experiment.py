@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as spstats
 
-from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, parse_dist
-from sirkn.errors import ParamViolation
+import sirkn.experiment
+from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, as_mixture,
+                                 expect_self_over_self_plus_vec, parse_dist)
+from sirkn.errors import ParamViolation, QuadratureFailure, SirknError
 from sirkn.experiment import (ExperimentConfig, chi_square_two_sample,
                               collect_final_sizes, config_from_dict,
                               config_hash, config_lambda_c,
@@ -175,6 +178,48 @@ def test_no_spread_trivial_cases():
     assert no_spread_finite_n(XI1, RHO1, 2.0, 1) == 1.0
 
 
+def binomial_no_spread(xi_spec, rho_spec, lam, n):
+    """Exact P(r = 1) for an atomic weight law by binomial convolution: with
+    k of the n-1 weights on the first atom, S = k v1 + (n-1-k) v2."""
+    mix = as_mixture(rho_spec)
+    if len(mix) == 1:
+        weights = np.array([1.0])
+        s_values = np.array([mix[0][1][1] * (n - 1)])
+    else:
+        (p1, (_, v1)), (_, (_, v2)) = mix
+        k = np.arange(n)
+        weights = spstats.binom.pmf(k, n - 1, p1)
+        s_values = k * v1 + (n - 1 - k) * v2
+    return float(np.dot(weights, expect_self_over_self_plus_vec(xi_spec, (lam / n) * s_values)))
+
+
+@pytest.mark.parametrize("rho_text", ["two_point:0.2:0.4:0.8", "constant:1",
+                                      "two_point:0:0.5:1", "two_point:0.01:0.99:1"])
+@pytest.mark.parametrize("xi_text", ["constant:1", "two_point:1:0.5:2", "uniform:1:3"])
+def test_no_spread_finite_n_matches_binomial_convolution(xi_text, rho_text):
+    # large n * lam reaches t where phi(c t)^(n-1) underflows in linear space
+    xi = parse_dist(xi_text, ROLE_RECOVERY)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
+    for n in (2, 12, 1000, 100_000):
+        for lam in (0.5, 2.0, 8.0):
+            assert no_spread_finite_n(xi, rho, lam, n) == pytest.approx(
+                binomial_no_spread(xi, rho, lam, n), abs=1e-10), (n, lam)
+
+
+def test_no_spread_finite_n_raises_on_quadrature_error(monkeypatch):
+    monkeypatch.setattr(sirkn.experiment, "quad", lambda *a, **k: (0.5, 1e-3))
+    with pytest.raises(QuadratureFailure):
+        no_spread_finite_n(XI2, RHOU, 1.0, 100)
+
+
+@pytest.mark.parametrize("lam", [-1.0, -10.0 / 9.0, float("nan"), float("inf")])
+def test_no_spread_references_reject_invalid_lambda(lam):
+    with pytest.raises(ParamViolation):
+        no_spread_finite_n(XI1, RHO1, lam, 10)
+    with pytest.raises(ParamViolation):
+        no_spread_limit(XI1, RHO1, lam)
+
+
 def test_estimate_p_no_spread_matches_analytic():
     config = make_config(n_grid=(10,), lambda_grid=(1.0,), replications=20_000)
     est = estimate_p_no_spread(config, 10, 1.0)
@@ -186,8 +231,9 @@ def test_estimate_p_no_spread_matches_analytic():
 def test_finite_n_converges_to_limit_monotonically():
     lam = 1.3
     limit = no_spread_limit(XI2, RHOU, lam)
-    gaps = [abs(no_spread_finite_n(XI2, RHOU, lam, n) - limit) for n in (10, 100, 1000)]
-    assert gaps[0] > gaps[1] > gaps[2]
+    gaps = [abs(no_spread_finite_n(XI2, RHOU, lam, n) - limit)
+            for n in (10, 100, 1000, 10_000, 100_000)]
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
 # -- annealed vs quenched ---------------------------------------------------------
@@ -219,6 +265,32 @@ def test_jobs_do_not_change_results():
     par, f2 = collect_final_sizes(config, 25, 1.5, jobs=2)
     np.testing.assert_array_equal(ser, par)
     assert f1 == f2 == 0
+
+
+def test_failed_replications_are_dropped_not_counted_as_zero(monkeypatch):
+    config = make_config(n_grid=(25,), lambda_grid=(1.5,), replications=100)
+    real = sirkn.experiment.percolation_final_size
+    bad_seed = sirkn.experiment._run_seed(config.master_seed, 0, 37)
+
+    def flaky(env, lam, run_seed):
+        if run_seed == bad_seed:
+            raise QuadratureFailure("injected")
+        return real(env, lam, run_seed)
+
+    monkeypatch.setattr(sirkn.experiment, "percolation_final_size", flaky)
+    stats, samples = run_batch(config, 25, 1.5, jobs=1, return_samples=True)
+    assert stats.failures == 1
+    assert stats.replications == len(samples) == 99
+    assert samples.min() >= 1
+
+
+def test_all_replications_failing_raises(monkeypatch):
+    def broken(env, lam, run_seed):
+        raise QuadratureFailure("injected")
+
+    monkeypatch.setattr(sirkn.experiment, "percolation_final_size", broken)
+    with pytest.raises(SirknError):
+        collect_final_sizes(make_config(replications=10), 20, 1.0)
 
 
 def test_quenched_shares_one_environment():
