@@ -3,7 +3,9 @@
 
 Draws final-size samples from both engines on a small grid and prints the
 two-sample chi-square p-value per grid point.  The two engines realize the
-same law by construction, so p-values should look uniform.
+same law by construction, so p-values should look uniform.  The weight
+laws cover both event selections of the dynamic engine: thinning for the
+constant and uniform laws, direct selection for the sparse two-point law.
 
 Usage: python scripts/run_engine_agreement.py [--reps 5000]
 """
@@ -26,9 +28,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    print(f"{'xi':>18} {'rho':>12} {'lam/lc':>7} {'n':>4} {'p-value':>8}")
+    print(f"{'xi':>18} {'rho':>21} {'lam/lc':>7} {'n':>4} {'p-value':>8}")
     for xi_text in ("constant:1", "two_point:1:0.5:2"):
-        for rho_text in ("constant:1", "uniform:0:1"):
+        for rho_text in ("constant:1", "uniform:0:1", "two_point:0.01:0.99:1"):
             xi = parse_dist(xi_text, "recovery")
             rho = parse_dist(rho_text, "weight")
             lc = critical_lambda(moments(rho, xi))
@@ -44,7 +46,7 @@ def main() -> int:
                             cfg, n, mult * lc, jobs=args.jobs)
                     _, _, p = chi_square_two_sample(samples["dynamic"],
                                                     samples["percolation"])
-                    print(f"{xi_text:>18} {rho_text:>12} {mult:>7.2f} {n:>4d} {p:>8.4f}")
+                    print(f"{xi_text:>18} {rho_text:>21} {mult:>7.2f} {n:>4d} {p:>8.4f}")
     return 0
 
 

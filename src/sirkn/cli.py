@@ -21,9 +21,9 @@ from pathlib import Path
 
 from . import seeding
 from .distributions import ROLE_RECOVERY, ROLE_WEIGHT, format_dist, parse_dist
-from .dynamics import MODE_DIRECT, MODE_THINNING, SimParams, gillespie_run, trajectory_rows
+from .dynamics import SimParams, gillespie_run, trajectory_rows
 from .environment import Environment
-from .errors import ParamViolation, SirknError, SupportViolation
+from .errors import ParamViolation, SirknError, SupportViolation, check_lambda
 from .experiment import (ExperimentConfig, config_from_file, config_from_dict,
                          config_to_dict, config_hash, estimate_p_no_spread,
                          sweep, write_sweep)
@@ -61,7 +61,7 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    _require(args.lam >= 0, f"lambda >= 0 is required (got {args.lam})")
+    check_lambda(args.lam)
     xi = parse_dist(args.xi, ROLE_RECOVERY)
     rho = parse_dist(args.rho, ROLE_WEIGHT)
     resolved = {
@@ -71,7 +71,6 @@ def _cmd_simulate(args) -> int:
         "xi_spec": format_dist(xi),
         "rho_spec": format_dist(rho),
         "seed": args.seed,
-        "mode": args.mode,
         "max_events": args.max_events,
         "trajectory": bool(args.trajectory),
     }
@@ -80,8 +79,7 @@ def _cmd_simulate(args) -> int:
     params = SimParams(lam=args.lam,
                        run_seed=seeding.derive_key(args.seed, _TAG_CLI_RUN),
                        max_events=args.max_events,
-                       record_trajectory=bool(args.trajectory),
-                       mode=args.mode)
+                       record_trajectory=bool(args.trajectory))
     result = gillespie_run(env, params)
     _write_json(out / "run.json", {"config": resolved, "result": result.to_dict()})
     if args.trajectory:
@@ -95,7 +93,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_percolate(args) -> int:
-    _require(args.lam >= 0, f"lambda >= 0 is required (got {args.lam})")
+    check_lambda(args.lam)
     xi = parse_dist(args.xi, ROLE_RECOVERY)
     rho = parse_dist(args.rho, ROLE_WEIGHT)
     resolved = {
@@ -152,7 +150,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_meanfield(args) -> int:
-    _require(args.lam >= 0, f"lambda >= 0 is required (got {args.lam})")
+    check_lambda(args.lam)
     _require(0.0 <= args.i0 <= 1.0, f"i0 in [0, 1] is required (got {args.i0})")
     s0 = args.s0 if args.s0 is not None else 1.0 - args.i0
     _require(0.0 <= s0 and s0 + args.i0 <= 1.0 + 1e-12,
@@ -200,7 +198,7 @@ def _cmd_er(args) -> int:
 
 
 def _cmd_no_spread(args) -> int:
-    _require(args.lam >= 0, f"lambda >= 0 is required (got {args.lam})")
+    check_lambda(args.lam)
     xi = parse_dist(args.xi, ROLE_RECOVERY)
     rho = parse_dist(args.rho, ROLE_WEIGHT)
     config = config_from_dict({
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="one event-driven run", exit_on_error=False)
     add_model(p)
-    p.add_argument("--mode", choices=[MODE_DIRECT, MODE_THINNING], default=MODE_DIRECT)
     p.add_argument("--max-events", type=int, default=None)
     p.add_argument("--trajectory", action="store_true",
                    help="also write trajectory.csv")

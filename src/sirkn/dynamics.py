@@ -2,16 +2,17 @@
 
 The process starts from one infective at vertex 0.  An infective i recovers
 at rate xi(i); a susceptible i is infected at rate (lam/n) * sum of rho(i, j)
-over infective j.  Two event-selection modes produce the same law:
+over infective j.  The weight law picks one of two exact event selections:
 
-* "direct": maintains the per-susceptible pressure w(i) and picks events
-  proportionally (O(n) pressure update per event).  When the weight law is
-  the constant rho, every susceptible carries the same pressure rho * |I|,
-  so the vector bookkeeping collapses to a closed formula and a uniform
-  pick; the generic path keeps the incremental vector.
-* "thinning": proposes infections at the envelope rate (lam/n)*|S|*|I|
-  (valid because rho <= 1) and accepts a uniform candidate pair (i, j) with
-  probability rho(i, j); no pressure bookkeeping.
+* thinning (Lewis & Shedler), used when the mean acceptance
+  E[rho] / rho_max is at least _MIN_THINNING_ACCEPTANCE, rho_max being the
+  top of the law's support: infections are proposed at the envelope rate
+  (lam/n) * rho_max * |S| * |I| for a uniform pair (i, j) in S x I and
+  accepted with probability rho(i, j) / rho_max.  Constant laws accept
+  every proposal and never look up a weight.
+* direct (Gillespie), for sparser laws: maintains the per-susceptible
+  pressure w(i) and picks events proportionally (O(n) pressure update per
+  event), so no proposal is wasted.
 """
 
 from __future__ import annotations
@@ -22,14 +23,18 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import seeding
+from .distributions import mean, support
 from .environment import Environment
-from .errors import DeadState, ParamViolation
+from .errors import DeadState, ParamViolation, check_lambda
 
 RECOVERY = "recovery"
 INFECTION = "infection"
 
-MODE_DIRECT = "direct"
-MODE_THINNING = "thinning"
+# Thinning wastes a share 1 - E[rho]/rho_max of its proposals; the direct
+# path pays an O(n) pressure update per event instead.  Paired timings
+# (CHANGES.md) put the break-even near an acceptance of 0.11-0.14 for
+# surviving runs at n = 300-1000; below this constant the direct path is used.
+_MIN_THINNING_ACCEPTANCE = 0.12
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,6 @@ class SimParams:
     run_seed: int
     max_events: Optional[int] = None  # defaults to 50 * n
     record_trajectory: bool = False
-    mode: str = MODE_DIRECT
 
 
 @dataclass
@@ -71,27 +75,26 @@ class EpidemicState:
 
     Vertex labels: 0 susceptible, 1 infective, 2 removed.  Removed vertices
     never change label again.  The incrementally maintained totals must
-    agree with a from-scratch recomputation to relative 1e-9.
+    agree with a from-scratch recomputation to relative 1e-9.  `thinning`
+    records which event selection the weight law picked; the pressure
+    vector w exists only on the direct path.
     """
 
-    __slots__ = ("env", "lam", "mode", "n", "labels", "xi",
+    __slots__ = ("env", "lam", "n", "labels", "xi", "thinning", "rho_max",
                  "s_list", "s_pos", "s_count", "i_list", "i_pos", "i_count",
                  "w", "total_recovery_rate", "_pressure_acc", "time",
-                 "_xi_const", "_rho_const", "_track_w", "_row_cache")
+                 "_xi_const", "_rho_const", "_row_cache")
 
-    def __init__(self, env: Environment, lam: float, mode: str = MODE_DIRECT):
-        if lam < 0:
-            raise ParamViolation(f"lambda must satisfy lambda >= 0 (got {lam})")
-        if mode not in (MODE_DIRECT, MODE_THINNING):
-            raise ParamViolation(f"unknown dynamics mode {mode!r}")
+    def __init__(self, env: Environment, lam: float):
+        check_lambda(lam)
         n = env.n
         self.env = env
         self.lam = float(lam)
-        self.mode = mode
         self.n = n
         self._xi_const = env.xi_const
         self._rho_const = env.rho_const
-        self._track_w = mode == MODE_DIRECT and self._rho_const is None
+        self.rho_max = support(env.rho_spec)[1]
+        self.thinning = mean(env.rho_spec) >= _MIN_THINNING_ACCEPTANCE * self.rho_max
         self.labels = np.zeros(n, dtype=np.int8)
         self.xi = env.xi_block(np.arange(n))
         # Packed vertex lists with positional index for O(1) swap-removal.
@@ -110,8 +113,8 @@ class EpidemicState:
         # Full weight rows of active infectives are cached at moderate n so a
         # recovery can subtract the same values its infection added without
         # re-hashing (bounded by n^2 floats, so gated).
-        self._row_cache = {} if (self._track_w and n <= 2048) else None
-        if self._track_w:
+        self._row_cache = {} if (not self.thinning and n <= 2048) else None
+        if not self.thinning:
             env._ensure_pair_keys()
             self.w = np.zeros(n, dtype=np.float64)
             if self.s_count > 0:
@@ -132,24 +135,11 @@ class EpidemicState:
     # -- aggregate rates ---------------------------------------------------
 
     @property
-    def infective_count(self) -> int:
-        return self.i_count
-
-    @property
-    def removed_count(self) -> int:
-        return self.n - self.s_count - self.i_count
-
-    @property
     def total_pressure(self) -> float:
         """Sum over susceptibles of w(i) = sum_{j in I} rho(i, j)."""
-        if self._rho_const is not None:
-            return self._rho_const * self.s_count * self.i_count
-        if self._track_w:
-            return self._pressure_acc
-        return self.recompute_totals()[1]
-
-    def total_infection_rate(self) -> float:
-        return (self.lam / self.n) * self.total_pressure
+        if self.thinning:
+            return self.recompute_totals()[1]
+        return self._pressure_acc
 
     def recompute_totals(self) -> Tuple[float, float]:
         """From-scratch (total recovery rate, total pressure over S)."""
@@ -190,7 +180,7 @@ class EpidemicState:
             self.i_pos[vertex] = self.i_count
             self.i_count += 1
             self.total_recovery_rate += float(self.xi[vertex])
-            if self._track_w:
+            if not self.thinning:
                 self._pressure_acc -= float(self.w[vertex])
                 if self.s_count > 0:
                     sus = self.s_list[: self.s_count]
@@ -205,7 +195,7 @@ class EpidemicState:
             self.total_recovery_rate -= float(self.xi[vertex])
             if self.i_count == 0:
                 self.total_recovery_rate = 0.0
-            if self._track_w and self.s_count > 0:
+            if not self.thinning and self.s_count > 0:
                 sus = self.s_list[: self.s_count]
                 if self._row_cache is not None:
                     row = self._row_cache.pop(vertex)[sus]
@@ -227,14 +217,14 @@ def next_event(state: EpidemicState, rng: np.random.Generator
 
     dt is exponential with the total rate; the event is a recovery of i in I
     with probability xi(i)/total, else an infection of i in S with
-    probability (lam/n) w(i)/total.  The thinning mode loops internal
-    proposals, so the returned pair has the same law in both modes.
+    probability (lam/n) w(i)/total.  Thinning loops internal proposals, so
+    the returned pair has this law on both selection paths.
     """
     if state.i_count == 0:
         raise DeadState("no infectives: total rate is zero")
-    if state.mode == MODE_DIRECT:
-        return _next_event_direct(state, rng)
-    return _next_event_thinning(state, rng)
+    if state.thinning:
+        return _next_event_thinning(state, rng)
+    return _next_event_direct(state, rng)
 
 
 def _pick_infective(state, rng) -> int:
@@ -250,16 +240,9 @@ def _pick_infective(state, rng) -> int:
 
 def _next_event_direct(state, rng):
     rec = state.total_recovery_rate
-    if state._rho_const is not None:
-        inf_rate = (state.lam / state.n) * state._rho_const * state.s_count * state.i_count
-    else:
-        inf_rate = (state.lam / state.n) * state._pressure_acc
-    total = rec + inf_rate
+    total = rec + (state.lam / state.n) * state._pressure_acc
     dt = rng.standard_exponential() / total
     if rng.random() * total >= rec and state.s_count > 0:
-        if state._rho_const is not None:
-            # equal pressure on every susceptible: uniform pick
-            return dt, (INFECTION, int(state.s_list[int(rng.random() * state.s_count)]))
         weights = state.w[state.s_list[: state.s_count]]
         c = np.cumsum(weights)
         tot_w = c[-1]
@@ -273,22 +256,20 @@ def _next_event_direct(state, rng):
 
 def _next_event_thinning(state, rng):
     lam_n = state.lam / state.n
-    rho_const = state._rho_const
+    rho_max = state.rho_max
     elapsed = 0.0
     while True:
         rec = state.total_recovery_rate
-        envelope = lam_n * state.s_count * state.i_count
-        total = rec + envelope
+        total = rec + lam_n * rho_max * state.s_count * state.i_count
         elapsed += rng.standard_exponential() / total
         if rng.random() * total < rec:
             return elapsed, (RECOVERY, _pick_infective(state, rng))
-        si = int(state.s_list[int(rng.random() * state.s_count)])
-        if rho_const is not None:
-            if rho_const >= 1.0 or rng.random() < rho_const:
-                return elapsed, (INFECTION, si)
-            continue
-        jj = int(state.i_list[int(rng.random() * state.i_count)])
-        if rng.random() < state.env.rho_at(si, jj):
+        if state._rho_const is not None:
+            return elapsed, (INFECTION, int(state.s_list[int(rng.random() * state.s_count)]))
+        # one uniform picks the proposed pair (i, j) in S x I
+        k, m = divmod(int(rng.random() * (state.s_count * state.i_count)), state.i_count)
+        si = int(state.s_list[k])
+        if rng.random() * rho_max < state.env.rho_at(si, int(state.i_list[m])):
             return elapsed, (INFECTION, si)
         # rejected proposal: time already advanced, redraw
 
@@ -300,14 +281,13 @@ def gillespie_run(env: Environment, params: SimParams) -> RunResult:
     because S only shrinks and R_0 is empty.  Truncated runs therefore report
     a lower bound.
     """
-    if params.lam < 0:
-        raise ParamViolation(f"lambda must satisfy lambda >= 0 (got {params.lam})")
+    check_lambda(params.lam)
     max_events = params.max_events if params.max_events is not None else 50 * env.n
     if max_events < 1:
         raise ParamViolation(f"max_events must satisfy max_events >= 1 (got {max_events})")
 
     rng = seeding.stream(params.run_seed)
-    state = EpidemicState(env, params.lam, params.mode)
+    state = EpidemicState(env, params.lam)
     trajectory = [] if params.record_trajectory else None
     events = 0
     truncated = False

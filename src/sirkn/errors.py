@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared check on lambda."""
+
+import math
 
 
 class SirknError(Exception):
@@ -35,3 +37,9 @@ class QuadratureFailure(SirknError, RuntimeError):
 
 class StepTooLarge(SirknError, ValueError):
     """ODE step so large that conservation drifted past tolerance."""
+
+
+def check_lambda(lam: float) -> None:
+    """Reject an infection rate that is negative, nan or infinite."""
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ParamViolation(f"lambda must be finite and satisfy lambda >= 0 (got {lam})")

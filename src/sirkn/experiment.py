@@ -32,7 +32,7 @@ from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT,
 from .distributions import quantile  # noqa: F401
 from .dynamics import SimParams, gillespie_run
 from .environment import Environment
-from .errors import ParamViolation, QuadratureFailure, SirknError
+from .errors import ParamViolation, QuadratureFailure, SirknError, check_lambda
 from .meanfield import classic_specs, final_size_fixed_point
 from .percolation import percolation_final_size
 
@@ -86,8 +86,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         if n < 1:
             raise ParamViolation(f"n must satisfy n >= 1 (got {n})")
     for lam in config.lambda_grid:
-        if lam < 0:
-            raise ParamViolation(f"lambda must satisfy lambda >= 0 (got {lam})")
+        check_lambda(lam)
     if config.replications < 1:
         raise ParamViolation(
             f"replications must satisfy replications >= 1 (got {config.replications})")
@@ -349,14 +348,9 @@ def collect_final_sizes(config: ExperimentConfig, n: int, lam: float,
 # No-spread probability: exact / analytic references
 
 
-def _check_lambda(lam: float) -> None:
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ParamViolation(f"lambda must be finite and >= 0 (got {lam})")
-
-
 def no_spread_limit(xi_spec: DistSpec, rho_spec: DistSpec, lam: float) -> float:
     """Large-n limit of P(the initial infective infects nobody)."""
-    _check_lambda(lam)
+    check_lambda(lam)
     return expect_self_over_self_plus(xi_spec, lam * mean(rho_spec))
 
 
@@ -372,7 +366,7 @@ def no_spread_finite_n(xi_spec: DistSpec, rho_spec: DistSpec, lam: float,
     is exact (to quadrature tolerance) for atomic and uniform laws alike.
     The integrand is formed in log space; phi^(n-1) underflows otherwise.
     """
-    _check_lambda(lam)
+    check_lambda(lam)
     if n < 1:
         raise ParamViolation(f"n must satisfy n >= 1 (got {n})")
     if n == 1 or lam == 0.0:

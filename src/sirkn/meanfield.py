@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple
 
 from .distributions import DistSpec
-from .errors import ParamViolation, StepTooLarge
+from .errors import ParamViolation, StepTooLarge, check_lambda
 
 I_EXTINCT = 1e-12
 
@@ -55,8 +55,7 @@ def ode_solve(lam: float, init: MeanFieldState, horizon: float = 50.0,
     at any sample (the scheme preserves the linear invariant to roundoff, so
     this triggers only on wildly inappropriate steps).
     """
-    if lam < 0:
-        raise ParamViolation(f"lambda must satisfy lambda >= 0 (got {lam})")
+    check_lambda(lam)
     if step <= 0:
         raise ParamViolation(f"step must be positive (got {step})")
     if horizon < 0:
@@ -102,8 +101,7 @@ def final_size_fixed_point(lam: float, s0: float, i0: float) -> FixedPointResult
         raise ParamViolation(
             f"initial fractions must satisfy s0, i0 >= 0 and s0 + i0 <= 1 "
             f"(got s0={s0}, i0={i0})")
-    if lam < 0:
-        raise ParamViolation(f"lambda must satisfy lambda >= 0 (got {lam})")
+    check_lambda(lam)
 
     def g(r: float) -> float:
         return 1.0 - s0 * math.exp(-lam * r) - r

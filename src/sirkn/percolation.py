@@ -31,7 +31,7 @@ from scipy.integrate import quad
 from . import seeding
 from .distributions import DistSpec, as_mixture, validate_spec
 from .environment import Environment
-from .errors import ParamViolation, QuadratureFailure
+from .errors import ParamViolation, QuadratureFailure, check_lambda
 
 MODE_SKIP = "skip"
 MODE_SCAN = "scan"
@@ -110,8 +110,7 @@ def percolation_final_size(env: Environment, lam: float, run_seed: int,
     final size under the annealed measure (and under the quenched measure
     for a fixed environment).
     """
-    if lam < 0:
-        raise ParamViolation(f"lambda must satisfy lambda >= 0 (got {lam})")
+    check_lambda(lam)
     if mode == MODE_SCAN:
         return _scan_bfs(env, lam, run_seed, record_frontier)
     if mode == MODE_SKIP:
@@ -279,8 +278,7 @@ def per_edge_open_probability(rho_spec: DistSpec, xi_spec: DistSpec,
     validate_spec(xi_spec)
     if n < 1:
         raise ParamViolation(f"n must satisfy n >= 1 (got {n})")
-    if lam < 0:
-        raise ParamViolation(f"lambda must satisfy lambda >= 0 (got {lam})")
+    check_lambda(lam)
     c = lam / n
     if c == 0.0:
         return 0.0

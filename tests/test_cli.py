@@ -139,8 +139,7 @@ def test_rerun_from_embedded_config_reproduces(tmp_path):
     cfg = json.loads((tmp_path / "a" / "run.json").read_text())["config"]
     rebuilt = ["simulate", "--n", str(cfg["n"]), "--lambda", str(cfg["lambda"]),
                "--xi", cfg["xi_spec"], "--rho", cfg["rho_spec"],
-               "--seed", str(cfg["seed"]), "--mode", cfg["mode"],
-               "--outdir", "b"]
+               "--seed", str(cfg["seed"]), "--outdir", "b"]
     assert run_cli(rebuilt, tmp_path) == 0
     assert (tmp_path / "a" / "run.json").read_bytes() == \
            (tmp_path / "b" / "run.json").read_bytes()

@@ -4,16 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sirkn import seeding
-from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, parse_dist
-from sirkn.dynamics import (INFECTION, MODE_DIRECT, MODE_THINNING, RECOVERY,
-                            EpidemicState, SimParams, gillespie_run, next_event,
-                            trajectory_rows)
+from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda,
+                                 moments, parse_dist)
+from sirkn.dynamics import (INFECTION, RECOVERY, EpidemicState, SimParams,
+                            gillespie_run, next_event, trajectory_rows)
 from sirkn.environment import Environment
 from sirkn.errors import DeadState, ParamViolation
 from sirkn.experiment import chi_square_two_sample, wilson_interval
+from sirkn.percolation import percolation_final_size
 
 XI1 = parse_dist("constant:1", ROLE_RECOVERY)
 RHO1 = parse_dist("constant:1", ROLE_WEIGHT)
+# One weight law per event-selection path, for tests parametrized over both.
+RHO_THINNING = "uniform:0:1"
+RHO_DIRECT = "two_point:0.01:0.99:1"
+PATH_IDS = ["thinning", "direct"]
 
 
 def final_size_distribution_symmetric(n: int, lam: float) -> dict:
@@ -160,12 +165,16 @@ def test_next_event_two_vertex_infection_probability():
     assert lo <= 0.5 <= hi
 
 
-def test_next_event_three_vertex_frequencies_match_rates():
+@pytest.mark.parametrize("rho_text,thinning", [("uniform:0.1:1", True),
+                                               (RHO_DIRECT, False)],
+                         ids=PATH_IDS)
+def test_next_event_three_vertex_frequencies_match_rates(rho_text, thinning):
     xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
-    rho = parse_dist("uniform:0.1:1", ROLE_WEIGHT)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
     env = Environment(3, 23, xi, rho)
     lam = 1.7
     state = EpidemicState(env, lam=lam)
+    assert state.thinning is thinning
     # exact per-event probabilities from the environment itself
     rec_rate = env.xi_at(0)
     w1, w2 = env.rho_at(1, 0), env.rho_at(2, 0)
@@ -184,46 +193,77 @@ def test_next_event_three_vertex_frequencies_match_rates():
         assert abs(counts[ev] / reps - p) < 3 * se, ev
 
 
-@pytest.mark.parametrize("mode", [MODE_DIRECT, MODE_THINNING])
-def test_rate_consistency_along_trajectory(mode):
+@pytest.mark.parametrize("rho_text", [RHO_THINNING, RHO_DIRECT], ids=PATH_IDS)
+def test_rate_consistency_along_trajectory(rho_text):
     xi = parse_dist("shifted:uniform:0:1:+1", ROLE_RECOVERY)
-    rho = parse_dist("uniform:0:1", ROLE_WEIGHT)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
     env = Environment(200, 31, xi, rho)
-    state = EpidemicState(env, lam=2.0, mode=mode)
+    lam = 2.0 * critical_lambda(moments(rho, xi))
+    state = EpidemicState(env, lam=lam)
     rng = seeding.stream(314)
-    for step in range(160):
+    peak = 1
+    for _ in range(160):
         if state.i_count == 0:
-            break
+            state = EpidemicState(env, lam=lam)  # restart: check live states only
         dt, (kind, vertex) = next_event(state, rng)
         state.apply(kind, vertex)
-        if step % 20 == 0:
-            rec, pressure = state.recompute_totals()
-            assert state.total_recovery_rate == pytest.approx(rec, rel=1e-9, abs=1e-12)
-            if mode == MODE_DIRECT:
-                assert state.total_pressure == pytest.approx(pressure, rel=1e-9,
-                                                             abs=1e-9)
-            # labels partition the vertex set
-            counts = np.bincount(state.labels, minlength=3)
-            assert counts[0] == state.s_count
-            assert counts[1] == state.i_count
-            assert counts.sum() == state.n
+        peak = max(peak, state.i_count)
+        rec, pressure = state.recompute_totals()
+        assert state.total_recovery_rate == pytest.approx(rec, rel=1e-9, abs=1e-12)
+        if not state.thinning:
+            assert state.total_pressure == pytest.approx(pressure, rel=1e-9, abs=1e-9)
+        # labels partition the vertex set
+        counts = np.bincount(state.labels, minlength=3)
+        assert counts[0] == state.s_count
+        assert counts[1] == state.i_count
+        assert counts.sum() == state.n
+    assert peak > 1
 
 
-def test_thinning_matches_direct_distribution():
+@pytest.mark.parametrize("rho_text", [RHO_THINNING, RHO_DIRECT], ids=PATH_IDS)
+def test_dynamic_matches_percolation_distribution(rho_text):
+    # the percolation engine is the exact static representation of the law
     xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
-    rho = parse_dist("uniform:0:1", ROLE_WEIGHT)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
+    lam = 2.0 * critical_lambda(moments(rho, xi))
     env_seed = 55
     reps = 10_000
-    samples = {}
-    for mode in (MODE_DIRECT, MODE_THINNING):
-        vals = np.empty(reps, dtype=np.int64)
-        for r in range(reps):
-            env = Environment(10, seeding.derive_key(env_seed, r), xi, rho)
-            vals[r] = gillespie_run(
-                env, SimParams(lam=3.0, run_seed=r, mode=mode)).r_infinity
-        samples[mode] = vals
-    _, _, p = chi_square_two_sample(samples[MODE_DIRECT], samples[MODE_THINNING])
+    dyn = np.empty(reps, dtype=np.int64)
+    perc = np.empty(reps, dtype=np.int64)
+    for r in range(reps):
+        env = Environment(10, seeding.derive_key(env_seed, 0, r), xi, rho)
+        dyn[r] = gillespie_run(env, SimParams(lam=lam, run_seed=r)).r_infinity
+        env = Environment(10, seeding.derive_key(env_seed, 1, r), xi, rho)
+        perc[r] = percolation_final_size(env, lam, r).r_infinity
+    _, _, p = chi_square_two_sample(dyn, perc)
     assert p > 0.01
+
+
+@pytest.mark.parametrize("rho_text,thinning", [
+    ("constant:1", True), ("constant:0.5", True),
+    (RHO_THINNING, True), ("uniform:0.5:1", True), (RHO_DIRECT, False)])
+def test_weight_law_selects_event_path(rho_text, thinning):
+    env = Environment(20, 4, XI1, parse_dist(rho_text, ROLE_WEIGHT))
+    state = EpidemicState(env, lam=1.0)
+    assert state.thinning is thinning
+    assert (state.w is None) is thinning
+
+
+def test_constant_weight_scales_out_of_thinning(monkeypatch):
+    # At the tight envelope rho_max = rho, a constant law accepts every
+    # proposal without a weight lookup or an acceptance draw, so halving rho
+    # and doubling lambda replays the classic run exactly.
+    def no_lookup(*args):
+        raise AssertionError("constant law looked up a weight")
+
+    monkeypatch.setattr(Environment, "rho_at", no_lookup)
+    half = parse_dist("constant:0.5", ROLE_WEIGHT)
+    for seed in range(20):
+        a = gillespie_run(Environment(30, 1, XI1, RHO1),
+                          SimParams(lam=3.0, run_seed=seed, record_trajectory=True))
+        b = gillespie_run(Environment(30, 1, XI1, half),
+                          SimParams(lam=6.0, run_seed=seed, record_trajectory=True))
+        assert a.trajectory == b.trajectory
 
 
 def test_invalid_params_rejected():
@@ -232,8 +272,6 @@ def test_invalid_params_rejected():
         gillespie_run(env, SimParams(lam=-1.0, run_seed=0))
     with pytest.raises(ParamViolation):
         gillespie_run(env, SimParams(lam=1.0, run_seed=0, max_events=0))
-    with pytest.raises(ParamViolation):
-        EpidemicState(env, lam=1.0, mode="bogus")
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,6 +9,8 @@ from scipy import stats as spstats
 import sirkn.experiment
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, as_mixture,
                                  expect_self_over_self_plus_vec, parse_dist)
+from sirkn.dynamics import EpidemicState, SimParams, gillespie_run
+from sirkn.environment import Environment
 from sirkn.errors import ParamViolation, QuadratureFailure, SirknError
 from sirkn.experiment import (ExperimentConfig, chi_square_two_sample,
                               collect_final_sizes, config_from_dict,
@@ -18,6 +20,8 @@ from sirkn.experiment import (ExperimentConfig, chi_square_two_sample,
                               parse_config_text, resolved_lambda_grid, run_batch,
                               sweep, sweep_csv_text, SWEEP_CSV_COLUMNS,
                               wilson_interval, write_sweep)
+from sirkn.meanfield import MeanFieldState, final_size_fixed_point, ode_solve
+from sirkn.percolation import per_edge_open_probability, percolation_final_size
 
 XI1 = parse_dist("constant:1", ROLE_RECOVERY)
 RHO1 = parse_dist("constant:1", ROLE_WEIGHT)
@@ -218,6 +222,26 @@ def test_no_spread_references_reject_invalid_lambda(lam):
         no_spread_finite_n(XI1, RHO1, lam, 10)
     with pytest.raises(ParamViolation):
         no_spread_limit(XI1, RHO1, lam)
+
+
+_LAMBDA_ENTRIES = {
+    "EpidemicState": lambda lam: EpidemicState(Environment(10, 1, XI1, RHOU), lam),
+    "gillespie_run": lambda lam: gillespie_run(Environment(10, 1, XI1, RHO1),
+                                               SimParams(lam=lam, run_seed=0)),
+    "percolation_final_size": lambda lam: percolation_final_size(
+        Environment(10, 1, XI1, RHO1), lam, 0),
+    "per_edge_open_probability": lambda lam: per_edge_open_probability(RHO1, XI1, lam, 10),
+    "validate_config": lambda lam: make_config(lambda_grid=(lam,)),
+    "ode_solve": lambda lam: ode_solve(lam, MeanFieldState(s=0.99, i=0.01, r=0.0)),
+    "final_size_fixed_point": lambda lam: final_size_fixed_point(lam, 0.99, 0.01),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_LAMBDA_ENTRIES))
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+def test_public_entries_reject_invalid_lambda(entry, lam):
+    with pytest.raises(ParamViolation):
+        _LAMBDA_ENTRIES[entry](lam)
 
 
 def test_estimate_p_no_spread_matches_analytic():
