@@ -6,6 +6,9 @@ two-sample chi-square p-value per grid point.  The two engines realize the
 same law by construction, so p-values should look uniform.  The weight
 laws cover both event selections of the dynamic engine: thinning for the
 constant and uniform laws, direct selection for the sparse two-point law.
+constant:0.5 thins at an envelope below 1 in both engines; at the same
+seeds both engines scale it out exactly, so its rows repeat the constant:1
+rows.
 
 Usage: python scripts/run_engine_agreement.py [--reps 5000]
 """
@@ -30,7 +33,8 @@ def main() -> int:
 
     print(f"{'xi':>18} {'rho':>21} {'lam/lc':>7} {'n':>4} {'p-value':>8}")
     for xi_text in ("constant:1", "two_point:1:0.5:2"):
-        for rho_text in ("constant:1", "uniform:0:1", "two_point:0.01:0.99:1"):
+        for rho_text in ("constant:1", "constant:0.5", "uniform:0:1",
+                         "two_point:0.01:0.99:1"):
             xi = parse_dist(xi_text, "recovery")
             rho = parse_dist(rho_text, "weight")
             lc = critical_lambda(moments(rho, xi))

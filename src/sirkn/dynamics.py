@@ -6,10 +6,11 @@ over infective j.  The weight law picks one of two exact event selections:
 
 * thinning (Lewis & Shedler), used when the mean acceptance
   E[rho] / rho_max is at least _MIN_THINNING_ACCEPTANCE, rho_max being the
-  top of the law's support: infections are proposed at the envelope rate
-  (lam/n) * rho_max * |S| * |I| for a uniform pair (i, j) in S x I and
-  accepted with probability rho(i, j) / rho_max.  Constant laws accept
-  every proposal and never look up a weight.
+  largest weight the law puts mass on (`Environment.rho_max`): infections
+  are proposed at the envelope rate (lam/n) * rho_max * |S| * |I| for a
+  uniform pair (i, j) in S x I and accepted with probability
+  rho(i, j) / rho_max.  Constant laws accept every proposal and never look
+  up a weight.
 * direct (Gillespie), for sparser laws: maintains the per-susceptible
   pressure w(i) and picks events proportionally (O(n) pressure update per
   event), so no proposal is wasted.
@@ -23,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import seeding
-from .distributions import mean, support
+from .distributions import mean
 from .environment import Environment
 from .errors import DeadState, ParamViolation, check_lambda
 
@@ -93,7 +94,7 @@ class EpidemicState:
         self.n = n
         self._xi_const = env.xi_const
         self._rho_const = env.rho_const
-        self.rho_max = support(env.rho_spec)[1]
+        self.rho_max = env.rho_max
         self.thinning = mean(env.rho_spec) >= _MIN_THINNING_ACCEPTANCE * self.rho_max
         self.labels = np.zeros(n, dtype=np.int8)
         self.xi = env.xi_block(np.arange(n))

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import seeding
-from .distributions import DistSpec, ROLE_RECOVERY, ROLE_WEIGHT, quantile, validate_spec
+from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT, as_mixture, quantile,
+                            validate_spec)
 from .errors import IndexOutOfRange, ParamViolation, SelfLoop
 
 _TAG_XI = 0x5849
@@ -27,7 +28,7 @@ class Environment:
     """
 
     __slots__ = ("n", "seed", "xi_spec", "rho_spec", "_xi_key", "_rho_key",
-                 "xi_const", "rho_const", "_pair_salt", "_pair_lo_keys")
+                 "xi_const", "rho_const", "rho_max", "_pair_salt", "_pair_lo_keys")
 
     def __init__(self, n: int, seed: int, xi_spec: DistSpec, rho_spec: DistSpec):
         if n < 1:
@@ -46,6 +47,9 @@ class Environment:
         # for the classic xi = rho = 1 model, so keys are derived lazily.
         self.xi_const = xi_spec.params[0] if xi_spec.kind == "constant" else None
         self.rho_const = rho_spec.params[0] if rho_spec.kind == "constant" else None
+        # Largest weight the law can produce: the top of its atoms and
+        # intervals that carry mass.  Both engines thin at this envelope.
+        self.rho_max = max(comp[-1] for _, comp in as_mixture(rho_spec))
         self._xi_key = (seeding.derive_key(self.seed, _TAG_XI)
                         if self.xi_const is None else 0)
         self._rho_key = (seeding.derive_key(self.seed, _TAG_RHO)

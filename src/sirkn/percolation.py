@@ -12,18 +12,22 @@ Two BFS realizations of the same law:
   every unvisited target of a frontier vertex is examined.  O(n * r) work,
   and coupled across lam (a clock scales as 1/lam under its fixed uniform),
   so final size is surely nondecreasing in lam at fixed run_seed.
-* "skip": for each frontier vertex, the number of envelope successes among
-  the m unvisited targets is Binomial(m, p_env) with p_env the open
-  probability at rho = 1; a uniform distinct subset of that size is then
-  thinned by the actual rho.  Expected work O(lam * r), which is what makes
-  1e4-replication sweeps at n = 1e4 cheap.
+* "skip": given T(v), the arc (v, u) opens with probability
+  1 - exp(-(lam/n) rho(v, u) T(v)).  Each frontier vertex v throws
+  Poisson(lam rho_max T(v)) hits on uniform targets in [0, n) and keeps
+  each with probability rho(v, u) / rho_max (Lewis & Shedler thinning at
+  `Environment.rho_max`, the envelope of the dynamic engine); an arc is
+  open iff it keeps at least one hit, so repeated hits need no
+  bookkeeping.  Hits on visited vertices (v itself included) are dropped,
+  and constant laws keep every hit without a weight lookup.  A vertex expecting more hits than
+  there are unvisited vertices draws those arcs directly.  Expected work
+  O(lam * r), which is what makes 1e4-replication sweeps at n = 1e4 cheap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -41,12 +45,15 @@ _TAG_T = 0x54
 _TAG_U = 0x55
 _TAG_ER = 0x4552
 
+# Expected arc draws of one skip-BFS generation handled at once; a larger
+# generation is processed in frontier slices so memory stays bounded.
+_SLICE_HITS = 1 << 21
+
 
 @dataclass
 class ReachResult:
     reached: np.ndarray  # sorted vertex ids, always contains 0
     r_infinity: int
-    frontier_history: Optional[List[int]]
     t_draws: int
     u_draws: int
     engine: str
@@ -102,8 +109,7 @@ class ClockSample:
 
 
 def percolation_final_size(env: Environment, lam: float, run_seed: int,
-                           mode: str = MODE_SKIP,
-                           record_frontier: bool = False) -> ReachResult:
+                           mode: str = MODE_SKIP) -> ReachResult:
     """BFS from vertex 0 over arcs open iff U(i, j) <= T(i).
 
     The resulting r_infinity has exactly the law of the dynamic engine's
@@ -112,20 +118,19 @@ def percolation_final_size(env: Environment, lam: float, run_seed: int,
     """
     check_lambda(lam)
     if mode == MODE_SCAN:
-        return _scan_bfs(env, lam, run_seed, record_frontier)
+        return _scan_bfs(env, lam, run_seed)
     if mode == MODE_SKIP:
-        return _skip_bfs(env, lam, run_seed, record_frontier)
+        return _skip_bfs(env, lam, run_seed)
     raise ParamViolation(f"unknown percolation mode {mode!r}")
 
 
-def _scan_bfs(env, lam, run_seed, record_frontier):
+def _scan_bfs(env, lam, run_seed):
     n = env.n
     clocks = ClockSample(env, lam, run_seed)
     visited = np.zeros(n, dtype=bool)
     visited[0] = True
     unvisited = np.arange(1, n, dtype=np.int64)
     frontier = [0]
-    history = [1] if record_frontier else None
     reached_count = 1
     while frontier and unvisited.size:
         newly_open = np.zeros(unvisited.size, dtype=bool)
@@ -139,12 +144,9 @@ def _scan_bfs(env, lam, run_seed, record_frontier):
         reached_count += new_vertices.size
         unvisited = unvisited[~newly_open]
         frontier = new_vertices.tolist()
-        if history is not None:
-            history.append(int(new_vertices.size))
     return ReachResult(
         reached=np.flatnonzero(visited),
         r_infinity=reached_count,
-        frontier_history=history,
         t_draws=clocks.t_draws,
         u_draws=clocks.u_draws,
         engine="percolation",
@@ -154,108 +156,39 @@ def _scan_bfs(env, lam, run_seed, record_frontier):
     )
 
 
-def _distinct_positions(rng, counts, m):
-    """Uniform distinct positions in [0, m) within each owner group.
-
-    Draws with replacement and redraws within-group collisions (keeping the
-    first occurrence); the procedure is equivariant under relabeling of the
-    m positions, so each group gets an exactly uniform distinct subset.
-    Groups asking for more than half the pool fall back to permutations.
-    """
-    big = counts > max(8, m // 2)
-    if big.any():
-        pos = np.empty(int(counts.sum()), dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        for g, k in enumerate(counts):
-            if k == 0:
-                continue
-            if big[g]:
-                pos[offsets[g]:offsets[g + 1]] = rng.permutation(m)[:k]
-            else:
-                pos[offsets[g]:offsets[g + 1]] = _draw_distinct(rng, int(k), m)
-        return pos
-    total = int(counts.sum())
-    owner_idx = np.repeat(np.arange(len(counts)), counts)
-    pos = rng.integers(0, m, size=total)
-    while True:
-        order = np.lexsort((pos, owner_idx))
-        same = (owner_idx[order][1:] == owner_idx[order][:-1]) & \
-               (pos[order][1:] == pos[order][:-1])
-        if not same.any():
-            return pos
-        pos[order[1:][same]] = rng.integers(0, m, size=int(same.sum()))
-
-
-def _draw_distinct(rng, k, m):
-    seen = set()
-    out = np.empty(k, dtype=np.int64)
-    filled = 0
-    while filled < k:
-        v = int(rng.integers(0, m))
-        if v not in seen:
-            seen.add(v)
-            out[filled] = v
-            filled += 1
-    return out
-
-
-def _skip_bfs(env, lam, run_seed, record_frontier):
+def _skip_bfs(env, lam, run_seed):
     n = env.n
     lam_n = lam / n
-    rho_const = env.rho_const
+    hit_rate = lam * env.rho_max  # envelope hits on [0, n) per unit of T
     rng = seeding.stream(seeding.derive_key(run_seed, _TAG_PERC))
     visited = np.zeros(n, dtype=bool)
     visited[0] = True
-    unvisited = np.arange(1, n, dtype=np.int64)
     frontier = np.array([0], dtype=np.int64)
-    history = [1] if record_frontier else None
     reached_count = 1
     t_draws = 0
     u_draws = 0
-    while frontier.size and unvisited.size:
-        m = unvisited.size
-        if env.xi_const is not None:
-            t_clock = rng.standard_exponential(frontier.size) / env.xi_const
-        else:
-            t_clock = rng.standard_exponential(frontier.size) / env.xi_block(frontier)
+    while frontier.size and reached_count < n:
+        xi = env.xi_const if env.xi_const is not None else env.xi_block(frontier)
+        t_clock = rng.standard_exponential(frontier.size) / xi
         t_draws += frontier.size
-        p_env = -np.expm1(-lam_n * t_clock)
-        counts = rng.binomial(m, p_env)
-        total = int(counts.sum())
-        if total == 0:
-            break
-        if int(counts.max()) <= 1:
-            # at most one candidate per frontier vertex: positions are
-            # trivially distinct within each owner group
-            pos = rng.integers(0, m, size=total)
-        else:
-            pos = _distinct_positions(rng, counts, m)
-        owners = np.repeat(np.arange(frontier.size), counts)
-        cand = unvisited[pos]
-        u_draws += total
-        if rho_const is not None and rho_const >= 1.0:
-            accept = slice(None)  # envelope is exact: every candidate opens
-        else:
-            if rho_const is not None:
-                p_arc = -np.expm1(-lam_n * rho_const * t_clock[owners])
-            else:
-                rho = env.rho_pairs(frontier[owners], cand)
-                p_arc = -np.expm1(-lam_n * rho * t_clock[owners])
-            accept = rng.random(total) * p_env[owners] < p_arc
-        opened = cand[accept]
-        new_vertices = np.unique(opened) if opened.size > 1 else opened
-        if new_vertices.size == 0:
-            break
-        visited[new_vertices] = True
-        reached_count += new_vertices.size
-        unvisited = unvisited[~visited[unvisited]]
-        frontier = new_vertices
-        if history is not None:
-            history.append(int(new_vertices.size))
+        mu = hit_rate * t_clock
+        cuts = [0, frontier.size]
+        if mu.sum() > _SLICE_HITS:
+            # a dense source costs one draw per unvisited vertex, not mu
+            work = np.cumsum(np.minimum(mu, n - reached_count))
+            cuts[1:1] = (np.flatnonzero(np.diff(work // _SLICE_HITS)) + 1).tolist()
+        found = []
+        for a, b in zip(cuts, cuts[1:]):
+            new, draws = _open_targets(env, rng, visited, n - reached_count, lam_n,
+                                       frontier[a:b], t_clock[a:b], mu[a:b])
+            visited[new] = True
+            reached_count += new.size
+            u_draws += draws
+            found.append(new)
+        frontier = found[0] if len(found) == 1 else np.concatenate(found)
     return ReachResult(
         reached=np.flatnonzero(visited),
         r_infinity=reached_count,
-        frontier_history=history,
         t_draws=t_draws,
         u_draws=u_draws,
         engine="percolation",
@@ -263,6 +196,48 @@ def _skip_bfs(env, lam, run_seed, record_frontier):
         run_seed=run_seed,
         mode=MODE_SKIP,
     )
+
+
+def _open_targets(env, rng, visited, m, lam_n, src, t_clock, mu):
+    """Unvisited heads of the open arcs out of src, and the arcs examined.
+
+    A source v throws Poisson(mu_v) hits on uniform targets in [0, n) and
+    keeps each with probability rho(v, u) / rho_max, so a kept hit on (v, u)
+    exists with probability 1 - exp(-lam_n rho(v, u) T(v)), independently
+    over u; hits on visited vertices, v itself included, are dropped.  The
+    hits of all sources are one Poisson(sum mu) batch, each hit owned by v
+    with probability mu_v / sum mu independently of its target, so owners
+    are drawn only for surviving hits of non-constant laws.  A source
+    expecting more hits than the m unvisited vertices draws each of those
+    arcs directly.
+    """
+    n = visited.size
+    cum = np.cumsum(mu)
+    dense = mu > m
+    any_dense = cum[-1] > m and dense.any()
+    if any_dense:
+        cum = np.cumsum(np.where(dense, 0.0, mu))
+    draws = rng.poisson(cum[-1])
+    heads = np.empty(0, dtype=np.int64)
+    if draws:
+        heads = rng.integers(0, n, size=draws)
+        heads = heads[~visited[heads]]
+        if env.rho_const is None and heads.size:
+            owners = src[np.searchsorted(cum, rng.random(heads.size) * cum[-1], side="right")]
+            heads = heads[rng.random(heads.size) * env.rho_max < env.rho_pairs(owners, heads)]
+    if any_dense:
+        unvisited = np.flatnonzero(~visited)
+        src = src[dense]
+        rho = env.rho_const
+        if rho is None:
+            rho = env.rho_pairs(np.repeat(src, m), np.tile(unvisited, src.size))
+            rho = rho.reshape(src.size, m)
+        # arc (v, u) opens iff its Exp(1) clock is at most lam_n rho(v, u) T(v)
+        rate = lam_n * t_clock[dense][:, None] * rho
+        hit = (rng.standard_exponential((src.size, m)) <= rate).any(axis=0)
+        heads = np.concatenate((heads, unvisited[hit]))
+        draws += src.size * m
+    return (np.unique(heads) if heads.size > 1 else heads), draws
 
 
 # ---------------------------------------------------------------------------

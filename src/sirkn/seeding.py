@@ -84,12 +84,6 @@ def chain_key_arrays(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
     return mix64_array(keys ^ (idx + _ONE) * _U_CHAIN)
 
 
-def chain_keys_scalar_index(keys: np.ndarray, index: int) -> np.ndarray:
-    """child_key of an array of keys with one shared child index."""
-    salt = np.uint64((((int(index) & MASK64) + 1) * _CHAIN) & MASK64)
-    return mix64_array(keys ^ salt)
-
-
 def pair_salt(n: int) -> np.ndarray:
     """The per-index xor salt (index + 1) * CHAIN used by key chaining."""
     return (np.arange(n, dtype=np.uint64) + _ONE) * _U_CHAIN

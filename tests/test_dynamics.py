@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from sirkn import seeding
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda,
-                                 moments, parse_dist)
+                                 moments, parse_dist, support)
 from sirkn.dynamics import (INFECTION, RECOVERY, EpidemicState, SimParams,
                             gillespie_run, next_event, trajectory_rows)
 from sirkn.environment import Environment
-from sirkn.errors import DeadState, ParamViolation
+from sirkn.errors import DeadState, ParamViolation, SupportViolation
 from sirkn.experiment import chi_square_two_sample, wilson_interval
 from sirkn.percolation import percolation_final_size
 
@@ -247,6 +247,19 @@ def test_weight_law_selects_event_path(rho_text, thinning):
     state = EpidemicState(env, lam=1.0)
     assert state.thinning is thinning
     assert (state.w is None) is thinning
+
+
+def test_envelope_ignores_atoms_without_mass():
+    # two_point:0.1:1:1 puts all its mass at 0.1.  support() still reaches
+    # 1.0, so validation is unchanged, but the envelope is the exact 0.1 and
+    # thinning accepts every proposal.
+    rho = parse_dist("two_point:0.1:1:1", ROLE_WEIGHT)
+    assert support(rho) == (0.1, 1.0)
+    state = EpidemicState(Environment(20, 4, XI1, rho), lam=1.0)
+    assert state.thinning
+    assert state.rho_max == state.env.rho_max == 0.1
+    with pytest.raises(SupportViolation):
+        parse_dist("two_point:0.5:1:2", ROLE_WEIGHT)
 
 
 def test_constant_weight_scales_out_of_thinning(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sirkn import seeding
+from sirkn import percolation, seeding
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, mean,
                                  mean_inverse, parse_dist)
 from sirkn.dynamics import SimParams, gillespie_run
@@ -40,14 +40,26 @@ def test_two_vertex_race(mode):
     assert lo <= 0.5 <= hi
 
 
-def test_scan_and_skip_agree_in_distribution():
+@pytest.mark.parametrize("rho_text, n, lam, slice_hits", [
+    ("uniform:0:1", 20, 4.0, None),
+    ("constant:0.5", 20, 4.0, None),
+    ("two_point:0.01:0.99:1", 20, 40.0, None),
+    # most skip sources expect more hits than there are unvisited vertices
+    ("uniform:0:1", 10, 30.0, None),
+    # generations cut into frontier slices of a few expected hits each
+    ("uniform:0:1", 20, 4.0, 4),
+], ids=["uniform", "constant", "sparse", "dense", "sliced"])
+def test_scan_and_skip_agree_in_distribution(monkeypatch, rho_text, n, lam, slice_hits):
+    if slice_hits is not None:
+        monkeypatch.setattr(percolation, "_SLICE_HITS", slice_hits)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
     reps = 10_000
     samples = {}
     for mode in (MODE_SKIP, MODE_SCAN):
         vals = np.empty(reps, dtype=np.int64)
         for r in range(reps):
-            env = Environment(20, seeding.derive_key(4, r), XI2, RHOU)
-            vals[r] = percolation_final_size(env, 4.0, r, mode=mode).r_infinity
+            env = Environment(n, seeding.derive_key(4, r), XI2, rho)
+            vals[r] = percolation_final_size(env, lam, r, mode=mode).r_infinity
         samples[mode] = vals
     _, _, p = chi_square_two_sample(samples[MODE_SKIP], samples[MODE_SCAN])
     assert p > 0.01
@@ -83,11 +95,21 @@ def test_lazy_sampling_counters(mode):
     assert res.u_draws <= res.r_infinity * env.n
 
 
-def test_frontier_history_sums_to_reached():
-    env = Environment(400, 6, XI1, RHO1)
-    res = percolation_final_size(env, 2.0, 3, record_frontier=True)
-    assert sum(res.frontier_history) == res.r_infinity
-    assert res.frontier_history[0] == 1
+def test_constant_weight_scales_out_of_the_bfs(monkeypatch):
+    # At the envelope rho_max = rho, a constant law keeps every skip hit
+    # without a weight lookup or an acceptance draw, so halving rho and
+    # doubling lambda reaches the same vertices; lam = 40 runs the dense
+    # branch as well.
+    def no_lookup(*args):
+        raise AssertionError("constant law looked up a weight")
+
+    monkeypatch.setattr(Environment, "rho_pairs", no_lookup)
+    half = parse_dist("constant:0.5", ROLE_WEIGHT)
+    for lam in (1.5, 40.0):
+        for seed in range(20):
+            a = percolation_final_size(Environment(30, 1, XI2, RHO1), lam, seed)
+            b = percolation_final_size(Environment(30, 1, XI2, half), 2 * lam, seed)
+            np.testing.assert_array_equal(a.reached, b.reached)
 
 
 def test_determinism():
