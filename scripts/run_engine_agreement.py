@@ -38,19 +38,21 @@ def main() -> int:
             xi = parse_dist(xi_text, "recovery")
             rho = parse_dist(rho_text, "weight")
             lc = critical_lambda(moments(rho, xi))
-            for mult in (0.5, 2.0):
-                for n in (10, 30):
-                    samples = {}
-                    for engine in ("dynamic", "percolation"):
-                        cfg = ExperimentConfig(
-                            xi_spec=xi, rho_spec=rho, n_grid=(n,),
-                            lambda_grid=(mult * lc,), replications=args.reps,
-                            engine=engine, master_seed=args.seed)
-                        samples[engine], _ = collect_final_sizes(
-                            cfg, n, mult * lc, jobs=args.jobs)
-                    _, _, p = chi_square_two_sample(samples["dynamic"],
-                                                    samples["percolation"])
-                    print(f"{xi_text:>18} {rho_text:>21} {mult:>7.2f} {n:>4d} {p:>8.4f}")
+            cells = [(mult, n) for mult in (0.5, 2.0) for n in (10, 30)]
+            # every cell reuses grid index 0: the streams of a one-point run
+            points = [(0, n, mult * lc) for mult, n in cells]
+            samples = {}
+            for engine in ("dynamic", "percolation"):
+                cfg = ExperimentConfig(
+                    xi_spec=xi, rho_spec=rho, n_grid=(10, 30),
+                    lambda_grid=(0.5, 2.0), lambda_units="lambda_c",
+                    replications=args.reps, engine=engine,
+                    master_seed=args.seed)
+                samples[engine] = collect_final_sizes(cfg, points, jobs=args.jobs)
+            for (mult, n), (dyn, _), (perc, _) in zip(
+                    cells, samples["dynamic"], samples["percolation"]):
+                _, _, p = chi_square_two_sample(dyn, perc)
+                print(f"{xi_text:>18} {rho_text:>21} {mult:>7.2f} {n:>4d} {p:>8.4f}")
     return 0
 
 

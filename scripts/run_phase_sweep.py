@@ -48,7 +48,7 @@ def main() -> int:
         )
         result = sweep(config, jobs=args.jobs)
         outdir = Path("out") / f"{name}-{config_hash(config)}"
-        csv_path, json_path = write_sweep(result, outdir)
+        csv_path, _ = write_sweep(result, outdir)
         print(f"\n=== {name}: lambda_c = {result.lambda_c:.6g} -> {csv_path}")
         print(f"{'lambda/lc':>10} {'n':>7} {'mean r':>9} {'P(r/n>=eps)':>12} {'P(r=1)':>8}")
         for row in result.rows:
@@ -56,7 +56,6 @@ def main() -> int:
                   f"{row.exceed_probability:>12.4f} {row.p_no_spread:>8.4f}")
         for w in result.supercritical_witnesses:
             print(f"witness: lambda={w['lambda']:.4g} c={w['c']} b={w['b']:.4f}")
-        del json_path
     return 0
 
 

@@ -12,8 +12,7 @@ from .distributions import (DistSpec, Moments, constant, critical_lambda,
                             validate_spec)
 from .dynamics import EpidemicState, RunResult, SimParams, gillespie_run, next_event
 from .environment import Environment
-from .experiment import (ExperimentConfig, estimate_p_no_spread, run_batch,
-                         sweep, wilson_interval)
+from .experiment import ExperimentConfig, run_batch, sweep, wilson_interval
 from .meanfield import MeanFieldState, final_size_fixed_point, ode_solve
 from .percolation import (ReachResult, er_giant_component,
                           per_edge_open_probability, percolation_final_size)
@@ -28,7 +27,6 @@ __all__ = [
     "ReachResult", "percolation_final_size", "per_edge_open_probability",
     "er_giant_component",
     "MeanFieldState", "ode_solve", "final_size_fixed_point",
-    "ExperimentConfig", "run_batch", "sweep", "estimate_p_no_spread",
-    "wilson_interval",
+    "ExperimentConfig", "run_batch", "sweep", "wilson_interval",
     "__version__",
 ]

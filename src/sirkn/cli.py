@@ -13,7 +13,6 @@ constraint), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -25,8 +24,8 @@ from .dynamics import SimParams, gillespie_run, trajectory_rows
 from .environment import Environment
 from .errors import ParamViolation, SirknError, SupportViolation, check_lambda
 from .experiment import (ExperimentConfig, config_from_file, config_from_dict,
-                         config_to_dict, config_hash, estimate_p_no_spread,
-                         sweep, write_sweep)
+                         config_to_dict, config_hash, run_batch, sweep,
+                         write_sweep)
 from .meanfield import MeanFieldState, final_size_fixed_point, ode_solve
 from .percolation import MODE_SCAN, MODE_SKIP, er_giant_component, percolation_final_size
 
@@ -34,15 +33,11 @@ _TAG_CLI_ENV = 0x434C45
 _TAG_CLI_RUN = 0x434C52
 
 
-def _hash_dict(d: dict) -> str:
-    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:12]
-
-
 def _outdir(args, resolved: dict) -> Path:
     if args.outdir:
         out = Path(args.outdir)
     else:
-        out = Path("out") / _hash_dict(resolved)
+        out = Path("out") / config_hash(resolved)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -214,13 +209,13 @@ def _cmd_no_spread(args) -> int:
     resolved = config_to_dict(config)
     resolved["subcommand"] = "no-spread"
     out = _outdir(args, resolved)
-    est = estimate_p_no_spread(config, args.n, args.lam, jobs=jobs)
+    stats = run_batch(config, args.n, args.lam, jobs=jobs)
     _write_json(out / "no_spread.json", {
         "config": resolved,
-        "estimate": est.estimate,
-        "ci": list(est.ci),
-        "finite_n_analytic": est.finite_n_analytic,
-        "limit_analytic": est.limit_analytic,
+        "estimate": stats.p_no_spread,
+        "ci": list(stats.p_no_spread_ci),
+        "finite_n_analytic": stats.no_spread_finite_n,
+        "limit_analytic": stats.no_spread_limit,
     })
     print(out / "no_spread.json")
     return 0

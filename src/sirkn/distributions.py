@@ -81,26 +81,6 @@ def support(spec: DistSpec) -> tuple:
     return lo + off, hi + off
 
 
-def _positive_mass_above_zero(spec: DistSpec) -> bool:
-    if spec.kind == "constant":
-        return spec.params[0] > 0
-    if spec.kind == "uniform":
-        return spec.params[1] > 0
-    if spec.kind == "two_point":
-        v1, p1, v2 = spec.params
-        return (v1 > 0 and p1 > 0) or (v2 > 0 and p1 < 1)
-    lo, hi = support(spec)
-    if hi <= 0:
-        return False
-    # A shift keeps mass positivity unless it pushes all support to <= 0
-    # (handled above); atoms landing exactly on 0 only matter for two_point.
-    if spec.base.kind == "two_point":
-        off = spec.params[0]
-        v1, p1, v2 = spec.base.params
-        return (v1 + off > 0 and p1 > 0) or (v2 + off > 0 and p1 < 1)
-    return True
-
-
 def _check_params(spec: DistSpec) -> None:
     """Family parameter constraints, applied recursively.
 
@@ -159,7 +139,8 @@ def validate_spec(spec: DistSpec) -> DistSpec:
             raise SupportViolation(
                 f"weight support must lie in [0, 1] (got [{lo}, {hi}])"
             )
-        if not _positive_mass_above_zero(spec):
+        # as_mixture drops atoms without mass
+        if not any(comp[-1] > 0 for _, comp in as_mixture(spec)):
             raise SupportViolation("weight law must place positive mass above 0")
     return spec
 

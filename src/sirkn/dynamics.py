@@ -74,14 +74,14 @@ class RunResult:
 class EpidemicState:
     """Mutable state (S_t, I_t, R_t) plus the aggregate rates for selection.
 
-    Vertex labels: 0 susceptible, 1 infective, 2 removed.  Removed vertices
-    never change label again.  The incrementally maintained totals must
-    agree with a from-scratch recomputation to relative 1e-9.  `thinning`
-    records which event selection the weight law picked; the pressure
-    vector w exists only on the direct path.
+    A vertex is susceptible iff s_pos >= 0, infective iff i_pos >= 0 and
+    removed otherwise; removed vertices never leave.  The incrementally
+    maintained totals must agree with a from-scratch recomputation to
+    relative 1e-9.  `thinning` records which event selection the weight law
+    picked; the pressure vector w exists only on the direct path.
     """
 
-    __slots__ = ("env", "lam", "n", "labels", "xi", "thinning", "rho_max",
+    __slots__ = ("env", "lam", "n", "xi", "thinning", "rho_max",
                  "s_list", "s_pos", "s_count", "i_list", "i_pos", "i_count",
                  "w", "total_recovery_rate", "_pressure_acc", "time",
                  "_xi_const", "_rho_const", "_row_cache")
@@ -96,7 +96,6 @@ class EpidemicState:
         self._rho_const = env.rho_const
         self.rho_max = env.rho_max
         self.thinning = mean(env.rho_spec) >= _MIN_THINNING_ACCEPTANCE * self.rho_max
-        self.labels = np.zeros(n, dtype=np.int8)
         self.xi = env.xi_block(np.arange(n))
         # Packed vertex lists with positional index for O(1) swap-removal.
         self.s_list = np.arange(1, n, dtype=np.int64)
@@ -107,7 +106,6 @@ class EpidemicState:
         self.i_list[0] = 0
         self.i_pos[0] = 0
         self.i_count = 1
-        self.labels[0] = 1
         self.total_recovery_rate = float(self.xi[0])
         self.w = None
         self._pressure_acc = 0.0
@@ -176,7 +174,6 @@ class EpidemicState:
         """Execute one transition, keeping the aggregate rates in step."""
         if kind == INFECTION:
             self._remove_susceptible(vertex)
-            self.labels[vertex] = 1
             self.i_list[self.i_count] = vertex
             self.i_pos[vertex] = self.i_count
             self.i_count += 1
@@ -192,7 +189,6 @@ class EpidemicState:
                     self._pressure_acc += float(row.sum())
         elif kind == RECOVERY:
             self._remove_infective(vertex)
-            self.labels[vertex] = 2
             self.total_recovery_rate -= float(self.xi[vertex])
             if self.i_count == 0:
                 self.total_recovery_rate = 0.0

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as spstats
@@ -71,7 +72,7 @@ class ExperimentConfig:
         validate_config(self)
 
 
-def validate_config(config: ExperimentConfig) -> ExperimentConfig:
+def validate_config(config: ExperimentConfig) -> None:
     validate_spec(config.xi_spec)
     validate_spec(config.rho_spec)
     if config.xi_spec.role != ROLE_RECOVERY:
@@ -102,7 +103,6 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.lambda_units not in (UNITS_ABSOLUTE, UNITS_LAMBDA_C):
         raise ParamViolation(
             f"lambda_units must be absolute|lambda_c (got {config.lambda_units!r})")
-    return config
 
 
 def config_lambda_c(config: ExperimentConfig) -> float:
@@ -133,9 +133,12 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    canon = json.dumps(config_to_dict(config), sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+def config_hash(config: ExperimentConfig | dict) -> str:
+    """First 12 hex digits of the sha256 of a resolved configuration, either
+    an ExperimentConfig or a plain dict, as sorted JSON."""
+    if isinstance(config, ExperimentConfig):
+        config = config_to_dict(config)
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:12]
 
 
 _LIST_FIELDS = {"n_grid", "lambda_grid"}
@@ -176,7 +179,7 @@ def config_from_dict(values: dict) -> ExperimentConfig:
         raise ParamViolation(f"config missing required fields: {', '.join(missing)}")
     xi = values["xi_spec"]
     rho = values["rho_spec"]
-    config = ExperimentConfig(
+    return ExperimentConfig(
         xi_spec=xi if isinstance(xi, DistSpec) else parse_dist(str(xi), ROLE_RECOVERY),
         rho_spec=rho if isinstance(rho, DistSpec) else parse_dist(str(rho), ROLE_WEIGHT),
         n_grid=tuple(int(v) for v in values["n_grid"]),
@@ -189,7 +192,6 @@ def config_from_dict(values: dict) -> ExperimentConfig:
         lambda_units=values.get("lambda_units", UNITS_ABSOLUTE),
         master_seed=int(values.get("master_seed", 0)),
     )
-    return validate_config(config)
 
 
 def config_from_file(path) -> ExperimentConfig:
@@ -287,8 +289,8 @@ def _run_seed(master_seed: int, grid_index: int, rep: int) -> int:
     return seeding.derive_key(master_seed, _TAG_RUN, grid_index, rep)
 
 
-def _collect_range(config: ExperimentConfig, n: int, lam: float,
-                   grid_index: int, start: int, stop: int):
+def _collect_range(task):
+    config, grid_index, n, lam, start, stop = task
     out = np.zeros(stop - start, dtype=np.uint32)
     done = 0
     env = None
@@ -309,39 +311,35 @@ def _collect_range(config: ExperimentConfig, n: int, lam: float,
     return out[:done], stop - start - done
 
 
-def _worker(payload):
-    config_dict, n, lam, grid_index, start, stop = payload
-    config = config_from_dict(config_dict)
-    return _collect_range(config, n, lam, grid_index, start, stop)
+def collect_final_sizes(config: ExperimentConfig,
+                        points: Sequence[Tuple[int, int, float]],
+                        jobs: int = 1) -> List[Tuple[np.ndarray, int]]:
+    """Final sizes of the completed replications at each (grid_index, n,
+    lambda) point, in replication order, and the number of failed ones.
 
-
-def collect_final_sizes(config: ExperimentConfig, n: int, lam: float,
-                        grid_index: int = 0, jobs: int = 1
-                        ) -> Tuple[np.ndarray, int]:
-    """Final sizes of the completed replications of one (n, lambda) grid
-    point, in replication order, and the number of failed ones.
-
-    Stream ids depend only on (master_seed, grid_index, replication), so the
-    output is byte-identical for every `jobs` value.
+    Each point's replications are cut into `jobs` contiguous chunks and every
+    chunk of every point goes through one map: the builtin one at jobs <= 1,
+    else one process pool.  Stream ids depend only on (master_seed,
+    grid_index, replication), so the output is byte-identical for every
+    `jobs` value.
     """
-    validate_config(config)
-    reps = config.replications
-    if jobs <= 1 or reps < 64:
-        samples, failures = _collect_range(config, n, lam, grid_index, 0, reps)
+    bounds = np.linspace(0, config.replications, max(jobs, 1) + 1, dtype=int)
+    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    tasks = [(config, g, n, lam, a, b) for g, n, lam in points for a, b in spans]
+    if jobs <= 1:
+        chunks = list(map(_collect_range, tasks))
     else:
-        bounds = np.linspace(0, reps, jobs + 1, dtype=int)
-        payloads = [(config_to_dict(config), n, lam, grid_index, int(a), int(b))
-                    for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        chunks = []
-        failures = 0
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for arr, fails in pool.map(_worker, payloads):
-                chunks.append(arr)
-                failures += fails
-        samples = np.concatenate(chunks)
-    if samples.size == 0:
-        raise SirknError(f"all {reps} replications failed at n={n}, lambda={lam}")
-    return samples, failures
+            chunks = list(pool.map(_collect_range, tasks))
+    out = []
+    for k, (_, n, lam) in enumerate(points):
+        mine = chunks[k * len(spans):(k + 1) * len(spans)]
+        samples = np.concatenate([arr for arr, _ in mine])
+        if samples.size == 0:
+            raise SirknError(f"all {config.replications} replications failed "
+                             f"at n={n}, lambda={lam}")
+        out.append((samples, sum(fails for _, fails in mine)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,27 +379,6 @@ def no_spread_finite_n(xi_spec: DistSpec, rho_spec: DistSpec, lam: float,
     if not err <= max(1e-10 * abs(val), 1e-13):
         raise QuadratureFailure(f"no-spread integral error {err} exceeds tolerance")
     return val
-
-
-class NoSpreadEstimate(NamedTuple):
-    estimate: float
-    ci: Tuple[float, float]
-    finite_n_analytic: float
-    limit_analytic: float
-
-
-def estimate_p_no_spread(config: ExperimentConfig, n: int, lam: float,
-                         grid_index: int = 0, jobs: int = 1) -> NoSpreadEstimate:
-    """Monte Carlo P(final size = 1) with its analytic references."""
-    samples, _ = collect_final_sizes(config, n, lam, grid_index, jobs)
-    hits = int((samples == 1).sum())
-    ci = wilson_interval(hits, len(samples), config.confidence)
-    return NoSpreadEstimate(
-        estimate=hits / len(samples),
-        ci=ci,
-        finite_n_analytic=no_spread_finite_n(config.xi_spec, config.rho_spec, lam, n),
-        limit_analytic=no_spread_limit(config.xi_spec, config.rho_spec, lam),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +457,14 @@ def batch_stats_from_samples(config: ExperimentConfig, n: int, lam: float,
 
 
 def run_batch(config: ExperimentConfig, n: int, lam: float,
-              grid_index: int = 0, jobs: int = 1,
-              return_samples: bool = False):
+              jobs: int = 1) -> BatchStats:
     """All estimators for one (n, lambda) grid point.
 
     Annealed mode draws a fresh environment per replication; quenched mode
     fixes one environment from the master seed and varies only run seeds.
     """
-    samples, failures = collect_final_sizes(config, n, lam, grid_index, jobs)
-    stats = batch_stats_from_samples(config, n, lam, samples, failures)
-    if return_samples:
-        return stats, samples
-    return stats
+    [(samples, failures)] = collect_final_sizes(config, [(0, n, lam)], jobs)
+    return batch_stats_from_samples(config, n, lam, samples, failures)
 
 
 @dataclass
@@ -516,15 +489,13 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
     subcritical lambda the exceedance probabilities are checked to be
     nonincreasing along the sorted n grid.
     """
-    validate_config(config)
     lc = config_lambda_c(config)
     lambdas = resolved_lambda_grid(config)
-    rows: List[BatchStats] = []
-    grid_index = 0
-    for lam in lambdas:
-        for n in config.n_grid:
-            rows.append(run_batch(config, n, lam, grid_index=grid_index, jobs=jobs))
-            grid_index += 1
+    points = [(g, n, lam) for g, (lam, n)
+              in enumerate(itertools.product(lambdas, config.n_grid))]
+    rows = [batch_stats_from_samples(config, n, lam, samples, failures)
+            for (_, n, lam), (samples, failures)
+            in zip(points, collect_final_sizes(config, points, jobs))]
     witnesses = []
     subchecks = []
     for lam in sorted(set(lambdas)):

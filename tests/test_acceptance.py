@@ -30,8 +30,7 @@ from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda, mom
 from sirkn.dynamics import SimParams, gillespie_run, trajectory_rows
 from sirkn.environment import Environment
 from sirkn.experiment import (ExperimentConfig, chi_square_two_sample,
-                              collect_final_sizes, estimate_p_no_spread,
-                              wilson_interval)
+                              collect_final_sizes, run_batch, wilson_interval)
 from sirkn.meanfield import MeanFieldState, final_size_fixed_point, ode_solve
 from sirkn.percolation import er_giant_component
 
@@ -62,7 +61,7 @@ def samples_for(xi, rho, n, lam, reps, engine, master_seed, measure="annealed"):
                               lambda_grid=(lam,), replications=reps,
                               engine=engine, measure=measure,
                               master_seed=master_seed)
-    samples, failures = collect_final_sizes(config, n, lam, jobs=JOBS)
+    [(samples, failures)] = collect_final_sizes(config, [(0, n, lam)], jobs=JOBS)
     assert failures == 0
     return samples
 
@@ -166,12 +165,12 @@ def test_criterion_6_no_spread_formulas():
                     config = ExperimentConfig(xi_spec=xi, rho_spec=rho, n_grid=(n,),
                                               lambda_grid=(lam,), replications=20_000,
                                               master_seed=60_000 + n)
-                    est = estimate_p_no_spread(config, n, lam, jobs=JOBS)
-                    se = max(math.sqrt(est.estimate * (1 - est.estimate) / 20_000),
+                    est = run_batch(config, n, lam, jobs=JOBS)
+                    se = max(math.sqrt(est.p_no_spread * (1 - est.p_no_spread) / 20_000),
                              1e-4)
-                    assert abs(est.estimate - est.finite_n_analytic) < 4 * se, \
+                    assert abs(est.p_no_spread - est.no_spread_finite_n) < 4 * se, \
                         (xi.kind, rho.kind, lam, n, est)
-                    gaps.append(abs(est.finite_n_analytic - est.limit_analytic))
+                    gaps.append(abs(est.no_spread_finite_n - est.no_spread_limit))
                 assert gaps[0] > gaps[1], (xi.kind, rho.kind, lam, gaps)
 
 

@@ -212,11 +212,12 @@ def test_rate_consistency_along_trajectory(rho_text):
         assert state.total_recovery_rate == pytest.approx(rec, rel=1e-9, abs=1e-12)
         if not state.thinning:
             assert state.total_pressure == pytest.approx(pressure, rel=1e-9, abs=1e-9)
-        # labels partition the vertex set
-        counts = np.bincount(state.labels, minlength=3)
-        assert counts[0] == state.s_count
-        assert counts[1] == state.i_count
-        assert counts.sum() == state.n
+        # s_pos/i_pos index the packed lists and partition the vertex set
+        for lst, pos, count in ((state.s_list, state.s_pos, state.s_count),
+                                (state.i_list, state.i_pos, state.i_count)):
+            np.testing.assert_array_equal(pos[lst[:count]], np.arange(count))
+            assert (pos >= 0).sum() == count
+        assert not ((state.s_pos >= 0) & (state.i_pos >= 0)).any()
     assert peak > 1
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import numpy as np
@@ -12,11 +13,11 @@ from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, as_mixture,
 from sirkn.dynamics import EpidemicState, SimParams, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import ParamViolation, QuadratureFailure, SirknError
-from sirkn.experiment import (ExperimentConfig, chi_square_two_sample,
-                              collect_final_sizes, config_from_dict,
-                              config_hash, config_lambda_c,
-                              config_to_dict, estimate_p_no_spread,
-                              mean_interval, no_spread_finite_n, no_spread_limit,
+from sirkn.experiment import (ExperimentConfig, batch_stats_from_samples,
+                              chi_square_two_sample, collect_final_sizes,
+                              config_from_dict, config_hash, config_lambda_c,
+                              config_to_dict, mean_interval,
+                              no_spread_finite_n, no_spread_limit,
                               parse_config_text, resolved_lambda_grid, run_batch,
                               sweep, sweep_csv_text, SWEEP_CSV_COLUMNS,
                               wilson_interval, write_sweep)
@@ -111,7 +112,8 @@ def test_lambda_zero_batch_exact():
 
 def test_estimator_sanity():
     config = make_config(n_grid=(30,), lambda_grid=(2.0,), replications=2000)
-    stats, samples = run_batch(config, 30, 2.0, return_samples=True)
+    [(samples, failures)] = collect_final_sizes(config, [(0, 30, 2.0)])
+    stats = batch_stats_from_samples(config, 30, 2.0, samples, failures)
     assert stats.mean_final_fraction == stats.mean_r_inf / 30
     p_spread = (samples >= 2).mean()
     assert stats.p_no_spread + p_spread == pytest.approx(1.0, abs=1e-12)
@@ -132,8 +134,8 @@ def test_engines_give_same_estimator_scale():
                         replications=4000)
     cfg_d = make_config(engine="dynamic", n_grid=(40,), lambda_grid=(2.0,),
                         replications=4000)
-    sp, samples_p = run_batch(cfg_p, 40, 2.0, return_samples=True)
-    sd, samples_d = run_batch(cfg_d, 40, 2.0, return_samples=True)
+    [(samples_p, _)] = collect_final_sizes(cfg_p, [(0, 40, 2.0)])
+    [(samples_d, _)] = collect_final_sizes(cfg_d, [(0, 40, 2.0)])
     _, _, p = chi_square_two_sample(samples_p, samples_d)
     assert p > 0.01
 
@@ -246,10 +248,10 @@ def test_public_entries_reject_invalid_lambda(entry, lam):
 
 def test_estimate_p_no_spread_matches_analytic():
     config = make_config(n_grid=(10,), lambda_grid=(1.0,), replications=20_000)
-    est = estimate_p_no_spread(config, 10, 1.0)
-    se = np.sqrt(est.estimate * (1 - est.estimate) / 20_000)
-    assert abs(est.estimate - est.finite_n_analytic) < 4 * se
-    assert est.ci[0] <= est.estimate <= est.ci[1]
+    est = run_batch(config, 10, 1.0)
+    se = np.sqrt(est.p_no_spread * (1 - est.p_no_spread) / 20_000)
+    assert abs(est.p_no_spread - est.no_spread_finite_n) < 4 * se
+    assert est.p_no_spread_ci[0] <= est.p_no_spread <= est.p_no_spread_ci[1]
 
 
 def test_finite_n_converges_to_limit_monotonically():
@@ -285,10 +287,37 @@ def test_annealed_equals_average_of_quenched():
 def test_jobs_do_not_change_results():
     config = make_config(n_grid=(25,), lambda_grid=(1.5,), replications=500,
                          xi_spec=XI2, rho_spec=RHOU)
-    ser, f1 = collect_final_sizes(config, 25, 1.5, jobs=1)
-    par, f2 = collect_final_sizes(config, 25, 1.5, jobs=2)
+    [(ser, f1)] = collect_final_sizes(config, [(0, 25, 1.5)], jobs=1)
+    [(par, f2)] = collect_final_sizes(config, [(0, 25, 1.5)], jobs=2)
     np.testing.assert_array_equal(ser, par)
     assert f1 == f2 == 0
+
+
+def test_collect_many_points_equals_per_point_calls():
+    config = make_config(xi_spec=XI2, rho_spec=RHOU, n_grid=(15, 30),
+                         lambda_grid=(0.5, 2.0), replications=150)
+    points = [(0, 15, 0.5), (1, 30, 0.5), (2, 15, 2.0), (3, 30, 2.0)]
+    together = collect_final_sizes(config, points, jobs=2)
+    assert len(together) == len(points)
+    for point, (samples, failures) in zip(points, together):
+        [(alone, alone_failures)] = collect_final_sizes(config, [point])
+        assert samples.dtype == alone.dtype
+        np.testing.assert_array_equal(samples, alone)
+        assert failures == alone_failures == 0
+
+
+def test_sweep_starts_one_process_pool(monkeypatch):
+    starts = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    config = make_config(n_grid=(15, 30), lambda_grid=(0.5, 2.0), replications=100)
+    assert len(sweep(config, jobs=2).rows) == 4
+    assert starts == [2]
 
 
 def test_failed_replications_are_dropped_not_counted_as_zero(monkeypatch):
@@ -302,7 +331,8 @@ def test_failed_replications_are_dropped_not_counted_as_zero(monkeypatch):
         return real(env, lam, run_seed)
 
     monkeypatch.setattr(sirkn.experiment, "percolation_final_size", flaky)
-    stats, samples = run_batch(config, 25, 1.5, jobs=1, return_samples=True)
+    [(samples, failures)] = collect_final_sizes(config, [(0, 25, 1.5)], jobs=1)
+    stats = batch_stats_from_samples(config, 25, 1.5, samples, failures)
     assert stats.failures == 1
     assert stats.replications == len(samples) == 99
     assert samples.min() >= 1
@@ -314,7 +344,7 @@ def test_all_replications_failing_raises(monkeypatch):
 
     monkeypatch.setattr(sirkn.experiment, "percolation_final_size", broken)
     with pytest.raises(SirknError):
-        collect_final_sizes(make_config(replications=10), 20, 1.0)
+        collect_final_sizes(make_config(replications=10), [(0, 20, 1.0)])
 
 
 def test_quenched_shares_one_environment():
