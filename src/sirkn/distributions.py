@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammainc
 
-from .errors import DegenerateMoments, ParamViolation, SupportViolation
+from .errors import (DegenerateMoments, ParamViolation, QuadratureFailure,
+                     SupportViolation)
+from .quadrature import quad
 
 ROLE_RECOVERY = "recovery"
 ROLE_WEIGHT = "weight"
@@ -295,19 +296,6 @@ def expect_self_over_self_plus(spec: DistSpec, c: float) -> float:
     return total
 
 
-def expect_self_over_self_plus_vec(spec: DistSpec, c: np.ndarray) -> np.ndarray:
-    """Vectorized E[X / (X + c)] over an array of nonneg shifts c."""
-    c = np.asarray(c, dtype=float)
-    total = np.zeros_like(c)
-    for w, comp in as_mixture(spec):
-        if comp[0] == "atom":
-            total += w * comp[1] / (comp[1] + c)
-        else:
-            a, b = comp[1], comp[2]
-            total += w * (1.0 - c * np.log1p((b - a) / (a + c)) / (b - a))
-    return total
-
-
 def _logsumexp(terms: list) -> float:
     top = max(terms)
     return top + math.log(sum(math.exp(x - top) for x in terms))
@@ -316,19 +304,35 @@ def _logsumexp(terms: list) -> float:
 def log_laplace(spec: DistSpec, s: float) -> float:
     """log E[exp(-s X)] for s >= 0, closed form per mixture component.
 
-    Components are summed in log space, so the value stays finite where
-    exp(-s X) underflows.  A Uniform(a, b) component contributes
-    exp(-s a) (1 - exp(-s (b - a))) / (s (b - a)), with expm1 for small s.
+    Where E e^{-sX} >= 1/2 this is log1p of E[e^{-sX} - 1], whose component
+    terms are all <= 0 and formed without cancellation, so the value keeps
+    its relative precision as s -> 0: `psi` raises it to the power n - 1.
+    Below 1/2 the components are summed in log space, so the value stays
+    finite where exp(-s X) underflows.  A Uniform(a, b) component has
+    E e^{-sX} = e^{-sa} h(z) with h(z) = (1 - e^-z) / z, z = s (b - a), and
+    e^{-sa} h(z) - 1 = (e^{-sa} - 1) h(z) - (e^-z - 1 + z) / z.
     """
+    if s == 0.0:
+        return 0.0
+    mixture = as_mixture(spec)
+    below_one = 0.0
+    for w, comp in mixture:
+        if comp[0] == "atom":
+            below_one += w * math.expm1(-s * comp[1])
+        else:
+            a, b = comp[1], comp[2]
+            z = s * (b - a)
+            below_one += w * (math.expm1(-s * a) * -math.expm1(-z) - _exp_tail(-z)) / z
+    if below_one >= -0.5:
+        return math.log1p(below_one)
     terms = []
-    for w, comp in as_mixture(spec):
+    for w, comp in mixture:
         if comp[0] == "atom":
             terms.append(math.log(w) - s * comp[1])
         else:
             a, b = comp[1], comp[2]
             z = s * (b - a)
-            log_h = math.log(-math.expm1(-z) / z) if z > 0.0 else 0.0
-            terms.append(math.log(w) - s * a + log_h)
+            terms.append(math.log(w) - s * a + math.log(-math.expm1(-z) / z))
     return _logsumexp(terms)
 
 
@@ -352,9 +356,59 @@ def log_laplace_deriv(spec: DistSpec, t: float) -> float:
             if z < 1e-8:  # Taylor terms; the error is below 1e-16 relative
                 inner = a * (1.0 - 0.5 * z) + d * (0.5 - z / 3.0)
             else:
-                inner = a * -math.expm1(-z) / z + d * float(gammainc(2.0, z)) / (z * z)
+                inner = a * -math.expm1(-z) / z + d * gamma_p2(z) / (z * z)
             terms.append(math.log(w * inner) - t * a)
     return _logsumexp(terms)
+
+
+def _exp_tail(x: float) -> float:
+    """e^x - 1 - x, summed as its series where |x| < 1 to avoid cancellation."""
+    if abs(x) >= 1.0:
+        return math.expm1(x) - x
+    term = total = 0.5 * x * x
+    k = 2
+    while abs(term) > 1e-17 * total:
+        k += 1
+        term *= x / k
+        total += term
+    return total
+
+
+def gamma_p2(z: float) -> float:
+    """Regularized lower incomplete gamma P(2, z) = 1 - e^-z (1 + z), z >= 0.
+
+    Below z = 1 the difference cancels, so there it is e^-z (e^z - 1 - z).
+    """
+    if z >= 1.0:
+        return -math.expm1(-z) - z * math.exp(-z)
+    return math.exp(-z) * _exp_tail(z)
+
+
+def psi(xi_spec: DistSpec, rho_spec: DistSpec, s: float, theta: float,
+        complement: bool = False) -> float:
+    """psi(theta) = E[phi(s T)^theta] with T ~ Exp(xi), phi(u) = E e^{-u rho};
+    1 - psi(theta) when `complement` is set.
+
+    It is the one integral behind the analytic references:
+
+        psi(theta) = int_0^inf E[xi e^{-t xi}] * phi(s t)^theta dt,
+
+    whose factors have closed forms for every law in the menu, so the value
+    is exact to quadrature tolerance for atomic and uniform laws alike.  The
+    integrand is formed in log space; phi^theta underflows otherwise.  The
+    complement integrates E[xi e^{-t xi}] (1 - phi(s t)^theta), so a small
+    1 - psi keeps its relative precision.
+    """
+    def integrand(t):
+        log_phi = theta * log_laplace(rho_spec, s * t)
+        if complement:
+            return math.exp(log_laplace_deriv(xi_spec, t)) * -math.expm1(log_phi)
+        return math.exp(log_laplace_deriv(xi_spec, t) + log_phi)
+
+    val, err = quad(integrand, 0.0, math.inf, epsabs=1e-14, epsrel=1e-12, limit=200)
+    if not err <= max(1e-10 * abs(val), 1e-13):
+        raise QuadratureFailure(f"psi integral error {err} exceeds tolerance")
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -18,22 +18,21 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as spstats
-from scipy.integrate import quad
 
 from . import seeding
 from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT,
                             critical_lambda, expect_self_over_self_plus,
-                            format_dist, log_laplace, log_laplace_deriv, mean,
-                            moments, parse_dist, validate_spec)
+                            format_dist, mean, moments, parse_dist, psi,
+                            validate_spec)
 # Not used here; perfbench/child.py traces it under this module's name.
 from .distributions import quantile  # noqa: F401
 from .dynamics import SimParams, gillespie_run
 from .environment import Environment
-from .errors import ParamViolation, QuadratureFailure, SirknError, check_lambda
+from .errors import ParamViolation, SirknError, check_lambda
 from .meanfield import classic_specs, final_size_fixed_point
 from .percolation import percolation_final_size
 
@@ -211,7 +210,7 @@ def wilson_interval(successes: int, trials: int, level: float) -> Tuple[float, f
             f"successes must lie in [0, trials] (got {successes}/{trials})")
     if not 0.0 < level < 1.0:
         raise ParamViolation(f"level must lie in (0, 1) (got {level})")
-    z = float(spstats.norm.ppf(0.5 + 0.5 * level))
+    z = NormalDist().inv_cdf(0.5 + 0.5 * level)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -227,7 +226,7 @@ def mean_interval(samples: np.ndarray, level: float) -> Tuple[float, float, floa
     m = float(samples.mean())
     if samples.size < 2:
         return m, m, m
-    z = float(spstats.norm.ppf(0.5 + 0.5 * level))
+    z = NormalDist().inv_cdf(0.5 + 0.5 * level)
     half = z * float(samples.std(ddof=1)) / math.sqrt(samples.size)
     return m, m - half, m + half
 
@@ -238,8 +237,12 @@ def chi_square_two_sample(a: np.ndarray, b: np.ndarray,
 
     Buckets are the pooled distinct values, merged (in value order) until
     each pooled bucket holds at least `min_pooled` observations.  Returns
-    (statistic, dof, p_value); degenerate bucketings return p = 1.
+    (statistic, dof, p_value); degenerate bucketings return p = 1.  Only
+    tests and scripts call this, so scipy, which it needs for the p-value,
+    is imported here and is not a run-time dependency of the package.
     """
+    from scipy.stats import chi2
+
     a = np.asarray(a)
     b = np.asarray(b)
     values = np.union1d(a, b)
@@ -272,7 +275,7 @@ def chi_square_two_sample(a: np.ndarray, b: np.ndarray,
     eb = pooled * nb / (na + nb)
     stat = float((((ma - ea) ** 2) / ea).sum() + (((mb - eb) ** 2) / eb).sum())
     dof = len(ma) - 1
-    return stat, dof, float(spstats.chi2.sf(stat, dof))
+    return stat, dof, float(chi2.sf(stat, dof))
 
 
 # ---------------------------------------------------------------------------
@@ -356,29 +359,16 @@ def no_spread_finite_n(xi_spec: DistSpec, rho_spec: DistSpec, lam: float,
                        n: int) -> float:
     """E[xi / (xi + (lam/n) S)], S the sum of n-1 iid weights: P(r = 1).
 
-    With 1/y = int_0^inf e^{-t y} dt and c = lam/n this is the 1-d integral
-
-        int_0^inf E[xi e^{-t xi}] * phi(c t)^(n-1) dt,   phi(s) = E e^{-s rho},
-
-    whose factors have closed forms for every law in the menu, so the value
-    is exact (to quadrature tolerance) for atomic and uniform laws alike.
-    The integrand is formed in log space; phi^(n-1) underflows otherwise.
+    This is psi(n - 1) at s = lam/n (`distributions.psi`): the initial
+    infective, infectious for T ~ Exp(xi), misses each of the n - 1 others
+    independently with probability phi(lam T / n), phi(u) = E e^{-u rho}.
     """
     check_lambda(lam)
     if n < 1:
         raise ParamViolation(f"n must satisfy n >= 1 (got {n})")
     if n == 1 or lam == 0.0:
         return 1.0
-    c = lam / n
-
-    def integrand(t):
-        return math.exp(log_laplace_deriv(xi_spec, t)
-                        + (n - 1) * log_laplace(rho_spec, c * t))
-
-    val, err = quad(integrand, 0.0, math.inf, epsabs=1e-14, epsrel=1e-12, limit=200)
-    if not err <= max(1e-10 * abs(val), 1e-13):
-        raise QuadratureFailure(f"no-spread integral error {err} exceeds tolerance")
-    return val
+    return psi(xi_spec, rho_spec, lam / n, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import seeding
-from .distributions import DistSpec, as_mixture, validate_spec
+from .distributions import DistSpec, psi, validate_spec
 from .environment import Environment
-from .errors import ParamViolation, QuadratureFailure, check_lambda
+from .errors import ParamViolation, check_lambda
 
 MODE_SKIP = "skip"
 MODE_SCAN = "scan"
@@ -247,49 +246,15 @@ def _open_targets(env, rng, visited, m, lam_n, src, t_clock, mu):
 def per_edge_open_probability(rho_spec: DistSpec, xi_spec: DistSpec,
                               lam: float, n: int) -> float:
     """Probability an infective endpoint infects a given neighbor before
-    recovering, in closed form where possible and 1-d quadrature otherwise.
+    recovering: 1 - psi(1) at s = lam/n (`distributions.psi`), since the arc
+    stays closed with probability E[phi(lam T / n)], phi(u) = E e^{-u rho}.
     """
     validate_spec(rho_spec)
     validate_spec(xi_spec)
     if n < 1:
         raise ParamViolation(f"n must satisfy n >= 1 (got {n})")
     check_lambda(lam)
-    c = lam / n
-    if c == 0.0:
-        return 0.0
-    total = 0.0
-    for w_r, comp_r in as_mixture(rho_spec):
-        for w_x, comp_x in as_mixture(xi_spec):
-            total += w_r * w_x * _open_prob_component(comp_r, comp_x, c)
-    return total
-
-
-def _open_prob_component(comp_r, comp_x, c):
-    if comp_r[0] == "atom":
-        v = comp_r[1]
-        if v == 0.0:
-            return 0.0
-        if comp_x[0] == "atom":
-            return c * v / (c * v + comp_x[1])
-        a, b = comp_x[1], comp_x[2]
-        return c * v * math.log1p((b - a) / (a + c * v)) / (b - a)
-    a, b = comp_r[1], comp_r[2]
-    if comp_x[0] == "atom":
-        return _open_prob_uniform_rho(a, b, comp_x[1], c)
-    a2, b2 = comp_x[1], comp_x[2]
-    val, err = quad(lambda s: _open_prob_uniform_rho(a, b, s, c), a2, b2,
-                    epsabs=1e-14, epsrel=1e-12, limit=200)
-    val /= (b2 - a2)
-    err /= (b2 - a2)
-    if err > max(1e-10 * abs(val), 1e-13):
-        raise QuadratureFailure(
-            f"open-probability integral error {err} exceeds tolerance")
-    return val
-
-
-def _open_prob_uniform_rho(a, b, s, c):
-    # E[c rho/(c rho + s)] for rho ~ Uniform(a, b) and fixed recovery rate s.
-    return 1.0 - (s / (c * (b - a))) * math.log1p(c * (b - a) / (c * a + s))
+    return psi(xi_spec, rho_spec, lam / n, 1, complement=True)
 
 
 # ---------------------------------------------------------------------------

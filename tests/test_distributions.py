@@ -1,12 +1,16 @@
+import decimal
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from sirkn.distributions import (DistSpec, Moments, ROLE_RECOVERY, ROLE_WEIGHT,
                                  as_mixture, cdf, constant, critical_lambda,
-                                 expect_self_over_self_plus, format_dist, mean,
+                                 expect_self_over_self_plus, format_dist,
+                                 gamma_p2, log_laplace, log_laplace_deriv, mean,
                                  mean_inverse, mean_inverse_square, moments,
                                  parse_dist, quantile, shifted, support,
                                  two_point, uniform, validate_spec)
@@ -222,3 +226,51 @@ def test_mean_matches_sample_mean():
     spec = shifted(DistSpec("uniform", (0.0, 1.0), ROLE_RECOVERY), 1.0, ROLE_RECOVERY)
     u = np.random.default_rng(0).random(200_000)
     assert mean(spec) == pytest.approx(float(np.mean(quantile(spec, u))), abs=2e-3)
+
+
+# -- Laplace transforms ---------------------------------------------------------
+
+def test_gamma_p2_matches_scipy():
+    zs = np.logspace(-12, 3, 301)
+    got = np.array([gamma_p2(float(z)) for z in zs])
+    np.testing.assert_allclose(got, special.gammainc(2.0, zs), rtol=1e-14, atol=0)
+    assert gamma_p2(0.0) == 0.0
+
+
+def _laplace_reference(spec, s, moment):
+    """E[X^moment e^{-s X}] in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        s = Decimal(s)
+        total = Decimal(0)
+        for w, comp in as_mixture(spec):
+            if comp[0] == "atom":
+                v = Decimal(comp[1])
+                total += Decimal(w) * (v if moment else 1) * (-s * v).exp()
+                continue
+            a, b = Decimal(comp[1]), Decimal(comp[2])
+            if moment == 0:  # int_a^b e^{-sx} dx
+                part = ((-s * a).exp() - (-s * b).exp()) / s
+            else:  # int_a^b x e^{-sx} dx
+                part = (((-s * a).exp() * (1 + s * a) - (-s * b).exp() * (1 + s * b))
+                        / (s * s))
+            total += Decimal(w) * part / (b - a)
+        return float(total.ln())
+
+
+@pytest.mark.parametrize("text,role", [
+    ("constant:1", ROLE_WEIGHT), ("uniform:0:1", ROLE_WEIGHT),
+    ("uniform:0.25:0.75", ROLE_WEIGHT), ("two_point:0.2:0.4:0.8", ROLE_WEIGHT),
+    ("two_point:0:0.5:1", ROLE_WEIGHT), ("uniform:1:3", ROLE_RECOVERY),
+    ("two_point:1:0.5:2", ROLE_RECOVERY),
+])
+def test_log_laplace_keeps_relative_precision(text, role):
+    # psi raises phi to the power n - 1, so log phi needs relative, not
+    # absolute, precision as s -> 0
+    spec = parse_dist(text, role)
+    for s in np.logspace(-12, 3, 61):
+        assert log_laplace(spec, float(s)) == pytest.approx(
+            _laplace_reference(spec, float(s), 0), rel=1e-14, abs=0), s
+        if role == ROLE_RECOVERY:
+            assert log_laplace_deriv(spec, float(s)) == pytest.approx(
+                _laplace_reference(spec, float(s), 1), rel=1e-13, abs=1e-15), s

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as spstats
 
+import sirkn.distributions
 import sirkn.experiment
-from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, as_mixture,
-                                 expect_self_over_self_plus_vec, parse_dist)
+from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, as_mixture, parse_dist
 from sirkn.dynamics import EpidemicState, SimParams, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import ParamViolation, QuadratureFailure, SirknError
@@ -184,6 +184,20 @@ def test_no_spread_trivial_cases():
     assert no_spread_finite_n(XI1, RHO1, 2.0, 1) == 1.0
 
 
+def expect_self_over_self_plus_vec(spec, c):
+    """E[X / (X + c)] over an array of nonneg shifts c, closed form per
+    mixture component."""
+    c = np.asarray(c, dtype=float)
+    total = np.zeros_like(c)
+    for w, comp in as_mixture(spec):
+        if comp[0] == "atom":
+            total += w * comp[1] / (comp[1] + c)
+        else:
+            a, b = comp[1], comp[2]
+            total += w * (1.0 - c * np.log1p((b - a) / (a + c)) / (b - a))
+    return total
+
+
 def binomial_no_spread(xi_spec, rho_spec, lam, n):
     """Exact P(r = 1) for an atomic weight law by binomial convolution: with
     k of the n-1 weights on the first atom, S = k v1 + (n-1-k) v2."""
@@ -212,8 +226,25 @@ def test_no_spread_finite_n_matches_binomial_convolution(xi_text, rho_text):
                 binomial_no_spread(xi, rho, lam, n), abs=1e-10), (n, lam)
 
 
+@pytest.mark.parametrize("rho_text", ["uniform:0:1", "two_point:0.2:0.4:0.8"])
+@pytest.mark.parametrize("xi_text", ["two_point:1:0.5:2", "uniform:1:3"])
+def test_no_spread_finite_n_resolves_large_n(xi_text, rho_text):
+    # phi^(n-1) amplifies any absolute error of log phi by n, so log_laplace
+    # must keep its relative precision at small arguments; P(r = 1) then
+    # nears the limit, within (lam + lam^2) / n by a Taylor bound on
+    # E[xi / (xi + lam y)] about y = E[rho] (the mean and variance of S/n)
+    xi = parse_dist(xi_text, ROLE_RECOVERY)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
+    for lam in (0.1, 2.0, 50.0):
+        limit = no_spread_limit(xi, rho, lam)
+        for n in (10**7, 10**8, 10**9):
+            assert no_spread_finite_n(xi, rho, lam, n) == pytest.approx(
+                limit, abs=(lam + lam * lam) / n), (n, lam)
+
+
 def test_no_spread_finite_n_raises_on_quadrature_error(monkeypatch):
-    monkeypatch.setattr(sirkn.experiment, "quad", lambda *a, **k: (0.5, 1e-3))
+    # psi, which no_spread_finite_n calls, looks quad up in sirkn.distributions
+    monkeypatch.setattr(sirkn.distributions, "quad", lambda *a, **k: (0.5, 1e-3))
     with pytest.raises(QuadratureFailure):
         no_spread_finite_n(XI2, RHOU, 1.0, 100)
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from sirkn import percolation, seeding
-from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, mean,
-                                 mean_inverse, parse_dist)
+from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, as_mixture,
+                                 mean, mean_inverse, parse_dist)
 from sirkn.dynamics import SimParams, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import ParamViolation
@@ -179,6 +180,53 @@ def test_open_probability_bounded_by_moment_product(lam, n):
         bound = (lam / n) * mean(rho_spec) * mean_inverse(xi_spec)
         assert p <= bound + 1e-12
         assert p >= 0.0
+
+
+def open_probability_oracle(rho_spec, xi_spec, lam, n):
+    """E[c rho / (c rho + xi)], c = lam/n, per pair of mixture components:
+    closed forms where either side is an atom, a 2-d quadrature for
+    uniform x uniform."""
+    c = lam / n
+    total = 0.0
+    for w_r, comp_r in as_mixture(rho_spec):
+        for w_x, comp_x in as_mixture(xi_spec):
+            if comp_r[0] == "atom" and comp_x[0] == "atom":
+                v, s = comp_r[1], comp_x[1]
+                p = c * v / (c * v + s)
+            elif comp_r[0] == "atom":
+                v, (a, b) = comp_r[1], comp_x[1:]
+                p = c * v * math.log1p((b - a) / (a + c * v)) / (b - a)
+            elif comp_x[0] == "atom":
+                (a, b), s = comp_r[1:], comp_x[1]
+                p = 1.0 - (s / (c * (b - a))) * math.log1p(c * (b - a) / (c * a + s))
+            else:
+                (a, b), (a2, b2) = comp_r[1:], comp_x[1:]
+                p, _ = integrate.dblquad(lambda r, s: c * r / (c * r + s), a2, b2, a, b,
+                                         epsabs=1e-13, epsrel=1e-12)
+                p /= (b - a) * (b2 - a2)
+            total += w_r * w_x * p
+    return total
+
+
+@pytest.mark.parametrize("rho_text", ["constant:1", "uniform:0:1", "two_point:0.2:0.4:0.8",
+                                      "two_point:0:0.5:1", "uniform:0.25:0.75"])
+@pytest.mark.parametrize("xi_text", ["constant:1", "two_point:1:0.5:2", "uniform:1:3",
+                                     "shifted:uniform:0:1:+1"])
+def test_open_probability_matches_closed_forms(xi_text, rho_text):
+    xi = parse_dist(xi_text, ROLE_RECOVERY)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
+    for lam in (0.1, 1.0, 5.0, 50.0):
+        for n in (2, 10, 1000):
+            assert per_edge_open_probability(rho, xi, lam, n) == pytest.approx(
+                open_probability_oracle(rho, xi, lam, n), abs=1e-10), (lam, n)
+
+
+def test_open_probability_keeps_relative_precision():
+    # 1 - psi(1) is integrated as such, not subtracted from psi(1) ~ 1:
+    # xi = 1, rho ~ U(0, 1) gives 1 - log1p(c) / c = c/2 - c^2/3 + c^3/4 - ...
+    for c in (1e-3, 1e-6, 1e-9):
+        want = c / 2 - c * c / 3 + c ** 3 / 4 - c ** 4 / 5
+        assert per_edge_open_probability(RHOU, XI1, c, 1) == pytest.approx(want, rel=1e-12)
 
 
 def test_open_probability_validates():
