@@ -296,13 +296,40 @@ def expect_self_over_self_plus(spec: DistSpec, c: float) -> float:
     return total
 
 
-def _logsumexp(terms: list) -> float:
-    top = max(terms)
-    return top + math.log(sum(math.exp(x - top) for x in terms))
+def _logsumexp(terms: list, xp=math):
+    top = functools.reduce(np.maximum, terms) if xp is np else max(terms)
+    return top + xp.log(sum(xp.exp(x - top) for x in terms))
 
 
-def log_laplace(spec: DistSpec, s: float) -> float:
-    """log E[exp(-s X)] for s >= 0, closed form per mixture component.
+def _below_one(mixture: list, s, xp):
+    """E[e^{-sX} - 1], each component term formed without cancellation."""
+    total = 0.0
+    for w, comp in mixture:
+        if comp[0] == "atom":
+            total += w * xp.expm1(-s * comp[1])
+        else:
+            a, b = comp[1], comp[2]
+            z = s * (b - a)
+            total += w * (xp.expm1(-s * a) * -xp.expm1(-z) - _exp_tail(-z)) / z
+    return total
+
+
+def _log_terms(mixture: list, s, xp) -> list:
+    """log of each component's share w E[e^{-sX} | component]."""
+    terms = []
+    for w, comp in mixture:
+        if comp[0] == "atom":
+            terms.append(math.log(w) - s * comp[1])
+        else:
+            a, b = comp[1], comp[2]
+            z = s * (b - a)
+            terms.append(math.log(w) - s * a + xp.log(-xp.expm1(-z) / z))
+    return terms
+
+
+def log_laplace(spec: DistSpec, s):
+    """log E[exp(-s X)] for s >= 0, closed form per mixture component;
+    elementwise when s is an ndarray.
 
     Where E e^{-sX} >= 1/2 this is log1p of E[e^{-sX} - 1], whose component
     terms are all <= 0 and formed without cancellation, so the value keeps
@@ -312,28 +339,22 @@ def log_laplace(spec: DistSpec, s: float) -> float:
     E e^{-sX} = e^{-sa} h(z) with h(z) = (1 - e^-z) / z, z = s (b - a), and
     e^{-sa} h(z) - 1 = (e^{-sa} - 1) h(z) - (e^-z - 1 + z) / z.
     """
-    if s == 0.0:
-        return 0.0
     mixture = as_mixture(spec)
-    below_one = 0.0
-    for w, comp in mixture:
-        if comp[0] == "atom":
-            below_one += w * math.expm1(-s * comp[1])
-        else:
-            a, b = comp[1], comp[2]
-            z = s * (b - a)
-            below_one += w * (math.expm1(-s * a) * -math.expm1(-z) - _exp_tail(-z)) / z
-    if below_one >= -0.5:
-        return math.log1p(below_one)
-    terms = []
-    for w, comp in mixture:
-        if comp[0] == "atom":
-            terms.append(math.log(w) - s * comp[1])
-        else:
-            a, b = comp[1], comp[2]
-            z = s * (b - a)
-            terms.append(math.log(w) - s * a + math.log(-math.expm1(-z) / z))
-    return _logsumexp(terms)
+    if not isinstance(s, np.ndarray):
+        if s == 0.0:
+            return 0.0
+        below_one = _below_one(mixture, s, math)
+        if below_one >= -0.5:
+            return math.log1p(below_one)
+        return _logsumexp(_log_terms(mixture, s, math))
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 is set below
+        below_one = _below_one(mixture, s, np)
+        out = np.log1p(below_one)
+        far = below_one < -0.5
+        if far.any():
+            out[far] = _logsumexp(_log_terms(mixture, s[far], np), np)
+    out[s == 0.0] = 0.0
+    return out
 
 
 def log_laplace_deriv(spec: DistSpec, t: float) -> float:
@@ -361,17 +382,34 @@ def log_laplace_deriv(spec: DistSpec, t: float) -> float:
     return _logsumexp(terms)
 
 
-def _exp_tail(x: float) -> float:
-    """e^x - 1 - x, summed as its series where |x| < 1 to avoid cancellation."""
-    if abs(x) >= 1.0:
-        return math.expm1(x) - x
-    term = total = 0.5 * x * x
-    k = 2
-    while abs(term) > 1e-17 * total:
-        k += 1
-        term *= x / k
-        total += term
-    return total
+def _exp_tail(x):
+    """e^x - 1 - x, summed as its series where |x| < 1 to avoid cancellation.
+
+    A float sums terms until they drop below 1e-17 of the total; an ndarray
+    takes, by Horner's rule, as many terms as its largest |x| < 1 needs.
+    """
+    if not isinstance(x, np.ndarray):
+        if abs(x) >= 1.0:
+            return math.expm1(x) - x
+        term = total = 0.5 * x * x
+        k = 2
+        while abs(term) > 1e-17 * total:
+            k += 1
+            term *= x / k
+            total += term
+        return total
+    out = np.expm1(x) - x
+    small = np.abs(x) < 1.0
+    y = x[small]
+    top = float(np.abs(y).max(initial=0.0))
+    last = 2  # the series is x^2 (1/2! + x/3! + ... + x^(last-2)/last!)
+    while 2.0 * top ** (last - 1) / math.factorial(last + 1) > 1e-17:
+        last += 1
+    poly = 1.0 / math.factorial(last)
+    for k in range(last - 1, 1, -1):
+        poly = poly * y + 1.0 / math.factorial(k)
+    out[small] = poly * y * y
+    return out
 
 
 def gamma_p2(z: float) -> float:

@@ -131,25 +131,6 @@ class EpidemicState:
             return row
         return self.env.rho_row(vertex, self.s_list[: self.s_count])
 
-    # -- aggregate rates ---------------------------------------------------
-
-    @property
-    def total_pressure(self) -> float:
-        """Sum over susceptibles of w(i) = sum_{j in I} rho(i, j)."""
-        if self.thinning:
-            return self.recompute_totals()[1]
-        return self._pressure_acc
-
-    def recompute_totals(self) -> Tuple[float, float]:
-        """From-scratch (total recovery rate, total pressure over S)."""
-        inf = self.i_list[: self.i_count]
-        rec = float(self.xi[inf].sum())
-        pressure = 0.0
-        sus = self.s_list[: self.s_count]
-        for j in inf:
-            pressure += float(self.env.rho_row(int(j), sus).sum())
-        return rec, pressure
-
     # -- transitions -------------------------------------------------------
 
     def _remove_susceptible(self, v: int) -> None:

@@ -2,7 +2,10 @@
 
 This layer turns the two engines into reproducible phase-transition
 evidence: it derives one RNG stream per (grid point, replication) from the
-master seed, so results are independent of worker count and scheduling; it
+master seed, or per (grid point, block of replications) for annealed
+percolation points, which `percolation.sellke_final_sizes` draws without an
+environment (quenched points keep the skip BFS on one environment), so
+results are independent of worker count and scheduling; it
 computes the order-parameter estimators with confidence intervals; and it
 attaches the analytic references (the critical rate, the subcritical mean
 bound, the exact and limiting no-spread probabilities) that the tests check
@@ -34,7 +37,7 @@ from .dynamics import SimParams, gillespie_run
 from .environment import Environment
 from .errors import ParamViolation, SirknError, check_lambda
 from .meanfield import classic_specs, final_size_fixed_point
-from .percolation import percolation_final_size
+from .percolation import SELLKE_BLOCK, percolation_final_size, sellke_final_sizes
 
 ENGINE_DYNAMIC = "dynamic"
 ENGINE_PERCOLATION = "percolation"
@@ -45,6 +48,7 @@ UNITS_LAMBDA_C = "lambda_c"
 
 _TAG_ENV = 0x454E56
 _TAG_RUN = 0x52554E
+_TAG_BLOCK = 0x424C4B
 
 VERSION = "0.1.0"
 
@@ -292,8 +296,23 @@ def _run_seed(master_seed: int, grid_index: int, rep: int) -> int:
     return seeding.derive_key(master_seed, _TAG_RUN, grid_index, rep)
 
 
+def _block_seed(master_seed: int, grid_index: int, block: int) -> int:
+    return seeding.derive_key(master_seed, _TAG_BLOCK, grid_index, block)
+
+
 def _collect_range(task):
     config, grid_index, n, lam, start, stop = task
+    if config.engine == ENGINE_PERCOLATION and config.measure == MEASURE_ANNEALED:
+        parts, failed = [np.zeros(0, dtype=np.uint32)], 0
+        for first in range(start, stop, SELLKE_BLOCK):
+            size = min(SELLKE_BLOCK, stop - first)
+            seed = _block_seed(config.master_seed, grid_index, first // SELLKE_BLOCK)
+            try:
+                parts.append(sellke_final_sizes(config.xi_spec, config.rho_spec, n, lam,
+                                                size, seed).astype(np.uint32))
+            except SirknError:
+                failed += size
+        return np.concatenate(parts), failed
     out = np.zeros(stop - start, dtype=np.uint32)
     done = 0
     env = None
@@ -320,13 +339,19 @@ def collect_final_sizes(config: ExperimentConfig,
     """Final sizes of the completed replications at each (grid_index, n,
     lambda) point, in replication order, and the number of failed ones.
 
-    Each point's replications are cut into `jobs` contiguous chunks and every
-    chunk of every point goes through one map: the builtin one at jobs <= 1,
-    else one process pool.  Stream ids depend only on (master_seed,
-    grid_index, replication), so the output is byte-identical for every
-    `jobs` value.
+    Annealed percolation points draw their replications in blocks of
+    SELLKE_BLOCK by `sellke_final_sizes`, one stream per (master_seed,
+    grid_index, block); a block that raises counts all its replications as
+    failed.  Every other point runs one engine call per replication, on a
+    stream keyed by (master_seed, grid_index, replication).  Each point's
+    blocks are cut into `jobs` contiguous chunks and every chunk of every
+    point goes through one map: the builtin one at jobs <= 1, else one
+    process pool.  Chunks end on block boundaries, so the output is
+    byte-identical for every `jobs` value.
     """
-    bounds = np.linspace(0, config.replications, max(jobs, 1) + 1, dtype=int)
+    blocks = -(-config.replications // SELLKE_BLOCK)
+    bounds = np.linspace(0, blocks, max(jobs, 1) + 1, dtype=int) * SELLKE_BLOCK
+    bounds = np.minimum(bounds, config.replications)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     tasks = [(config, g, n, lam, a, b) for g, n, lam in points for a, b in spans]
     if jobs <= 1:
@@ -450,7 +475,8 @@ def run_batch(config: ExperimentConfig, n: int, lam: float,
               jobs: int = 1) -> BatchStats:
     """All estimators for one (n, lambda) grid point.
 
-    Annealed mode draws a fresh environment per replication; quenched mode
+    Annealed mode draws a fresh environment per replication (for the
+    percolation engine, implicitly through the Sellke sampler); quenched mode
     fixes one environment from the master seed and varies only run seeds.
     """
     [(samples, failures)] = collect_final_sizes(config, [(0, n, lam)], jobs)

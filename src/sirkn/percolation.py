@@ -6,7 +6,19 @@ where T(v) is an exponential clock with rate xi(v) shared by all arcs out of
 v, and U(v, u) is an exponential clock with rate (lam/n) * rho(v, u).  The
 two directions of an edge use distinct clocks with the same rate.
 
-Two BFS realizations of the same law:
+Annealed final sizes, where every run draws a fresh environment, come from
+`sellke_final_sizes` without any `Environment`: the BFS examines each
+unordered edge at most once, so given T(v) the arc (v, u) opens with
+probability 1 - phi(lam T(v) / n), phi(u) = E e^{-u rho}, independently of
+everything else.  That is Sellke's threshold epidemic (Sellke 1983): each
+susceptible holds a threshold Q ~ Exp(1), the k-th infective adds pressure
+X_k = -log phi(lam T_k / n), and r = 1 + min{k : Q_(k+1) > X_0 + ... + X_k},
+with the order statistics Q_(k) of the n - 1 thresholds drawn by Renyi's
+representation.  A run costs O(r).  Sweeps with measure "annealed" and
+engine "percolation" (the `no-spread` batch included) use it.
+
+Quenched sweeps, which fix one environment, and `sirkn percolate` walk the
+environment with one of two BFS realizations of the same law:
 
 * "scan": clocks are pure functions of (run_seed, vertex / ordered pair),
   every unvisited target of a frontier vertex is examined.  O(n * r) work,
@@ -21,7 +33,7 @@ Two BFS realizations of the same law:
   bookkeeping.  Hits on visited vertices (v itself included) are dropped,
   and constant laws keep every hit without a weight lookup.  A vertex expecting more hits than
   there are unvisited vertices draws those arcs directly.  Expected work
-  O(lam * r), which is what makes 1e4-replication sweeps at n = 1e4 cheap.
+  O(lam * r).
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .distributions import DistSpec, psi, validate_spec
+from .distributions import DistSpec, log_laplace, psi, quantile, validate_spec
 from .environment import Environment
 from .errors import ParamViolation, check_lambda
 
@@ -47,6 +59,12 @@ _TAG_ER = 0x4552
 # Expected arc draws of one skip-BFS generation handled at once; a larger
 # generation is processed in frontier slices so memory stays bounded.
 _SLICE_HITS = 1 << 21
+
+# Replications that `sellke_final_sizes` draws in lockstep from one stream;
+# sweeps key and cut their annealed replications in blocks of this size.
+SELLKE_BLOCK = 256
+# Draws of one lockstep chunk (live runs x steps); bounds its memory.
+_SELLKE_CHUNK = 1 << 14
 
 
 @dataclass
@@ -237,6 +255,48 @@ def _open_targets(env, rng, visited, m, lam_n, src, t_clock, mu):
         heads = np.concatenate((heads, unvisited[hit]))
         draws += src.size * m
     return (np.unique(heads) if heads.size > 1 else heads), draws
+
+
+def sellke_final_sizes(xi_spec: DistSpec, rho_spec: DistSpec, n: int, lam: float,
+                       reps: int, seed: int) -> np.ndarray:
+    """Final sizes of `reps` independent annealed runs, drawn from the stream
+    keyed by `seed` in lockstep (see the module docstring).
+
+    Every live run takes the same steps: step k draws the spacing E of the
+    threshold Q_(k+1) = Q_(k) + E / (n - 1 - k), the clock T_k ~ Exp(xi) and
+    so the pressure X_k, and the run stops at the first step where
+    Q_(k+1) exceeds X_0 + ... + X_k.  Steps are drawn in chunks that double
+    in length but hold at most _SELLKE_CHUNK draws of each kind, or one step
+    of every live run if there are more; per chunk the draws are the
+    spacings, then the clocks, then (unless xi is constant) the uniforms
+    that give xi.
+    """
+    check_lambda(lam)
+    rng = seeding.stream(seed)
+    sizes = np.full(reps, n, dtype=np.int64)
+    live = np.arange(reps)
+    q = np.zeros(reps)  # Q_(k) of each live run
+    pressure = np.zeros(reps)  # X_0 + ... + X_{k-1}
+    s = lam / n
+    xi_const = xi_spec.params[0] if xi_spec.kind == "constant" else None
+    k = 0
+    length = 1
+    while live.size and k < n - 1:
+        steps = min(length, max(1, _SELLKE_CHUNK // live.size), n - 1 - k)
+        shape = (live.size, steps)
+        gaps = rng.standard_exponential(shape) / np.arange(n - 1 - k, n - 1 - k - steps, -1)
+        t = rng.standard_exponential(shape)
+        t /= xi_const if xi_const is not None else quantile(xi_spec, rng.random(shape))
+        q_next = q[:, None] + np.cumsum(gaps, axis=1)
+        total = pressure[:, None] - np.cumsum(log_laplace(rho_spec, s * t), axis=1)
+        escaped = q_next > total
+        stop = escaped.any(axis=1)
+        sizes[live[stop]] = k + 1 + escaped[stop].argmax(axis=1)
+        go = ~stop
+        live, q, pressure = live[go], q_next[go, -1], total[go, -1]
+        k += steps
+        length *= 2
+    return sizes
 
 
 # ---------------------------------------------------------------------------

@@ -268,9 +268,13 @@ def test_log_laplace_keeps_relative_precision(text, role):
     # psi raises phi to the power n - 1, so log phi needs relative, not
     # absolute, precision as s -> 0
     spec = parse_dist(text, role)
-    for s in np.logspace(-12, 3, 61):
-        assert log_laplace(spec, float(s)) == pytest.approx(
-            _laplace_reference(spec, float(s), 0), rel=1e-14, abs=0), s
+    grid = np.logspace(-12, 3, 61)
+    refs = [_laplace_reference(spec, float(s), 0) for s in grid]
+    for s, ref in zip(grid, refs):
+        assert log_laplace(spec, float(s)) == pytest.approx(ref, rel=1e-14, abs=0), s
         if role == ROLE_RECOVERY:
             assert log_laplace_deriv(spec, float(s)) == pytest.approx(
                 _laplace_reference(spec, float(s), 1), rel=1e-13, abs=1e-15), s
+    # the elementwise form, which the Sellke sampler uses, s = 0 included
+    np.testing.assert_allclose(log_laplace(spec, np.append(grid, 0.0)), refs + [0.0],
+                               rtol=1e-14, atol=0)

@@ -22,7 +22,8 @@ from sirkn.experiment import (ExperimentConfig, batch_stats_from_samples,
                               sweep, sweep_csv_text, SWEEP_CSV_COLUMNS,
                               wilson_interval, write_sweep)
 from sirkn.meanfield import MeanFieldState, final_size_fixed_point, ode_solve
-from sirkn.percolation import per_edge_open_probability, percolation_final_size
+from sirkn.percolation import (SELLKE_BLOCK, per_edge_open_probability,
+                               percolation_final_size, sellke_final_sizes)
 
 XI1 = parse_dist("constant:1", ROLE_RECOVERY)
 RHO1 = parse_dist("constant:1", ROLE_WEIGHT)
@@ -263,6 +264,7 @@ _LAMBDA_ENTRIES = {
                                                SimParams(lam=lam, run_seed=0)),
     "percolation_final_size": lambda lam: percolation_final_size(
         Environment(10, 1, XI1, RHO1), lam, 0),
+    "sellke_final_sizes": lambda lam: sellke_final_sizes(XI1, RHO1, 10, lam, 4, 0),
     "per_edge_open_probability": lambda lam: per_edge_open_probability(RHO1, XI1, lam, 10),
     "validate_config": lambda lam: make_config(lambda_grid=(lam,)),
     "ode_solve": lambda lam: ode_solve(lam, MeanFieldState(s=0.99, i=0.01, r=0.0)),
@@ -352,7 +354,8 @@ def test_sweep_starts_one_process_pool(monkeypatch):
 
 
 def test_failed_replications_are_dropped_not_counted_as_zero(monkeypatch):
-    config = make_config(n_grid=(25,), lambda_grid=(1.5,), replications=100)
+    config = make_config(n_grid=(25,), lambda_grid=(1.5,), replications=100,
+                         measure="quenched")
     real = sirkn.experiment.percolation_final_size
     bad_seed = sirkn.experiment._run_seed(config.master_seed, 0, 37)
 
@@ -375,7 +378,47 @@ def test_all_replications_failing_raises(monkeypatch):
 
     monkeypatch.setattr(sirkn.experiment, "percolation_final_size", broken)
     with pytest.raises(SirknError):
-        collect_final_sizes(make_config(replications=10), [(0, 20, 1.0)])
+        collect_final_sizes(make_config(replications=10, measure="quenched"),
+                            [(0, 20, 1.0)])
+
+
+def test_failed_sellke_block_drops_all_its_replications(monkeypatch):
+    block = SELLKE_BLOCK
+    config = make_config(n_grid=(25,), lambda_grid=(1.5,), replications=2 * block + 9)
+    real = sirkn.experiment.sellke_final_sizes
+    bad_seed = sirkn.experiment._block_seed(config.master_seed, 0, 1)
+
+    def flaky(xi, rho, n, lam, reps, seed):
+        if seed == bad_seed:
+            raise QuadratureFailure("injected")
+        return real(xi, rho, n, lam, reps, seed)
+
+    [(whole, _)] = collect_final_sizes(config, [(0, 25, 1.5)])
+    monkeypatch.setattr(sirkn.experiment, "sellke_final_sizes", flaky)
+    [(samples, failures)] = collect_final_sizes(config, [(0, 25, 1.5)], jobs=1)
+    assert failures == block
+    np.testing.assert_array_equal(samples, np.concatenate((whole[:block],
+                                                           whole[2 * block:])))
+
+    def broken(*args):
+        raise QuadratureFailure("injected")
+
+    monkeypatch.setattr(sirkn.experiment, "sellke_final_sizes", broken)
+    with pytest.raises(SirknError):
+        collect_final_sizes(config, [(0, 25, 1.5)])
+
+
+@pytest.mark.parametrize("reps", [1, SELLKE_BLOCK - 1, SELLKE_BLOCK, SELLKE_BLOCK + 1,
+                                  3 * SELLKE_BLOCK + 7])
+def test_annealed_percolation_blocks_are_jobs_invariant(reps):
+    config = make_config(xi_spec=XI2, rho_spec=RHOU, n_grid=(30,), lambda_grid=(2.0,),
+                         replications=reps)
+    [(ref, failures)] = collect_final_sizes(config, [(0, 30, 2.0)], jobs=1)
+    assert len(ref) == reps and failures == 0
+    for jobs in (2, 3):
+        [(samples, _)] = collect_final_sizes(config, [(0, 30, 2.0)], jobs=jobs)
+        assert samples.dtype == ref.dtype
+        assert samples.tobytes() == ref.tobytes(), jobs
 
 
 def test_quenched_shares_one_environment():
