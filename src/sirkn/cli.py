@@ -6,8 +6,8 @@ invocation resolves its full configuration, embeds it in the output files,
 and writes to ./out/<config-hash>/ unless --outdir is given, so identical
 invocations produce byte-identical artifacts at any --jobs value.
 
-Exit codes: 0 success, 1 validation error (message names the violated
-constraint), 2 runtime failure.
+Exit codes: 0 success, 1 validation or usage error (message names the
+violated constraint), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .experiment import (ExperimentConfig, config_from_file, config_from_dict,
                          config_to_dict, config_hash, run_batch, sweep,
                          write_sweep)
 from .meanfield import MeanFieldState, final_size_fixed_point, ode_solve
-from .percolation import MODE_SCAN, MODE_SKIP, er_giant_component, percolation_final_size
+from .percolation import er_giant_component, percolation_final_size
 
 _TAG_CLI_ENV = 0x434C45
 _TAG_CLI_RUN = 0x434C52
@@ -49,6 +49,11 @@ def _write_json(path: Path, payload: dict) -> None:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ParamViolation(message)
+
+
+def _jobs(args) -> int:
+    _require(args.jobs >= 0, f"jobs >= 0 is required (got {args.jobs})")
+    return args.jobs or (os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +103,10 @@ def _cmd_percolate(args) -> int:
         "xi_spec": format_dist(xi),
         "rho_spec": format_dist(rho),
         "seed": args.seed,
-        "mode": args.mode,
     }
     out = _outdir(args, resolved)
     env = Environment(args.n, seeding.derive_key(args.seed, _TAG_CLI_ENV), xi, rho)
-    result = percolation_final_size(
-        env, args.lam, seeding.derive_key(args.seed, _TAG_CLI_RUN), mode=args.mode)
+    result = percolation_final_size(env, args.lam, seeding.derive_key(args.seed, _TAG_CLI_RUN))
     _write_json(out / "run.json", {"config": resolved, "result": result.to_dict()})
     print(out / "run.json")
     return 0
@@ -134,8 +137,8 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _cmd_sweep(args) -> int:
+    jobs = _jobs(args)
     config = _config_from_args(args)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     out = Path(args.outdir) if args.outdir else Path("out") / config_hash(config)
     result = sweep(config, jobs=jobs)
     csv_path, json_path = write_sweep(result, out)
@@ -193,6 +196,7 @@ def _cmd_er(args) -> int:
 
 
 def _cmd_no_spread(args) -> int:
+    jobs = _jobs(args)
     check_lambda(args.lam)
     xi = parse_dist(args.xi, ROLE_RECOVERY)
     rho = parse_dist(args.rho, ROLE_WEIGHT)
@@ -205,7 +209,6 @@ def _cmd_no_spread(args) -> int:
         "engine": args.engine,
         "master_seed": args.seed,
     })
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     resolved = config_to_dict(config)
     resolved["subcommand"] = "no-spread"
     out = _outdir(args, resolved)
@@ -258,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("percolate", help="one reachability run", exit_on_error=False)
     add_model(p)
-    p.add_argument("--mode", choices=[MODE_SKIP, MODE_SCAN], default=MODE_SKIP)
     add_common(p)
     p.set_defaults(func=_cmd_percolate)
 
@@ -318,8 +320,8 @@ def main(argv=None) -> int:
     except argparse.ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help and argparse hard exits
-        return int(exc.code or 0)
+    except SystemExit as exc:  # --help exits 0, usage errors exit 2
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ParamViolation, SupportViolation) as exc:

@@ -1,15 +1,15 @@
 """Monte Carlo batches, lambda sweeps, estimators and persistence.
 
 This layer turns the two engines into reproducible phase-transition
-evidence: it derives one RNG stream per (grid point, replication) from the
+evidence.  It keys one RNG stream per (grid point, replication) from the
 master seed, or per (grid point, block of replications) for annealed
 percolation points, which `percolation.sellke_final_sizes` draws without an
-environment (quenched points keep the skip BFS on one environment), so
-results are independent of worker count and scheduling; it
-computes the order-parameter estimators with confidence intervals; and it
-attaches the analytic references (the critical rate, the subcritical mean
-bound, the exact and limiting no-spread probabilities) that the tests check
-the simulations against.
+environment; quenched percolation points run the BFS on one environment.
+Every stream is a generator of its own, so results are independent of
+worker count and scheduling.  The layer also computes the order-parameter
+estimators with confidence intervals and attaches the analytic references
+(the critical rate, the subcritical mean bound, the exact and limiting
+no-spread probabilities) that the tests check the simulations against.
 """
 
 from __future__ import annotations

@@ -18,22 +18,16 @@ representation.  A run costs O(r).  Sweeps with measure "annealed" and
 engine "percolation" (the `no-spread` batch included) use it.
 
 Quenched sweeps, which fix one environment, and `sirkn percolate` walk the
-environment with one of two BFS realizations of the same law:
-
-* "scan": clocks are pure functions of (run_seed, vertex / ordered pair),
-  every unvisited target of a frontier vertex is examined.  O(n * r) work,
-  and coupled across lam (a clock scales as 1/lam under its fixed uniform),
-  so final size is surely nondecreasing in lam at fixed run_seed.
-* "skip": given T(v), the arc (v, u) opens with probability
-  1 - exp(-(lam/n) rho(v, u) T(v)).  Each frontier vertex v throws
-  Poisson(lam rho_max T(v)) hits on uniform targets in [0, n) and keeps
-  each with probability rho(v, u) / rho_max (Lewis & Shedler thinning at
-  `Environment.rho_max`, the envelope of the dynamic engine); an arc is
-  open iff it keeps at least one hit, so repeated hits need no
-  bookkeeping.  Hits on visited vertices (v itself included) are dropped,
-  and constant laws keep every hit without a weight lookup.  A vertex expecting more hits than
-  there are unvisited vertices draws those arcs directly.  Expected work
-  O(lam * r).
+environment with one BFS: given T(v), the arc (v, u) opens with probability
+1 - exp(-(lam/n) rho(v, u) T(v)).  Each frontier vertex v throws
+Poisson(lam rho_max T(v)) hits on uniform targets in [0, n) and keeps each
+with probability rho(v, u) / rho_max (Lewis & Shedler thinning at
+`Environment.rho_max`, the envelope of the dynamic engine); an arc is open
+iff it keeps at least one hit, so repeated hits need no bookkeeping.  Hits
+on visited vertices (v itself included) are dropped, and constant laws keep
+every hit without a weight lookup.  A vertex expecting more hits than there
+are unvisited vertices draws those arcs directly.  Expected work
+O(lam * r).
 """
 
 from __future__ import annotations
@@ -48,15 +42,10 @@ from .distributions import DistSpec, log_laplace, psi, quantile, validate_spec
 from .environment import Environment
 from .errors import ParamViolation, check_lambda
 
-MODE_SKIP = "skip"
-MODE_SCAN = "scan"
-
 _TAG_PERC = 0x504552
-_TAG_T = 0x54
-_TAG_U = 0x55
 _TAG_ER = 0x4552
 
-# Expected arc draws of one skip-BFS generation handled at once; a larger
+# Expected arc draws of one BFS generation handled at once; a larger
 # generation is processed in frontier slices so memory stays bounded.
 _SLICE_HITS = 1 << 21
 
@@ -76,7 +65,6 @@ class ReachResult:
     engine: str
     env_seed: int
     run_seed: int
-    mode: str
 
     def to_dict(self) -> dict:
         return {
@@ -90,90 +78,15 @@ class ReachResult:
         }
 
 
-class ClockSample:
-    """Lazily sampled clocks for one run, keyed so re-queries are stable.
-
-    recovery_clock(i) is sampled at most once per run (memoized); edge
-    clocks for the ordered pair (i, j) are pure functions of the run key, so
-    the BFS can evaluate them in bulk without storing anything.
-    """
-
-    def __init__(self, env: Environment, lam: float, run_seed: int):
-        self.env = env
-        self.lam = float(lam)
-        self._t_key = seeding.derive_key(run_seed, _TAG_PERC, _TAG_T)
-        self._u_key = seeding.derive_key(run_seed, _TAG_PERC, _TAG_U)
-        self._t_cache: dict = {}
-        self.t_draws = 0
-        self.u_draws = 0
-
-    def recovery_clock(self, i: int) -> float:
-        t = self._t_cache.get(i)
-        if t is None:
-            xi = self.env.xi_at(i)
-            t = -math.log(seeding.open01(self._t_key, i)) / xi
-            self._t_cache[i] = t
-            self.t_draws += 1
-        return t
-
-    def edge_clocks(self, i: int, js: np.ndarray) -> np.ndarray:
-        """U(i, j) for the ordered pairs (i, j), j ranging over js."""
-        u = seeding.open01_array(seeding.child_key(self._u_key, i), js)
-        rate = (self.lam / self.env.n) * self.env.rho_row(i, js)
-        self.u_draws += len(js)
-        with np.errstate(divide="ignore"):
-            return np.where(rate > 0.0, -np.log(u) / rate, np.inf)
-
-
-def percolation_final_size(env: Environment, lam: float, run_seed: int,
-                           mode: str = MODE_SKIP) -> ReachResult:
-    """BFS from vertex 0 over arcs open iff U(i, j) <= T(i).
+def percolation_final_size(env: Environment, lam: float, run_seed: int) -> ReachResult:
+    """BFS from vertex 0 over arcs open iff U(i, j) <= T(i), by thinned
+    Poisson hits (see the module docstring).
 
     The resulting r_infinity has exactly the law of the dynamic engine's
     final size under the annealed measure (and under the quenched measure
     for a fixed environment).
     """
     check_lambda(lam)
-    if mode == MODE_SCAN:
-        return _scan_bfs(env, lam, run_seed)
-    if mode == MODE_SKIP:
-        return _skip_bfs(env, lam, run_seed)
-    raise ParamViolation(f"unknown percolation mode {mode!r}")
-
-
-def _scan_bfs(env, lam, run_seed):
-    n = env.n
-    clocks = ClockSample(env, lam, run_seed)
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    unvisited = np.arange(1, n, dtype=np.int64)
-    frontier = [0]
-    reached_count = 1
-    while frontier and unvisited.size:
-        newly_open = np.zeros(unvisited.size, dtype=bool)
-        for i in frontier:
-            t_i = clocks.recovery_clock(int(i))
-            newly_open |= clocks.edge_clocks(int(i), unvisited) <= t_i
-        new_vertices = unvisited[newly_open]
-        if new_vertices.size == 0:
-            break
-        visited[new_vertices] = True
-        reached_count += new_vertices.size
-        unvisited = unvisited[~newly_open]
-        frontier = new_vertices.tolist()
-    return ReachResult(
-        reached=np.flatnonzero(visited),
-        r_infinity=reached_count,
-        t_draws=clocks.t_draws,
-        u_draws=clocks.u_draws,
-        engine="percolation",
-        env_seed=env.seed,
-        run_seed=run_seed,
-        mode=MODE_SCAN,
-    )
-
-
-def _skip_bfs(env, lam, run_seed):
     n = env.n
     lam_n = lam / n
     hit_rate = lam * env.rho_max  # envelope hits on [0, n) per unit of T
@@ -211,7 +124,6 @@ def _skip_bfs(env, lam, run_seed):
         engine="percolation",
         env_seed=env.seed,
         run_seed=run_seed,
-        mode=MODE_SKIP,
     )
 
 

@@ -150,6 +150,27 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["percolate", "--n", "5", "--lambda", "1", "--bogus", "1"],
+    ["percolate", "--n", "5", "--lambda", "1", "--mode", "scan"],
+    ["percolate", "--lambda", "1"],
+], ids=["unrecognized", "removed-mode", "missing-required"])
+def test_usage_error_exits_one(tmp_path, capsys, args):
+    assert run_cli(args, tmp_path) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--n-grid", "10", "--lambda-grid", "1", "--reps", "10", "--jobs", "-1"],
+    ["no-spread", "--n", "10", "--lambda", "1", "--reps", "10", "--jobs", "-4"],
+], ids=["sweep", "no-spread"])
+def test_negative_jobs_names_constraint(tmp_path, capsys, args):
+    assert run_cli(args, tmp_path) == 1
+    assert "jobs >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entrypoint_subprocess(tmp_path):
     env_src = str(Path(__file__).resolve().parents[1] / "src")
     import os

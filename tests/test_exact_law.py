@@ -10,9 +10,11 @@ for l = 0 .. N, solved by forward substitution.  The solve cancels more as n
 grows, so it is used only up to n = 20 and checks its own output.
 
 Every sampler is tested against that law, not against another engine at a
-shared seed.  All goodness-of-fit cells share one family-wise level: a cell
-fails when its p-value is below FAMILY_ALPHA / CELLS, so a correct program
-fails this module with probability at most FAMILY_ALPHA.
+shared seed.  The goodness-of-fit cells of the sampler grid share one
+family-wise level: a cell fails when its p-value is below FAMILY_ALPHA /
+CELLS, so a correct program fails the grid with probability at most
+FAMILY_ALPHA.  The cells that drive each branch of the skip BFS are a second
+family at the same level.
 """
 
 import math
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sirkn import seeding
+from sirkn import percolation, seeding
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda, moments,
                                  parse_dist, psi)
 from sirkn.environment import Environment
@@ -40,6 +42,16 @@ SAMPLERS = ("sellke", "dynamic", "skip")
 GRID = [(law, n, mult) for law in LAWS for n in NS for mult in MULTS]
 CELLS = len(SAMPLERS) * len(GRID)
 FAMILY_ALPHA = 0.01
+# xi = two_point:1:0.5:2 with these (rho, n, lam, _SLICE_HITS or None)
+SKIP_BRANCHES = {
+    "uniform": ("uniform:0:1", 20, 4.0, None),
+    "constant": ("constant:0.5", 20, 4.0, None),
+    "sparse": ("two_point:0.01:0.99:1", 20, 40.0, None),
+    # most sources expect more hits than there are unvisited vertices
+    "dense": ("uniform:0:1", 10, 30.0, None),
+    # generations cut into frontier slices of a few expected hits each
+    "sliced": ("uniform:0:1", 20, 4.0, 4),
+}
 JOBS = min(2, os.cpu_count() or 1)
 
 
@@ -159,3 +171,17 @@ def test_skip_bfs_on_fresh_environments_fits_exact_law(law, n, mult):
     samples = [percolation_final_size(Environment(n, seeding.derive_key(7003, r), xi, rho),
                                       lam, r).r_infinity for r in range(reps)]
     assert gof_p_value(samples, p) > FAMILY_ALPHA / CELLS
+
+
+@pytest.mark.parametrize("branch", list(SKIP_BRANCHES))
+def test_skip_bfs_branches_fit_exact_law(monkeypatch, branch):
+    rho_text, n, lam, slice_hits = SKIP_BRANCHES[branch]
+    if slice_hits is not None:
+        monkeypatch.setattr(percolation, "_SLICE_HITS", slice_hits)
+    xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
+    reps = 10_000
+    samples = [percolation_final_size(Environment(n, seeding.derive_key(4, r), xi, rho),
+                                      lam, r).r_infinity for r in range(reps)]
+    p = exact_final_size_law(xi, rho, lam, n)
+    assert gof_p_value(samples, p) > FAMILY_ALPHA / len(SKIP_BRANCHES)

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from sirkn import percolation, seeding
+from sirkn import seeding
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, as_mixture,
                                  mean, mean_inverse, parse_dist)
 from sirkn.dynamics import SimParams, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import ParamViolation
 from sirkn.experiment import chi_square_two_sample, wilson_interval
-from sirkn.percolation import (MODE_SCAN, MODE_SKIP, ClockSample,
-                               er_giant_component, per_edge_open_probability,
+from sirkn.percolation import (er_giant_component, per_edge_open_probability,
                                percolation_final_size)
 
 XI1 = parse_dist("constant:1", ROLE_RECOVERY)
@@ -23,47 +22,20 @@ XI2 = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
 RHOU = parse_dist("uniform:0:1", ROLE_WEIGHT)
 
 
-@pytest.mark.parametrize("mode", [MODE_SKIP, MODE_SCAN])
-def test_lambda_zero_reaches_only_origin(mode):
+def test_lambda_zero_reaches_only_origin():
     env = Environment(50, 3, XI1, RHO1)
-    res = percolation_final_size(env, 0.0, 7, mode=mode)
+    res = percolation_final_size(env, 0.0, 7)
     assert res.r_infinity == 1
     assert list(res.reached) == [0]
 
 
-@pytest.mark.parametrize("mode", [MODE_SKIP, MODE_SCAN])
-def test_two_vertex_race(mode):
+def test_two_vertex_race():
     env = Environment(2, 17, XI1, RHO1)
     reps = 20_000
-    hits = sum(percolation_final_size(env, 2.0, r, mode=mode).r_infinity == 2
+    hits = sum(percolation_final_size(env, 2.0, r).r_infinity == 2
                for r in range(reps))
     lo, hi = wilson_interval(hits, reps, 0.99)
     assert lo <= 0.5 <= hi
-
-
-@pytest.mark.parametrize("rho_text, n, lam, slice_hits", [
-    ("uniform:0:1", 20, 4.0, None),
-    ("constant:0.5", 20, 4.0, None),
-    ("two_point:0.01:0.99:1", 20, 40.0, None),
-    # most skip sources expect more hits than there are unvisited vertices
-    ("uniform:0:1", 10, 30.0, None),
-    # generations cut into frontier slices of a few expected hits each
-    ("uniform:0:1", 20, 4.0, 4),
-], ids=["uniform", "constant", "sparse", "dense", "sliced"])
-def test_scan_and_skip_agree_in_distribution(monkeypatch, rho_text, n, lam, slice_hits):
-    if slice_hits is not None:
-        monkeypatch.setattr(percolation, "_SLICE_HITS", slice_hits)
-    rho = parse_dist(rho_text, ROLE_WEIGHT)
-    reps = 10_000
-    samples = {}
-    for mode in (MODE_SKIP, MODE_SCAN):
-        vals = np.empty(reps, dtype=np.int64)
-        for r in range(reps):
-            env = Environment(n, seeding.derive_key(4, r), XI2, rho)
-            vals[r] = percolation_final_size(env, lam, r, mode=mode).r_infinity
-        samples[mode] = vals
-    _, _, p = chi_square_two_sample(samples[MODE_SKIP], samples[MODE_SCAN])
-    assert p > 0.01
 
 
 def test_matches_dynamic_engine_small_n():
@@ -79,19 +51,9 @@ def test_matches_dynamic_engine_small_n():
     assert p > 0.01
 
 
-def test_monotone_in_lambda_with_shared_uniforms():
-    lams = [0.3, 0.8, 1.4, 2.5, 5.0]
-    for seed in range(40):
-        env = Environment(150, seeding.derive_key(21, seed), XI2, RHOU)
-        sizes = [percolation_final_size(env, lam, seed, mode=MODE_SCAN).r_infinity
-                 for lam in lams]
-        assert all(a <= b for a, b in zip(sizes, sizes[1:])), (seed, sizes)
-
-
-@pytest.mark.parametrize("mode", [MODE_SKIP, MODE_SCAN])
-def test_lazy_sampling_counters(mode):
+def test_lazy_sampling_counters():
     env = Environment(300, 5, XI2, RHOU)
-    res = percolation_final_size(env, 2.0, 11, mode=mode)
+    res = percolation_final_size(env, 2.0, 11)
     assert res.t_draws <= res.r_infinity
     assert res.u_draws <= res.r_infinity * env.n
 
@@ -127,18 +89,6 @@ def test_reached_always_contains_origin():
         res = percolation_final_size(env, 1.0, r)
         assert 0 in res.reached
         assert res.r_infinity == len(res.reached) >= 1
-
-
-def test_clock_sample_direction_matters_but_rate_shared():
-    env = Environment(10, 3, XI1, RHOU)
-    clocks = ClockSample(env, 2.0, run_seed=8)
-    u_ij = clocks.edge_clocks(2, np.array([5]))[0]
-    u_ji = clocks.edge_clocks(5, np.array([2]))[0]
-    assert u_ij != u_ji  # distinct draws per direction
-    assert u_ij > 0 and u_ji > 0
-    t1 = clocks.recovery_clock(4)
-    assert clocks.recovery_clock(4) == t1  # sampled once, re-query stable
-    assert clocks.t_draws == 1
 
 
 # -- per-arc open probability -------------------------------------------------
