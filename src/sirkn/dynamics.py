@@ -2,18 +2,25 @@
 
 The process starts from one infective at vertex 0.  An infective i recovers
 at rate xi(i); a susceptible i is infected at rate (lam/n) * sum of rho(i, j)
-over infective j.  The weight law picks one of two exact event selections:
+over infective j.  `EpidemicState.run` is the one event loop: it holds the
+state in local variables (Python lists for the packed vertex sets) and
+executes events until absorption or a cap; `gillespie_run` calls it once,
+and tests step it one event at a time.  The weight law picks one of its two
+exact event selections:
 
 * thinning (Lewis & Shedler), used when the mean acceptance
   E[rho] / rho_max is at least _MIN_THINNING_ACCEPTANCE, rho_max being the
   largest weight the law puts mass on (`Environment.rho_max`): infections
   are proposed at the envelope rate (lam/n) * rho_max * |S| * |I| for a
   uniform pair (i, j) in S x I and accepted with probability
-  rho(i, j) / rho_max.  Constant laws accept every proposal and never look
-  up a weight.
+  rho(i, j) / rho_max, looked up by `Environment.rho_at`.  Constant laws
+  accept every proposal and never look up a weight.
 * direct (Gillespie), for sparser laws: maintains the per-susceptible
   pressure w(i) and picks events proportionally (O(n) pressure update per
   event), so no proposal is wasted.
+
+A recovery picks an infective with probability proportional to xi, by a
+cumulative sum over the packed xi of the infectives.
 """
 
 from __future__ import annotations
@@ -33,8 +40,10 @@ INFECTION = "infection"
 
 # Thinning wastes a share 1 - E[rho]/rho_max of its proposals; the direct
 # path pays an O(n) pressure update per event instead.  Paired timings
-# (CHANGES.md) put the break-even near an acceptance of 0.11-0.14 for
-# surviving runs at n = 300-1000; below this constant the direct path is used.
+# (CHANGES.md) put the break-even near an acceptance of 0.08-0.10 for
+# surviving runs at n = 300-1000 (lower still for subcritical runs); below
+# this constant the direct path is used.  It is not moved to the break-even
+# because that would change the samples of every law in between.
 _MIN_THINNING_ACCEPTANCE = 0.12
 
 
@@ -72,19 +81,22 @@ class RunResult:
 
 
 class EpidemicState:
-    """Mutable state (S_t, I_t, R_t) plus the aggregate rates for selection.
+    """State (S_t, I_t, R_t) of one run plus the aggregate rates for selection.
 
     A vertex is susceptible iff s_pos >= 0, infective iff i_pos >= 0 and
-    removed otherwise; removed vertices never leave.  The incrementally
-    maintained totals must agree with a from-scratch recomputation to
-    relative 1e-9.  `thinning` records which event selection the weight law
-    picked; the pressure vector w exists only on the direct path.
+    removed otherwise; removed vertices never leave.  The packed lists and
+    positions are Python lists; xi_inf holds xi of the infectives in i_list
+    order (None for a constant xi law).  The incrementally maintained totals
+    must agree with a from-scratch recomputation to relative 1e-9.
+    `thinning` records which event selection the weight law picked; the
+    pressure vector w, the array mirror s_arr of s_list and the row cache
+    exist only on the direct path.
     """
 
-    __slots__ = ("env", "lam", "n", "xi", "thinning", "rho_max",
-                 "s_list", "s_pos", "s_count", "i_list", "i_pos", "i_count",
-                 "w", "total_recovery_rate", "_pressure_acc", "time",
-                 "_xi_const", "_rho_const", "_row_cache")
+    __slots__ = ("env", "lam", "n", "xi", "thinning",
+                 "s_list", "s_pos", "s_count", "i_list", "i_pos", "i_count", "xi_inf",
+                 "s_arr", "w", "total_recovery_rate", "_pressure_acc", "time",
+                 "_row_cache")
 
     def __init__(self, env: Environment, lam: float):
         check_lambda(lam)
@@ -92,22 +104,26 @@ class EpidemicState:
         self.env = env
         self.lam = float(lam)
         self.n = n
-        self._xi_const = env.xi_const
-        self._rho_const = env.rho_const
-        self.rho_max = env.rho_max
-        self.thinning = mean(env.rho_spec) >= _MIN_THINNING_ACCEPTANCE * self.rho_max
-        self.xi = env.xi_block(np.arange(n))
-        # Packed vertex lists with positional index for O(1) swap-removal.
-        self.s_list = np.arange(1, n, dtype=np.int64)
-        self.s_pos = np.arange(-1, n - 1, dtype=np.int64)  # s_pos[0] = -1
+        self.thinning = mean(env.rho_spec) >= _MIN_THINNING_ACCEPTANCE * env.rho_max
+        # Packed vertex lists with positional index for O(1) swap-removal;
+        # both share one set of int objects.
+        ids = list(range(n))
+        self.s_list = ids[1:]
+        self.s_pos = [-1] + ids[:-1]  # s_pos[v] = v - 1, vertex 0 is infective
         self.s_count = n - 1
-        self.i_list = np.zeros(n, dtype=np.int64)
-        self.i_pos = np.full(n, -1, dtype=np.int64)
-        self.i_list[0] = 0
+        self.i_list = [0] * n
+        self.i_pos = [-1] * n
         self.i_pos[0] = 0
         self.i_count = 1
-        self.total_recovery_rate = float(self.xi[0])
-        self.w = None
+        if env.xi_const is None:
+            self.xi = env.xi_block(np.arange(n)).tolist()
+            self.xi_inf = np.empty(n)
+            self.xi_inf[0] = self.xi[0]
+        else:
+            self.xi = [float(env.xi_const)] * n
+            self.xi_inf = None
+        self.total_recovery_rate = self.xi[0]
+        self.s_arr = self.w = None
         self._pressure_acc = 0.0
         # Full weight rows of active infectives are cached at moderate n so a
         # recovery can subtract the same values its infection added without
@@ -115,141 +131,135 @@ class EpidemicState:
         self._row_cache = {} if (not self.thinning and n <= 2048) else None
         if not self.thinning:
             env._ensure_pair_keys()
+            self.s_arr = sus = np.arange(1, n, dtype=np.int64)
             self.w = np.zeros(n, dtype=np.float64)
             if self.s_count > 0:
-                row = self._infective_row(0)
-                sus = self.s_list[: self.s_count]
-                self.w[sus] = row[sus] if self._row_cache is not None else row
+                if self._row_cache is not None:
+                    row = self._row_cache[0] = env.rho_full_row(0)
+                    self.w[sus] = row[sus]
+                else:
+                    self.w[sus] = env.rho_row(0, sus)
                 self._pressure_acc = float(self.w[sus].sum())
         self.time = 0.0
 
-    def _infective_row(self, vertex: int) -> np.ndarray:
-        """Weight row of a newly infective vertex (full row when cached)."""
-        if self._row_cache is not None:
-            row = self.env.rho_full_row(vertex)
-            self._row_cache[vertex] = row
-            return row
-        return self.env.rho_row(vertex, self.s_list[: self.s_count])
+    def run(self, rng: np.random.Generator, max_events: int,
+            trajectory: Optional[list] = None) -> int:
+        """Execute events until no infective is left or max_events have run.
 
-    # -- transitions -------------------------------------------------------
-
-    def _remove_susceptible(self, v: int) -> None:
-        pos = self.s_pos[v]
-        last = self.s_count - 1
-        moved = self.s_list[last]
-        self.s_list[pos] = moved
-        self.s_pos[moved] = pos
-        self.s_pos[v] = -1
-        self.s_count = last
-
-    def _remove_infective(self, v: int) -> None:
-        pos = self.i_pos[v]
-        last = self.i_count - 1
-        moved = self.i_list[last]
-        self.i_list[pos] = moved
-        self.i_pos[moved] = pos
-        self.i_pos[v] = -1
-        self.i_count = last
-
-    def apply(self, kind: str, vertex: int) -> None:
-        """Execute one transition, keeping the aggregate rates in step."""
-        if kind == INFECTION:
-            self._remove_susceptible(vertex)
-            self.i_list[self.i_count] = vertex
-            self.i_pos[vertex] = self.i_count
-            self.i_count += 1
-            self.total_recovery_rate += float(self.xi[vertex])
-            if not self.thinning:
-                self._pressure_acc -= float(self.w[vertex])
-                if self.s_count > 0:
-                    sus = self.s_list[: self.s_count]
-                    row = self._infective_row(vertex)
-                    if self._row_cache is not None:
-                        row = row[sus]
-                    self.w[sus] += row
-                    self._pressure_acc += float(row.sum())
-        elif kind == RECOVERY:
-            self._remove_infective(vertex)
-            self.total_recovery_rate -= float(self.xi[vertex])
-            if self.i_count == 0:
-                self.total_recovery_rate = 0.0
-            if not self.thinning and self.s_count > 0:
-                sus = self.s_list[: self.s_count]
-                if self._row_cache is not None:
-                    row = self._row_cache.pop(vertex)[sus]
+        Each event advances the clock by an exponential with the total rate
+        and is a recovery of i in I with probability xi(i)/total, else an
+        infection of i in S with probability (lam/n) w(i)/total; thinning
+        loops its rejected proposals inside one event, so both selections
+        realize this law.  Appends (time, kind, vertex) per event to
+        `trajectory` when given, and returns the number of events executed.
+        The state lives in local variables while the loop runs and is
+        written back before returning.
+        """
+        if self.i_count == 0:
+            raise DeadState("no infectives: total rate is zero")
+        env = self.env
+        xi, xi_inf = self.xi, self.xi_inf
+        s_list, s_pos, s_count = self.s_list, self.s_pos, self.s_count
+        i_list, i_pos, i_count = self.i_list, self.i_pos, self.i_count
+        s_arr, w, acc, cache = self.s_arr, self.w, self._pressure_acc, self._row_cache
+        rec, time = self.total_recovery_rate, self.time
+        exponential, uniform = rng.standard_exponential, rng.random
+        rho_at, rho_const, rho_max = env.rho_at, env.rho_const, env.rho_max
+        thinning = self.thinning
+        lam_n = self.lam / self.n
+        envelope = lam_n * rho_max
+        events = 0
+        while i_count and events < max_events:
+            v = -1  # the infected susceptible, if the event is an infection
+            if thinning:
+                elapsed = 0.0
+                while True:
+                    total = rec + envelope * s_count * i_count
+                    elapsed += exponential() / total
+                    if uniform() * total < rec:
+                        break
+                    if rho_const is not None:
+                        v = s_list[int(uniform() * s_count)]
+                        break
+                    # one uniform picks the proposed pair (i, j) in S x I
+                    k, m = divmod(int(uniform() * (s_count * i_count)), i_count)
+                    if uniform() * rho_max < rho_at(s_list[k], i_list[m]):
+                        v = s_list[k]
+                        break
+                    # rejected proposal: time already advanced, redraw
+                time += elapsed
+            else:
+                total = rec + lam_n * acc
+                time += exponential() / total
+                if uniform() * total >= rec and s_count > 0:
+                    c = w[s_arr[:s_count]].cumsum()
+                    if c[-1] > 0.0:
+                        k = int(c.searchsorted(uniform() * c[-1], "right"))
+                        v = s_list[min(k, s_count - 1)]
+                    # Otherwise the pressure drifted to zero between
+                    # bookkeeping and selection: the (measure-zero) recovery.
+            if v >= 0:
+                pos = s_pos[v]
+                s_count -= 1
+                moved = s_list[s_count]
+                s_list[pos] = moved
+                s_pos[moved] = pos
+                s_pos[v] = -1
+                i_list[i_count] = v
+                i_pos[v] = i_count
+                if xi_inf is not None:
+                    xi_inf[i_count] = xi[v]
+                i_count += 1
+                rec += xi[v]
+                if w is not None:
+                    s_arr[pos] = moved
+                    acc -= float(w[v])
+                    if s_count > 0:
+                        sus = s_arr[:s_count]
+                        if cache is not None:
+                            row = cache[v] = env.rho_full_row(v)
+                            row = row[sus]
+                        else:
+                            row = env.rho_row(v, sus)
+                        w[sus] += row
+                        acc += float(row.sum())
+                kind = INFECTION
+            else:
+                if i_count == 1:
+                    v = i_list[0]
+                elif xi_inf is None:
+                    v = i_list[int(uniform() * i_count)]
                 else:
-                    row = self.env.rho_row(vertex, sus)
-                w_slice = self.w[sus] - row
-                np.maximum(w_slice, 0.0, out=w_slice)  # clamp float residue
-                self.w[sus] = w_slice
-                self._pressure_acc = max(float(self._pressure_acc - row.sum()), 0.0)
-            elif self._row_cache is not None:
-                self._row_cache.pop(vertex, None)
-        else:
-            raise ParamViolation(f"unknown event kind {kind!r}")
-
-
-def next_event(state: EpidemicState, rng: np.random.Generator
-               ) -> Tuple[float, Tuple[str, int]]:
-    """Draw (dt, event) from the current state without mutating it.
-
-    dt is exponential with the total rate; the event is a recovery of i in I
-    with probability xi(i)/total, else an infection of i in S with
-    probability (lam/n) w(i)/total.  Thinning loops internal proposals, so
-    the returned pair has this law on both selection paths.
-    """
-    if state.i_count == 0:
-        raise DeadState("no infectives: total rate is zero")
-    if state.thinning:
-        return _next_event_thinning(state, rng)
-    return _next_event_direct(state, rng)
-
-
-def _pick_infective(state, rng) -> int:
-    if state.i_count == 1:
-        return int(state.i_list[0])
-    if state._xi_const is not None:
-        return int(state.i_list[int(rng.random() * state.i_count)])
-    xi_inf = state.xi[state.i_list[: state.i_count]]
-    c = np.cumsum(xi_inf)
-    k = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
-    return int(state.i_list[min(k, state.i_count - 1)])
-
-
-def _next_event_direct(state, rng):
-    rec = state.total_recovery_rate
-    total = rec + (state.lam / state.n) * state._pressure_acc
-    dt = rng.standard_exponential() / total
-    if rng.random() * total >= rec and state.s_count > 0:
-        weights = state.w[state.s_list[: state.s_count]]
-        c = np.cumsum(weights)
-        tot_w = c[-1]
-        if tot_w > 0.0:
-            k = int(np.searchsorted(c, rng.random() * tot_w, side="right"))
-            return dt, (INFECTION, int(state.s_list[min(k, state.s_count - 1)]))
-        # Pressure drifted to zero between bookkeeping and selection; fall
-        # through to the (measure-zero) recovery branch.
-    return dt, (RECOVERY, _pick_infective(state, rng))
-
-
-def _next_event_thinning(state, rng):
-    lam_n = state.lam / state.n
-    rho_max = state.rho_max
-    elapsed = 0.0
-    while True:
-        rec = state.total_recovery_rate
-        total = rec + lam_n * rho_max * state.s_count * state.i_count
-        elapsed += rng.standard_exponential() / total
-        if rng.random() * total < rec:
-            return elapsed, (RECOVERY, _pick_infective(state, rng))
-        if state._rho_const is not None:
-            return elapsed, (INFECTION, int(state.s_list[int(rng.random() * state.s_count)]))
-        # one uniform picks the proposed pair (i, j) in S x I
-        k, m = divmod(int(rng.random() * (state.s_count * state.i_count)), state.i_count)
-        si = int(state.s_list[k])
-        if rng.random() * rho_max < state.env.rho_at(si, int(state.i_list[m])):
-            return elapsed, (INFECTION, si)
-        # rejected proposal: time already advanced, redraw
+                    c = xi_inf[:i_count].cumsum()
+                    k = int(c.searchsorted(uniform() * c[-1], "right"))
+                    v = i_list[min(k, i_count - 1)]
+                pos = i_pos[v]
+                i_count -= 1
+                moved = i_list[i_count]
+                i_list[pos] = moved
+                i_pos[moved] = pos
+                i_pos[v] = -1
+                if xi_inf is not None:
+                    xi_inf[pos] = xi_inf[i_count]
+                rec -= xi[v]
+                if i_count == 0:
+                    rec = 0.0
+                if w is not None:
+                    row = cache.pop(v, None) if cache is not None else None
+                    if s_count > 0:
+                        sus = s_arr[:s_count]
+                        row = row[sus] if row is not None else env.rho_row(v, sus)
+                        w_slice = w[sus] - row
+                        np.maximum(w_slice, 0.0, out=w_slice)  # clamp float residue
+                        w[sus] = w_slice
+                        acc = max(float(acc - row.sum()), 0.0)
+                kind = RECOVERY
+            events += 1
+            if trajectory is not None:
+                trajectory.append((time, kind, v))
+        self.s_count, self.i_count = s_count, i_count
+        self._pressure_acc, self.total_recovery_rate, self.time = acc, rec, time
+        return events
 
 
 def gillespie_run(env: Environment, params: SimParams) -> RunResult:
@@ -264,21 +274,9 @@ def gillespie_run(env: Environment, params: SimParams) -> RunResult:
     if max_events < 1:
         raise ParamViolation(f"max_events must satisfy max_events >= 1 (got {max_events})")
 
-    rng = seeding.stream(params.run_seed)
     state = EpidemicState(env, params.lam)
     trajectory = [] if params.record_trajectory else None
-    events = 0
-    truncated = False
-    while state.i_count > 0:
-        if events >= max_events:
-            truncated = True
-            break
-        dt, (kind, vertex) = next_event(state, rng)
-        state.time += dt
-        state.apply(kind, vertex)
-        events += 1
-        if trajectory is not None:
-            trajectory.append((state.time, kind, vertex))
+    events = state.run(seeding.stream(params.run_seed), max_events, trajectory)
     return RunResult(
         r_infinity=state.n - state.s_count,
         extinction_time=state.time,
@@ -286,7 +284,7 @@ def gillespie_run(env: Environment, params: SimParams) -> RunResult:
         engine="dynamic",
         env_seed=env.seed,
         run_seed=params.run_seed,
-        truncated=truncated,
+        truncated=state.i_count > 0,
         trajectory=trajectory,
     )
 

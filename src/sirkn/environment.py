@@ -24,11 +24,13 @@ class Environment:
     """Immutable view of one environment realization for a given (n, seed).
 
     Safe for any number of concurrent readers; every query is a pure function
-    of its arguments.
+    of its arguments.  The key material that queries cache (`_pair_lo_keys`,
+    rho_at's `_lo_keys`) changes no value.
     """
 
     __slots__ = ("n", "seed", "xi_spec", "rho_spec", "_xi_key", "_rho_key",
-                 "xi_const", "rho_const", "rho_max", "_pair_salt", "_pair_lo_keys")
+                 "xi_const", "rho_const", "rho_max", "_pair_salt", "_pair_lo_keys",
+                 "_lo_keys")
 
     def __init__(self, n: int, seed: int, xi_spec: DistSpec, rho_spec: DistSpec):
         if n < 1:
@@ -56,6 +58,7 @@ class Environment:
                          if self.rho_const is None else 0)
         self._pair_salt = None
         self._pair_lo_keys = None
+        self._lo_keys = {}  # rho_at's memo of child_key(rho_key, lo) by lo
 
     def _ensure_pair_keys(self) -> None:
         """Precompute per-vertex key material for O(1)-mix edge queries.
@@ -92,15 +95,24 @@ class Environment:
         return np.asarray(quantile(self.xi_spec, u), dtype=float)
 
     def rho_at(self, i: int, j: int) -> float:
-        """Edge weight on {i, j}; symmetric and in [0, 1]."""
-        self._check_vertex(i)
-        self._check_vertex(j)
+        """Edge weight on {i, j}; symmetric and in [0, 1].
+
+        The engine's per-proposal lookup: the key of the lower endpoint is
+        memoized, so a lookup costs one mix beyond the first for that vertex.
+        """
+        n = self.n
+        if not 0 <= i < n:
+            raise IndexOutOfRange(f"vertex {i} outside [0, {n})")
+        if not 0 <= j < n:
+            raise IndexOutOfRange(f"vertex {j} outside [0, {n})")
         if i == j:
             raise SelfLoop(f"edge weight undefined for i == j == {i}")
         if self.rho_const is not None:
             return self.rho_const
         lo, hi = (i, j) if i < j else (j, i)
-        key = seeding.child_key(self._rho_key, lo)
+        key = self._lo_keys.get(lo)
+        if key is None:
+            key = self._lo_keys[lo] = seeding.child_key(self._rho_key, lo)
         return float(quantile(self.rho_spec, seeding.uniform01(key, hi)))
 
     def rho_pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:

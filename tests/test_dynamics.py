@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from sirkn import seeding
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda,
                                  moments, parse_dist, support)
 from sirkn.dynamics import (INFECTION, RECOVERY, EpidemicState, SimParams,
-                            gillespie_run, next_event, trajectory_rows)
+                            gillespie_run, trajectory_rows)
 from sirkn.environment import Environment
 from sirkn.errors import DeadState, ParamViolation, SupportViolation
 from sirkn.experiment import chi_square_two_sample, wilson_interval
@@ -139,28 +141,38 @@ def test_event_cap_flags_truncated():
     assert res.r_infinity >= 1  # lower bound on ever-infected
 
 
+def first_event(env, lam, rng):
+    """(kind, vertex) of the first event of a fresh state, stepped once."""
+    trajectory = []
+    assert EpidemicState(env, lam=lam).run(rng, 1, trajectory) == 1
+    _, kind, vertex = trajectory[0]
+    return kind, vertex
+
+
 def test_next_event_forced_recovery():
     env = Environment(1, 2, XI1, RHO1)
     state = EpidemicState(env, lam=2.0)
-    rng = seeding.stream(1)
-    dt, (kind, vertex) = next_event(state, rng)
-    assert kind == RECOVERY and vertex == 0 and dt > 0
+    trajectory = []
+    assert state.run(seeding.stream(1), 1, trajectory) == 1
+    [(t, kind, vertex)] = trajectory
+    assert kind == RECOVERY and vertex == 0 and t > 0
+    assert state.i_count == 0 and state.time == t
 
 
 def test_next_event_dead_state():
     env = Environment(2, 2, XI1, RHO1)
     state = EpidemicState(env, lam=2.0)
-    state.apply(RECOVERY, 0)
+    state.run(seeding.stream(1), 3)  # n = 2 absorbs within 3 events
+    assert state.i_count == 0
     with pytest.raises(DeadState):
-        next_event(state, seeding.stream(1))
+        state.run(seeding.stream(1), 1)
 
 
 def test_next_event_two_vertex_infection_probability():
     env = Environment(2, 17, XI1, RHO1)
-    state = EpidemicState(env, lam=2.0)
     rng = seeding.stream(99)
     reps = 20_000
-    hits = sum(next_event(state, rng)[1][0] == INFECTION for _ in range(reps))
+    hits = sum(first_event(env, 2.0, rng)[0] == INFECTION for _ in range(reps))
     lo, hi = wilson_interval(hits, reps, 0.99)
     assert lo <= 0.5 <= hi
 
@@ -173,8 +185,7 @@ def test_next_event_three_vertex_frequencies_match_rates(rho_text, thinning):
     rho = parse_dist(rho_text, ROLE_WEIGHT)
     env = Environment(3, 23, xi, rho)
     lam = 1.7
-    state = EpidemicState(env, lam=lam)
-    assert state.thinning is thinning
+    assert EpidemicState(env, lam=lam).thinning is thinning
     # exact per-event probabilities from the environment itself
     rec_rate = env.xi_at(0)
     w1, w2 = env.rho_at(1, 0), env.rho_at(2, 0)
@@ -186,8 +197,7 @@ def test_next_event_three_vertex_frequencies_match_rates(rho_text, thinning):
     reps = 100_000
     counts = {k: 0 for k in probs}
     for _ in range(reps):
-        _, ev = next_event(state, rng)
-        counts[ev] += 1
+        counts[first_event(env, lam, rng)] += 1
     for ev, p in probs.items():
         se = np.sqrt(p * (1 - p) / reps)
         assert abs(counts[ev] / reps - p) < 3 * se, ev
@@ -197,9 +207,9 @@ def recompute_totals(state):
     """From-scratch (total recovery rate, total pressure over S), the pressure
     being the sum over susceptibles i of sum_{j in I} rho(i, j)."""
     inf = state.i_list[: state.i_count]
-    sus = state.s_list[: state.s_count]
-    pressure = sum(float(state.env.rho_row(int(j), sus).sum()) for j in inf)
-    return float(state.xi[inf].sum()), pressure
+    sus = np.array(state.s_list[: state.s_count], dtype=np.int64)
+    pressure = sum(float(state.env.rho_row(j, sus).sum()) for j in inf)
+    return float(np.asarray(state.xi)[inf].sum()), pressure
 
 
 @pytest.mark.parametrize("rho_text", [RHO_THINNING, RHO_DIRECT], ids=PATH_IDS)
@@ -214,20 +224,25 @@ def test_rate_consistency_along_trajectory(rho_text):
     for _ in range(160):
         if state.i_count == 0:
             state = EpidemicState(env, lam=lam)  # restart: check live states only
-        dt, (kind, vertex) = next_event(state, rng)
-        state.apply(kind, vertex)
+        assert state.run(rng, 1) == 1
         peak = max(peak, state.i_count)
         rec, pressure = recompute_totals(state)
         assert state.total_recovery_rate == pytest.approx(rec, rel=1e-9, abs=1e-12)
+        inf = state.i_list[: state.i_count]
+        # the packed xi of the infectives follows i_list
+        np.testing.assert_array_equal(state.xi_inf[: state.i_count],
+                                      np.asarray(state.xi)[inf])
         if not state.thinning:
             # direct selection keeps the pressure incrementally
             assert state._pressure_acc == pytest.approx(pressure, rel=1e-9, abs=1e-9)
+            assert state.s_arr[: state.s_count].tolist() == state.s_list[: state.s_count]
         # s_pos/i_pos index the packed lists and partition the vertex set
-        for lst, pos, count in ((state.s_list, state.s_pos, state.s_count),
-                                (state.i_list, state.i_pos, state.i_count)):
+        s_pos, i_pos = np.asarray(state.s_pos), np.asarray(state.i_pos)
+        for lst, pos, count in ((state.s_list, s_pos, state.s_count),
+                                (state.i_list, i_pos, state.i_count)):
             np.testing.assert_array_equal(pos[lst[:count]], np.arange(count))
             assert (pos >= 0).sum() == count
-        assert not ((state.s_pos >= 0) & (state.i_pos >= 0)).any()
+        assert not ((s_pos >= 0) & (i_pos >= 0)).any()
     assert peak > 1
 
 
@@ -268,7 +283,7 @@ def test_envelope_ignores_atoms_without_mass():
     assert support(rho) == (0.1, 1.0)
     state = EpidemicState(Environment(20, 4, XI1, rho), lam=1.0)
     assert state.thinning
-    assert state.rho_max == state.env.rho_max == 0.1
+    assert state.env.rho_max == 0.1
     with pytest.raises(SupportViolation):
         parse_dist("two_point:0.5:1:2", ROLE_WEIGHT)
 
@@ -288,6 +303,43 @@ def test_constant_weight_scales_out_of_thinning(monkeypatch):
         b = gillespie_run(Environment(30, 1, XI1, half),
                           SimParams(lam=6.0, run_seed=seed, record_trajectory=True))
         assert a.trajectory == b.trajectory
+
+
+# Fixed-seed sample values of the dynamic engine, one per code path: thinning
+# with a non-constant xi, the classic constant law, direct selection with the
+# cached weight rows, and a truncated direct run at n > 2048, where rows are
+# hashed against S on every event.  A change to any draw, its order or a float
+# expression of the engine shows here as a changed value.
+_GOLDEN_RUNS = {
+    "thinning": (("shifted:uniform:0:1:+1", "uniform:0:1", 300, 11, 2.0, 1, None),
+                 (223, 445, "0x1.b4f5eaac85267p+2",
+                  "4193688631f158b8a92cc23c37fd48b1253d7ff336b6e5f93ddf593f05375874")),
+    "classic": (("constant:1", "constant:1", 300, 12, 3.0, 1, None),
+                (285, 569, "0x1.2f4403a12ff45p+3",
+                 "5b71f9c6d0339f47a5d28bcec9b829b6ad5ff598488ef36f6220566b0921a3ec")),
+    "direct": (("two_point:1:0.5:2", RHO_DIRECT, 200, 13, 2.0, 2, None),
+               (169, 337, "0x1.324fcf9b744a8p+3",
+                "9b3685d9addda50ed9fdfc5ff1d990a248534d4bcfd03dffe11b130e6e377e06")),
+    "truncated": (("two_point:1:0.5:2", RHO_DIRECT, 3000, 14, 2.0, 4, 400),
+                  (262, 400, "0x1.2199d0554175cp+1",
+                   "828e670b2d949fb8fdc94142edfe8e1a782c590aa63267fd3a574990f146288f")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_RUNS))
+def test_golden_runs_are_byte_identical(case):
+    (xi_text, rho_text, n, env_seed, lam_units, run_seed, cap), expected = _GOLDEN_RUNS[case]
+    xi = parse_dist(xi_text, ROLE_RECOVERY)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
+    lam = lam_units * critical_lambda(moments(rho, xi))
+    res = gillespie_run(Environment(n, env_seed, xi, rho),
+                        SimParams(lam=lam, run_seed=run_seed, max_events=cap,
+                                  record_trajectory=True))
+    text = "\n".join(f"{t.hex()} {kind} {v}" for t, kind, v in res.trajectory)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (res.r_infinity, res.events_executed, res.extinction_time.hex(),
+            digest) == expected
+    assert res.truncated is (cap is not None)
 
 
 def test_invalid_params_rejected():

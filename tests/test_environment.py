@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats as spstats
 
 from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, cdf, parse_dist
+from sirkn.dynamics import SimParams, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import IndexOutOfRange, ParamViolation, SelfLoop
 
@@ -63,6 +64,35 @@ def test_scalar_matches_vector_paths():
     rp = env.rho_pairs(i, j)
     for k in range(3):
         assert env.rho_at(int(i[k]), int(j[k])) == rp[k]
+
+
+@pytest.mark.parametrize("rho_text", ["uniform:0:1", "two_point:0.2:0.3:0.9"])
+def test_rho_at_memo_agrees_with_vector_paths(rho_text):
+    # rho_at memoizes the key of the lower endpoint; lookups that share it,
+    # in either argument order, match rho_pairs and rho_full_row on a fresh
+    # environment and on one that a dynamic run has already used.
+    n = 30
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
+    reused = Environment(n, 78, XI1, rho)
+    gillespie_run(reused, SimParams(lam=20.0, run_seed=1))
+    assert reused._lo_keys  # the run filled the memo
+    for env in (Environment(n, 77, XI1, rho), reused):
+        for _ in range(2):  # second pass: every key comes from the memo
+            for lo in (0, 4, 17):
+                rows = np.array([env.rho_at(lo, j) if j != lo else 0.0
+                                 for j in range(n)])
+                swapped = np.array([env.rho_at(j, lo) if j != lo else 0.0
+                                    for j in range(n)])
+                np.testing.assert_array_equal(rows, swapped)
+                np.testing.assert_array_equal(rows, env.rho_full_row(lo))
+                others = np.delete(np.arange(n), lo)
+                np.testing.assert_array_equal(
+                    rows[others], env.rho_pairs(np.full(n - 1, lo), others))
+            with pytest.raises(SelfLoop):
+                env.rho_at(4, 4)
+            for i, j in ((4, n), (n, 4), (-1, 4), (4, -1)):
+                with pytest.raises(IndexOutOfRange):
+                    env.rho_at(i, j)
 
 
 def test_errors():

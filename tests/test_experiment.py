@@ -9,6 +9,7 @@ from scipy import stats as spstats
 
 import sirkn.distributions
 import sirkn.experiment
+from sirkn import seeding
 from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, as_mixture, parse_dist
 from sirkn.dynamics import EpidemicState, SimParams, gillespie_run
 from sirkn.environment import Environment
@@ -259,7 +260,8 @@ def test_no_spread_references_reject_invalid_lambda(lam):
 
 
 _LAMBDA_ENTRIES = {
-    "EpidemicState": lambda lam: EpidemicState(Environment(10, 1, XI1, RHOU), lam),
+    "EpidemicState": lambda lam: EpidemicState(Environment(10, 1, XI1, RHOU), lam).run(
+        seeding.stream(0), 1),
     "gillespie_run": lambda lam: gillespie_run(Environment(10, 1, XI1, RHO1),
                                                SimParams(lam=lam, run_seed=0)),
     "percolation_final_size": lambda lam: percolation_final_size(
