@@ -19,8 +19,11 @@ exact event selections:
   pressure w(i) and picks events proportionally (O(n) pressure update per
   event), so no proposal is wasted.
 
-A recovery picks an infective with probability proportional to xi, by a
-cumulative sum over the packed xi of the infectives.
+A recovery draws uniform infectives until one, v, is kept with probability
+xi(v) / xi_max (`Environment.xi_max`); constant xi laws keep the first one
+without an acceptance draw.  Exponentials and uniforms come from the run's
+stream in blocks of _BLOCK, each used once: the block size changes the
+samples, not their law.
 """
 
 from __future__ import annotations
@@ -39,12 +42,18 @@ RECOVERY = "recovery"
 INFECTION = "infection"
 
 # Thinning wastes a share 1 - E[rho]/rho_max of its proposals; the direct
-# path pays an O(n) pressure update per event instead.  Paired timings
-# (CHANGES.md) put the break-even near an acceptance of 0.08-0.10 for
-# surviving runs at n = 300-1000 (lower still for subcritical runs); below
-# this constant the direct path is used.  It is not moved to the break-even
-# because that would change the samples of every law in between.
-_MIN_THINNING_ACCEPTANCE = 0.12
+# path pays an O(n) pressure update per event instead.  Below this mean
+# acceptance the direct path is used.  Paired timings over n = 300-1000 and
+# 0.5-2 lambda_c (CHANGES.md) put the break-even between 0.03 (subcritical
+# runs) and 0.055 (surviving runs at n = 300), near 0.04 over the grid.
+_MIN_THINNING_ACCEPTANCE = 0.05
+_BLOCK = 32  # variates per generator call, chosen by timing (CHANGES.md)
+
+
+def _variates(draw, size: int):
+    """Endless iterator over the variates of draw(size), one block at a time."""
+    while True:
+        yield from draw(size).tolist()
 
 
 @dataclass(frozen=True)
@@ -85,16 +94,16 @@ class EpidemicState:
 
     A vertex is susceptible iff s_pos >= 0, infective iff i_pos >= 0 and
     removed otherwise; removed vertices never leave.  The packed lists and
-    positions are Python lists; xi_inf holds xi of the infectives in i_list
-    order (None for a constant xi law).  The incrementally maintained totals
-    must agree with a from-scratch recomputation to relative 1e-9.
+    positions are Python lists; xi is the environment's read-only tuple of
+    recovery rates.  The incrementally maintained totals must agree with a
+    from-scratch recomputation to relative 1e-9.
     `thinning` records which event selection the weight law picked; the
     pressure vector w, the array mirror s_arr of s_list and the row cache
     exist only on the direct path.
     """
 
     __slots__ = ("env", "lam", "n", "xi", "thinning",
-                 "s_list", "s_pos", "s_count", "i_list", "i_pos", "i_count", "xi_inf",
+                 "s_list", "s_pos", "s_count", "i_list", "i_pos", "i_count",
                  "s_arr", "w", "total_recovery_rate", "_pressure_acc", "time",
                  "_row_cache")
 
@@ -115,13 +124,7 @@ class EpidemicState:
         self.i_pos = [-1] * n
         self.i_pos[0] = 0
         self.i_count = 1
-        if env.xi_const is None:
-            self.xi = env.xi_block(np.arange(n)).tolist()
-            self.xi_inf = np.empty(n)
-            self.xi_inf[0] = self.xi[0]
-        else:
-            self.xi = [float(env.xi_const)] * n
-            self.xi_inf = None
+        self.xi = env.xi_values()
         self.total_recovery_rate = self.xi[0]
         self.s_arr = self.w = None
         self._pressure_acc = 0.0
@@ -158,12 +161,13 @@ class EpidemicState:
         if self.i_count == 0:
             raise DeadState("no infectives: total rate is zero")
         env = self.env
-        xi, xi_inf = self.xi, self.xi_inf
+        xi, xi_max, xi_varies = self.xi, env.xi_max, env.xi_const is None
         s_list, s_pos, s_count = self.s_list, self.s_pos, self.s_count
         i_list, i_pos, i_count = self.i_list, self.i_pos, self.i_count
         s_arr, w, acc, cache = self.s_arr, self.w, self._pressure_acc, self._row_cache
         rec, time = self.total_recovery_rate, self.time
-        exponential, uniform = rng.standard_exponential, rng.random
+        exponential = _variates(rng.standard_exponential, _BLOCK).__next__
+        uniform = _variates(rng.random, _BLOCK).__next__
         rho_at, rho_const, rho_max = env.rho_at, env.rho_const, env.rho_max
         thinning = self.thinning
         lam_n = self.lam / self.n
@@ -207,8 +211,6 @@ class EpidemicState:
                 s_pos[v] = -1
                 i_list[i_count] = v
                 i_pos[v] = i_count
-                if xi_inf is not None:
-                    xi_inf[i_count] = xi[v]
                 i_count += 1
                 rec += xi[v]
                 if w is not None:
@@ -227,20 +229,17 @@ class EpidemicState:
             else:
                 if i_count == 1:
                     v = i_list[0]
-                elif xi_inf is None:
-                    v = i_list[int(uniform() * i_count)]
                 else:
-                    c = xi_inf[:i_count].cumsum()
-                    k = int(c.searchsorted(uniform() * c[-1], "right"))
-                    v = i_list[min(k, i_count - 1)]
+                    # a uniform infective, kept with probability xi(v) / xi_max
+                    v = i_list[int(uniform() * i_count)]
+                    while xi_varies and uniform() * xi_max >= xi[v]:
+                        v = i_list[int(uniform() * i_count)]
                 pos = i_pos[v]
                 i_count -= 1
                 moved = i_list[i_count]
                 i_list[pos] = moved
                 i_pos[moved] = pos
                 i_pos[v] = -1
-                if xi_inf is not None:
-                    xi_inf[pos] = xi_inf[i_count]
                 rec -= xi[v]
                 if i_count == 0:
                     rec = 0.0

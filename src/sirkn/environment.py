@@ -13,7 +13,7 @@ import numpy as np
 
 from . import seeding
 from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT, as_mixture, quantile,
-                            validate_spec)
+                            support, validate_spec)
 from .errors import IndexOutOfRange, ParamViolation, SelfLoop
 
 _TAG_XI = 0x5849
@@ -25,12 +25,12 @@ class Environment:
 
     Safe for any number of concurrent readers; every query is a pure function
     of its arguments.  The key material that queries cache (`_pair_lo_keys`,
-    rho_at's `_lo_keys`) changes no value.
+    rho_at's `_lo_keys`) and the tuple of `xi_values` change no value.
     """
 
     __slots__ = ("n", "seed", "xi_spec", "rho_spec", "_xi_key", "_rho_key",
-                 "xi_const", "rho_const", "rho_max", "_pair_salt", "_pair_lo_keys",
-                 "_lo_keys")
+                 "xi_const", "rho_const", "xi_max", "rho_max", "_pair_salt",
+                 "_pair_lo_keys", "_lo_keys", "_xi_values")
 
     def __init__(self, n: int, seed: int, xi_spec: DistSpec, rho_spec: DistSpec):
         if n < 1:
@@ -52,6 +52,9 @@ class Environment:
         # Largest weight the law can produce: the top of its atoms and
         # intervals that carry mass.  Both engines thin at this envelope.
         self.rho_max = max(comp[-1] for _, comp in as_mixture(rho_spec))
+        # The dynamic engine picks recoveries by rejection at the top of the
+        # recovery law's support.
+        self.xi_max = support(xi_spec)[1]
         self._xi_key = (seeding.derive_key(self.seed, _TAG_XI)
                         if self.xi_const is None else 0)
         self._rho_key = (seeding.derive_key(self.seed, _TAG_RHO)
@@ -59,6 +62,7 @@ class Environment:
         self._pair_salt = None
         self._pair_lo_keys = None
         self._lo_keys = {}  # rho_at's memo of child_key(rho_key, lo) by lo
+        self._xi_values = None
 
     def _ensure_pair_keys(self) -> None:
         """Precompute per-vertex key material for O(1)-mix edge queries.
@@ -93,6 +97,17 @@ class Environment:
             return np.broadcast_to(self.xi_const, (len(js),))
         u = seeding.uniform01_array(self._xi_key, np.asarray(js))
         return np.asarray(quantile(self.xi_spec, u), dtype=float)
+
+    def xi_values(self) -> tuple:
+        """xi of every vertex as a tuple of floats, computed on first use.
+
+        The dynamic engine reads it on every run, so runs that share an
+        environment (quenched sweeps) hash the recovery rates once.
+        """
+        if self._xi_values is None:
+            self._xi_values = (tuple(self.xi_block(np.arange(self.n)).tolist())
+                               if self.xi_const is None else (float(self.xi_const),) * self.n)
+        return self._xi_values
 
     def rho_at(self, i: int, j: int) -> float:
         """Edge weight on {i, j}; symmetric and in [0, 1].

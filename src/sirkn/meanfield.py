@@ -14,7 +14,6 @@ limit is provided for non-constant rate laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, NamedTuple
 
 from .distributions import DistSpec
@@ -23,8 +22,7 @@ from .errors import ParamViolation, StepTooLarge, check_lambda
 I_EXTINCT = 1e-12
 
 
-@dataclass(frozen=True)
-class MeanFieldState:
+class MeanFieldState(NamedTuple):
     s: float
     i: float
     r: float
@@ -43,10 +41,6 @@ def _validate_state(state: MeanFieldState) -> None:
             f"fractions must sum to 1 (error {state.conservation_error():.3e})")
 
 
-def _rhs(lam: float, s: float, i: float):
-    return -lam * i * s, i * (lam * s - 1.0), i
-
-
 def ode_solve(lam: float, init: MeanFieldState, horizon: float = 50.0,
               step: float = 1e-3) -> List[MeanFieldState]:
     """Fixed-step RK4 trajectory; stops early once i drops below 1e-12.
@@ -63,25 +57,30 @@ def ode_solve(lam: float, init: MeanFieldState, horizon: float = 50.0,
     _validate_state(init)
 
     out = [init]
+    append = out.append
     s, i, r, t = init.s, init.i, init.r, init.t
+    half, sixth = 0.5 * step, step / 6.0
     steps = int(math.ceil(horizon / step)) if horizon > 0 else 0
     for _ in range(steps):
         if i < I_EXTINCT:
             break
-        k1 = _rhs(lam, s, i)
-        k2 = _rhs(lam, s + 0.5 * step * k1[0], i + 0.5 * step * k1[1])
-        k3 = _rhs(lam, s + 0.5 * step * k2[0], i + 0.5 * step * k2[1])
-        k4 = _rhs(lam, s + step * k3[0], i + step * k3[1])
-        s += (step / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        i += (step / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        r += (step / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        # RK4 stages of (ds, di, dr) = (-lam i s, i (lam s - 1), i)
+        s1, i1 = -lam * i * s, i * (lam * s - 1.0)
+        ss, ii = s + half * s1, i + half * i1
+        s2, i2, r2 = -lam * ii * ss, ii * (lam * ss - 1.0), ii
+        ss, ii = s + half * s2, i + half * i2
+        s3, i3, r3 = -lam * ii * ss, ii * (lam * ss - 1.0), ii
+        ss, ii = s + step * s3, i + step * i3
+        s4, i4, r4 = -lam * ii * ss, ii * (lam * ss - 1.0), ii
+        s += sixth * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+        r += sixth * (i + 2.0 * r2 + 2.0 * r3 + r4)
+        i += sixth * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
         t += step
-        state = MeanFieldState(s=s, i=max(i, 0.0), r=r, t=t)
-        if state.conservation_error() > 1e-6:
-            raise StepTooLarge(
-                f"conservation drifted to {state.conservation_error():.3e} "
-                f"with step {step}")
-        out.append(state)
+        i_clamped = max(i, 0.0)
+        drift = abs(s + i_clamped + r - 1.0)
+        if drift > 1e-6:
+            raise StepTooLarge(f"conservation drifted to {drift:.3e} with step {step}")
+        append(MeanFieldState(s, i_clamped, r, t))
     return out
 
 

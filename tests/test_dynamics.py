@@ -203,6 +203,40 @@ def test_next_event_three_vertex_frequencies_match_rates(rho_text, thinning):
         assert abs(counts[ev] / reps - p) < 3 * se, ev
 
 
+@pytest.mark.parametrize("rho_text,thinning,lam", [("uniform:0.1:1", True, 1.7),
+                                                   (RHO_DIRECT, False, 150.0)],
+                         ids=PATH_IDS)
+def test_recovery_pick_with_two_infectives_matches_rates(rho_text, thinning, lam):
+    # After a first infection of v, I = {0, v} and S = {w}: the next event is
+    # a recovery of 0 or of v, at rates xi(0) and xi(v), or the infection of
+    # w at rate (lam/3)(rho(w, 0) + rho(w, v)).  Here xi(0) = 2 = xi_max and
+    # xi(1) = xi(2) = 1, so the pick rejects half of its proposals of v.
+    xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
+    env = Environment(3, 23, xi, parse_dist(rho_text, ROLE_WEIGHT))
+    assert EpidemicState(env, lam=lam).thinning is thinning
+    assert [env.xi_at(j) for j in range(3)] == [env.xi_max, 1.0, 1.0]
+    rng = seeding.stream(7)
+    counts = {1: {}, 2: {}}
+    for _ in range(40_000):
+        state = EpidemicState(env, lam=lam)
+        trajectory = []
+        state.run(rng, 1, trajectory)
+        (_, kind, v), = trajectory
+        if kind == INFECTION:
+            state.run(rng, 1, trajectory)
+            event = trajectory[1][1:]
+            counts[v][event] = counts[v].get(event, 0) + 1
+    for v, w in ((1, 2), (2, 1)):
+        rates = {(RECOVERY, 0): env.xi_at(0), (RECOVERY, v): env.xi_at(v),
+                 (INFECTION, w): (lam / 3) * (env.rho_at(w, 0) + env.rho_at(w, v))}
+        total, reps = sum(rates.values()), sum(counts[v].values())
+        assert set(counts[v]) <= set(rates) and reps > 2_000
+        for ev, rate in rates.items():
+            p = rate / total
+            se = np.sqrt(p * (1 - p) / reps)
+            assert abs(counts[v].get(ev, 0) / reps - p) < 3 * se, (v, ev)
+
+
 def recompute_totals(state):
     """From-scratch (total recovery rate, total pressure over S), the pressure
     being the sum over susceptibles i of sum_{j in I} rho(i, j)."""
@@ -228,10 +262,6 @@ def test_rate_consistency_along_trajectory(rho_text):
         peak = max(peak, state.i_count)
         rec, pressure = recompute_totals(state)
         assert state.total_recovery_rate == pytest.approx(rec, rel=1e-9, abs=1e-12)
-        inf = state.i_list[: state.i_count]
-        # the packed xi of the infectives follows i_list
-        np.testing.assert_array_equal(state.xi_inf[: state.i_count],
-                                      np.asarray(state.xi)[inf])
         if not state.thinning:
             # direct selection keeps the pressure incrementally
             assert state._pressure_acc == pytest.approx(pressure, rel=1e-9, abs=1e-9)
@@ -309,20 +339,23 @@ def test_constant_weight_scales_out_of_thinning(monkeypatch):
 # with a non-constant xi, the classic constant law, direct selection with the
 # cached weight rows, and a truncated direct run at n > 2048, where rows are
 # hashed against S on every event.  A change to any draw, its order or a float
-# expression of the engine shows here as a changed value.
+# expression of the engine shows here as a changed value.  Each run_seed is
+# the first, counting up from the one pinned before, whose run is a major
+# outbreak (the truncated one: whose run reaches its cap), so that every case
+# exercises its path.
 _GOLDEN_RUNS = {
-    "thinning": (("shifted:uniform:0:1:+1", "uniform:0:1", 300, 11, 2.0, 1, None),
-                 (223, 445, "0x1.b4f5eaac85267p+2",
-                  "4193688631f158b8a92cc23c37fd48b1253d7ff336b6e5f93ddf593f05375874")),
+    "thinning": (("shifted:uniform:0:1:+1", "uniform:0:1", 300, 11, 2.0, 2, None),
+                 (210, 419, "0x1.2f144478a8419p+3",
+                  "b8c4ae54f082ca09276d5ad3ca37ee1a90d3b8dfa32d8f44a7052898f5d91fb7")),
     "classic": (("constant:1", "constant:1", 300, 12, 3.0, 1, None),
-                (285, 569, "0x1.2f4403a12ff45p+3",
-                 "5b71f9c6d0339f47a5d28bcec9b829b6ad5ff598488ef36f6220566b0921a3ec")),
+                (268, 535, "0x1.3f5ce25211b2bp+3",
+                 "b21ee54f86256c6e7c7cdd1f7ba92f1aaf584f1dc0f31ed624db23efdb8b0ea5")),
     "direct": (("two_point:1:0.5:2", RHO_DIRECT, 200, 13, 2.0, 2, None),
-               (169, 337, "0x1.324fcf9b744a8p+3",
-                "9b3685d9addda50ed9fdfc5ff1d990a248534d4bcfd03dffe11b130e6e377e06")),
-    "truncated": (("two_point:1:0.5:2", RHO_DIRECT, 3000, 14, 2.0, 4, 400),
-                  (262, 400, "0x1.2199d0554175cp+1",
-                   "828e670b2d949fb8fdc94142edfe8e1a782c590aa63267fd3a574990f146288f")),
+               (164, 327, "0x1.b4a8b7ab49225p+2",
+                "14544cc9f3f51ed9c122dcb60201026fd0ebb868f697da5b4e3a45b9d02c3f02")),
+    "truncated": (("two_point:1:0.5:2", RHO_DIRECT, 3000, 14, 2.0, 6, 400),
+                  (270, 400, "0x1.5f162d74629b3p+1",
+                   "099f09ecad2ec8708533a0f38ea292d60abf806331b3b046a1549f72353cde37")),
 }
 
 

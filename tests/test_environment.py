@@ -95,6 +95,28 @@ def test_rho_at_memo_agrees_with_vector_paths(rho_text):
                     env.rho_at(i, j)
 
 
+@pytest.mark.parametrize("xi_text", ["constant:1.5", "two_point:1:0.5:2",
+                                     "shifted:uniform:0:1:+1"])
+def test_xi_values_computed_once_and_runs_on_reused_environment_agree(xi_text):
+    # The dynamic engine reads xi from the environment's cached tuple, so a
+    # run on an environment that earlier runs have used equals the same run
+    # on a fresh environment.
+    xi = parse_dist(xi_text, ROLE_RECOVERY)
+    rho = parse_dist("uniform:0:1", ROLE_WEIGHT)
+    n = 40
+    reused = Environment(n, 5, xi, rho)
+    values = reused.xi_values()
+    assert values is reused.xi_values()
+    assert values == tuple(reused.xi_block(np.arange(n)).tolist())
+    assert values == tuple(reused.xi_at(j) for j in range(n))
+    assert max(values) <= reused.xi_max
+    for run_seed in range(8):
+        params = SimParams(lam=4.0, run_seed=run_seed, record_trajectory=True)
+        a = gillespie_run(reused, params)
+        b = gillespie_run(Environment(n, 5, xi, rho), params)
+        assert a.trajectory == b.trajectory and a.r_infinity == b.r_infinity
+
+
 def test_errors():
     env = Environment(10, 0, XI1, RHO1)
     with pytest.raises(SelfLoop):
