@@ -23,8 +23,8 @@ from .distributions import ROLE_RECOVERY, ROLE_WEIGHT, format_dist, parse_dist
 from .dynamics import SimParams, gillespie_run, trajectory_rows
 from .environment import Environment
 from .errors import ParamViolation, SirknError, SupportViolation, check_lambda
-from .experiment import (ExperimentConfig, config_from_file, config_from_dict,
-                         config_to_dict, config_hash, run_batch, sweep,
+from .experiment import (ExperimentConfig, config_from_dict, config_to_dict,
+                         config_hash, read_config_fields, run_batch, sweep,
                          write_sweep)
 from .meanfield import MeanFieldState, final_size_fixed_point, ode_solve
 from .percolation import er_giant_component, percolation_final_size
@@ -113,10 +113,8 @@ def _cmd_percolate(args) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        base = config_to_dict(config_from_file(args.config))
-    else:
-        base = {}
+    # flags replace the file's raw field text; config_from_dict converts once
+    values = read_config_fields(Path(args.config).read_text()) if args.config else {}
     overrides = {
         "xi_spec": args.xi,
         "rho_spec": args.rho,
@@ -130,10 +128,8 @@ def _config_from_args(args) -> ExperimentConfig:
         "confidence": args.confidence,
         "master_seed": args.seed,
     }
-    for key, val in overrides.items():
-        if val is not None:
-            base[key] = val
-    return config_from_dict(base)
+    values.update((key, val) for key, val in overrides.items() if val is not None)
+    return config_from_dict(values)
 
 
 def _cmd_sweep(args) -> int:

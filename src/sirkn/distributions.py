@@ -208,20 +208,6 @@ def quantile(spec: DistSpec, u: Union[float, np.ndarray]):
     return quantile(spec.base, u) + spec.params[0]
 
 
-def cdf(spec: DistSpec, x: Union[float, np.ndarray]):
-    """Analytic CDF, vectorized over x."""
-    x = np.asarray(x, dtype=float)
-    if spec.kind == "constant":
-        return (x >= spec.params[0]).astype(float)
-    if spec.kind == "uniform":
-        a, b = spec.params
-        return np.clip((x - a) / (b - a), 0.0, 1.0)
-    if spec.kind == "two_point":
-        v1, p1, v2 = spec.params
-        return p1 * (x >= v1) + (1.0 - p1) * (x >= v2)
-    return cdf(spec.base, x - spec.params[0])
-
-
 def as_mixture(spec: DistSpec) -> list:
     """Normalize a spec to mixture components for closed-form expectations.
 

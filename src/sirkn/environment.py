@@ -13,7 +13,7 @@ import numpy as np
 
 from . import seeding
 from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT, as_mixture, quantile,
-                            support, validate_spec)
+                            validate_spec)
 from .errors import IndexOutOfRange, ParamViolation, SelfLoop
 
 _TAG_XI = 0x5849
@@ -49,12 +49,11 @@ class Environment:
         # for the classic xi = rho = 1 model, so keys are derived lazily.
         self.xi_const = xi_spec.params[0] if xi_spec.kind == "constant" else None
         self.rho_const = rho_spec.params[0] if rho_spec.kind == "constant" else None
-        # Largest weight the law can produce: the top of its atoms and
-        # intervals that carry mass.  Both engines thin at this envelope.
+        # Largest value each law can produce: the top of its atoms and
+        # intervals that carry mass.  Both engines thin rho at its envelope,
+        # and the dynamic engine picks recoveries by rejection at xi_max.
         self.rho_max = max(comp[-1] for _, comp in as_mixture(rho_spec))
-        # The dynamic engine picks recoveries by rejection at the top of the
-        # recovery law's support.
-        self.xi_max = support(xi_spec)[1]
+        self.xi_max = max(comp[-1] for _, comp in as_mixture(xi_spec))
         self._xi_key = (seeding.derive_key(self.seed, _TAG_XI)
                         if self.xi_const is None else 0)
         self._rho_key = (seeding.derive_key(self.seed, _TAG_RHO)

@@ -19,7 +19,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
@@ -144,13 +144,14 @@ def config_hash(config: ExperimentConfig | dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:12]
 
 
-_LIST_FIELDS = {"n_grid", "lambda_grid"}
-_INT_FIELDS = {"replications", "master_seed"}
-_FLOAT_FIELDS = {"epsilon", "confidence"}
+def read_config_fields(text: str) -> dict:
+    """Raw field text of the plain-text key = value config document.
 
-
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the plain-text key = value config document."""
+    Grids become lists of their comma-separated items; nothing is converted,
+    so command-line flags can replace any field before `config_from_dict`
+    converts them all.
+    """
+    names = {f.name for f in fields(ExperimentConfig)}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,21 +162,33 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key in ("xi_spec", "rho_spec", "engine", "measure", "lambda_units"):
-            values[key] = val
-        elif key in _LIST_FIELDS:
-            items = [v.strip() for v in val.split(",") if v.strip()]
-            values[key] = items
-        elif key in _INT_FIELDS:
-            values[key] = int(val)
-        elif key in _FLOAT_FIELDS:
-            values[key] = float(val)
-        else:
+        if key not in names:
             raise ParamViolation(f"config line {lineno}: unknown field {key!r}")
-    return config_from_dict(values)
+        if key in ("n_grid", "lambda_grid"):
+            val = [v.strip() for v in val.split(",") if v.strip()]
+        values[key] = val
+    return values
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse the plain-text key = value config document."""
+    return config_from_dict(read_config_fields(text))
+
+
+def _number(key: str, kind: type, val):
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ParamViolation(f"config field {key} must be {what} (got {val!r})") from None
 
 
 def config_from_dict(values: dict) -> ExperimentConfig:
+    """Build a config from field values given as text or as typed values.
+
+    This is the one place where config numbers are converted; a value that
+    does not convert raises ParamViolation naming its field.
+    """
     missing = [k for k in ("xi_spec", "rho_spec", "n_grid", "lambda_grid",
                            "replications") if k not in values]
     if missing:
@@ -185,20 +198,16 @@ def config_from_dict(values: dict) -> ExperimentConfig:
     return ExperimentConfig(
         xi_spec=xi if isinstance(xi, DistSpec) else parse_dist(str(xi), ROLE_RECOVERY),
         rho_spec=rho if isinstance(rho, DistSpec) else parse_dist(str(rho), ROLE_WEIGHT),
-        n_grid=tuple(int(v) for v in values["n_grid"]),
-        lambda_grid=tuple(float(v) for v in values["lambda_grid"]),
-        replications=int(values["replications"]),
+        n_grid=tuple(_number("n_grid", int, v) for v in values["n_grid"]),
+        lambda_grid=tuple(_number("lambda_grid", float, v) for v in values["lambda_grid"]),
+        replications=_number("replications", int, values["replications"]),
         engine=values.get("engine", ENGINE_PERCOLATION),
         measure=values.get("measure", MEASURE_ANNEALED),
-        epsilon=float(values.get("epsilon", 0.05)),
-        confidence=float(values.get("confidence", 0.95)),
+        epsilon=_number("epsilon", float, values.get("epsilon", 0.05)),
+        confidence=_number("confidence", float, values.get("confidence", 0.95)),
         lambda_units=values.get("lambda_units", UNITS_ABSOLUTE),
-        master_seed=int(values.get("master_seed", 0)),
+        master_seed=_number("master_seed", int, values.get("master_seed", 0)),
     )
-
-
-def config_from_file(path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -233,53 +242,6 @@ def mean_interval(samples: np.ndarray, level: float) -> Tuple[float, float, floa
     z = NormalDist().inv_cdf(0.5 + 0.5 * level)
     half = z * float(samples.std(ddof=1)) / math.sqrt(samples.size)
     return m, m - half, m + half
-
-
-def chi_square_two_sample(a: np.ndarray, b: np.ndarray,
-                          min_pooled: int = 10) -> Tuple[float, int, float]:
-    """Two-sample chi-square on integer-valued samples.
-
-    Buckets are the pooled distinct values, merged (in value order) until
-    each pooled bucket holds at least `min_pooled` observations.  Returns
-    (statistic, dof, p_value); degenerate bucketings return p = 1.  Only
-    tests and scripts call this, so scipy, which it needs for the p-value,
-    is imported here and is not a run-time dependency of the package.
-    """
-    from scipy.stats import chi2
-
-    a = np.asarray(a)
-    b = np.asarray(b)
-    values = np.union1d(a, b)
-    ca = np.array([(a == v).sum() for v in values], dtype=float)
-    cb = np.array([(b == v).sum() for v in values], dtype=float)
-    pooled = ca + cb
-    # merge adjacent buckets until every pooled count is large enough
-    ma, mb = [], []
-    acc_a = acc_b = 0.0
-    for k in range(len(values)):
-        acc_a += ca[k]
-        acc_b += cb[k]
-        if acc_a + acc_b >= min_pooled:
-            ma.append(acc_a)
-            mb.append(acc_b)
-            acc_a = acc_b = 0.0
-    if acc_a + acc_b > 0:
-        if ma:
-            ma[-1] += acc_a
-            mb[-1] += acc_b
-        else:
-            ma, mb = [acc_a], [acc_b]
-    ma = np.array(ma)
-    mb = np.array(mb)
-    if len(ma) < 2:
-        return 0.0, 0, 1.0
-    na, nb = ma.sum(), mb.sum()
-    pooled = ma + mb
-    ea = pooled * na / (na + nb)
-    eb = pooled * nb / (na + nb)
-    stat = float((((ma - ea) ** 2) / ea).sum() + (((mb - eb) ** 2) / eb).sum())
-    dof = len(ma) - 1
-    return stat, dof, float(chi2.sf(stat, dof))
 
 
 # ---------------------------------------------------------------------------

@@ -129,11 +129,3 @@ def classic_specs(xi_spec: DistSpec, rho_spec: DistSpec) -> bool:
     """True iff both laws are the constant 1, the only case the ODE covers."""
     return (xi_spec.kind == "constant" and xi_spec.params[0] == 1.0
             and rho_spec.kind == "constant" and rho_spec.params[0] == 1.0)
-
-
-def require_classic(xi_spec: DistSpec, rho_spec: DistSpec) -> None:
-    if not classic_specs(xi_spec, rho_spec):
-        raise ParamViolation(
-            "mean-field reference applies only to constant unit rates "
-            "(xi = rho = 1); no deterministic limit is provided for random "
-            "rate laws")

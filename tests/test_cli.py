@@ -96,6 +96,38 @@ def test_sweep_flag_overrides_config(tmp_path):
     assert payload["config"]["replications"] == 20
 
 
+@pytest.mark.parametrize("text,flags", [
+    ("replications = abc\n", []),
+    ("replications = 50\n", ["--n-grid", "10,abc"]),
+], ids=["file", "flag"])
+def test_sweep_malformed_number_names_field(tmp_path, capsys, text, flags):
+    (tmp_path / "phase.cfg").write_text(
+        "xi_spec = constant:1\nrho_spec = constant:1\n"
+        "n_grid = 10\nlambda_grid = 1.0\n" + text)
+    assert run_cli(["sweep", "--config", "phase.cfg", "--jobs", "1"] + flags,
+                   tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert ("replications" if not flags else "n_grid") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,flags", [
+    ("rho_spec = uniform:0:1\n", ["--reps", "5"]),
+    ("rho_spec = uniform:2:3\nreplications = 5\n", ["--rho", "uniform:0:1"]),
+], ids=["missing-replications", "invalid-rho"])
+def test_sweep_flag_completes_or_replaces_config_field(tmp_path, text, flags):
+    # Flags replace the file's field text before any field is converted, so
+    # a field the file lacks or gets wrong is no error when a flag gives it.
+    (tmp_path / "phase.cfg").write_text(
+        "xi_spec = constant:1\nn_grid = 10\nlambda_grid = 1.0\n" + text)
+    assert run_cli(["sweep", "--config", "phase.cfg", "--outdir", "sw",
+                    "--jobs", "1"] + flags, tmp_path) == 0
+    config = json.loads((tmp_path / "sw" / "sweep.json").read_text())["config"]
+    assert config["replications"] == 5
+    assert config["rho_spec"] == "uniform:0:1"
+
+
 def test_sweep_jobs_invariant_bytes(tmp_path):
     base = ["sweep", "--xi", "constant:1", "--rho", "uniform:0:1",
             "--n-grid", "15", "--lambda-grid", "1.0,2.5", "--reps", "128",

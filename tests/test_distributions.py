@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from sirkn.distributions import (DistSpec, Moments, ROLE_RECOVERY, ROLE_WEIGHT,
-                                 as_mixture, cdf, constant, critical_lambda,
+                                 as_mixture, constant, critical_lambda,
                                  expect_self_over_self_plus, format_dist,
                                  gamma_p2, log_laplace, log_laplace_deriv, mean,
                                  mean_inverse, mean_inverse_square, moments,
                                  parse_dist, quantile, shifted, support,
                                  two_point, uniform, validate_spec)
 from sirkn.errors import DegenerateMoments, ParamViolation, SupportViolation
+
+from reference_stats import cdf
 
 
 # -- validation --------------------------------------------------------------

@@ -12,8 +12,10 @@ from sirkn.dynamics import (INFECTION, RECOVERY, EpidemicState, SimParams,
                             gillespie_run, trajectory_rows)
 from sirkn.environment import Environment
 from sirkn.errors import DeadState, ParamViolation, SupportViolation
-from sirkn.experiment import chi_square_two_sample, wilson_interval
+from sirkn.experiment import wilson_interval
 from sirkn.percolation import percolation_final_size
+
+from reference_stats import chi_square_two_sample
 
 XI1 = parse_dist("constant:1", ROLE_RECOVERY)
 RHO1 = parse_dist("constant:1", ROLE_WEIGHT)

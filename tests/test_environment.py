@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as spstats
 
-from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, cdf, parse_dist
+from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, parse_dist
 from sirkn.dynamics import SimParams, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import IndexOutOfRange, ParamViolation, SelfLoop
+
+from reference_stats import cdf
 
 XI1 = parse_dist("constant:1", ROLE_RECOVERY)
 RHO1 = parse_dist("constant:1", ROLE_WEIGHT)
@@ -115,6 +117,18 @@ def test_xi_values_computed_once_and_runs_on_reused_environment_agree(xi_text):
         a = gillespie_run(reused, params)
         b = gillespie_run(Environment(n, 5, xi, rho), params)
         assert a.trajectory == b.trajectory and a.r_infinity == b.r_infinity
+
+
+@pytest.mark.parametrize("xi_text,xi_max", [
+    ("two_point:1:1:2", 1.0), ("shifted:two_point:0:1:3:+1", 1.0),
+    ("two_point:1:0.5:2", 2.0)])
+def test_xi_max_ignores_atoms_without_mass(xi_text, xi_max):
+    # The recovery pick rejects at xi_max, so an atom without mass above
+    # every xi would only make it reject more proposals.
+    env = Environment(40, 5, parse_dist(xi_text, ROLE_RECOVERY),
+                      parse_dist("uniform:0:1", ROLE_WEIGHT))
+    assert env.xi_max == xi_max
+    assert max(env.xi_values()) == xi_max
 
 
 def test_errors():

@@ -15,7 +15,7 @@ from sirkn.dynamics import EpidemicState, SimParams, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import ParamViolation, QuadratureFailure, SirknError
 from sirkn.experiment import (ExperimentConfig, batch_stats_from_samples,
-                              chi_square_two_sample, collect_final_sizes,
+                              collect_final_sizes,
                               config_from_dict, config_hash, config_lambda_c,
                               config_to_dict, mean_interval,
                               no_spread_finite_n, no_spread_limit,
@@ -25,6 +25,8 @@ from sirkn.experiment import (ExperimentConfig, batch_stats_from_samples,
 from sirkn.meanfield import MeanFieldState, final_size_fixed_point, ode_solve
 from sirkn.percolation import (SELLKE_BLOCK, per_edge_open_probability,
                                percolation_final_size, sellke_final_sizes)
+
+from reference_stats import chi_square_two_sample
 
 XI1 = parse_dist("constant:1", ROLE_RECOVERY)
 RHO1 = parse_dist("constant:1", ROLE_WEIGHT)

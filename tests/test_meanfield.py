@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, parse_dist
 from sirkn.errors import ParamViolation
 from sirkn.meanfield import (MeanFieldState, classic_specs, final_size_fixed_point,
-                             ode_solve, require_classic)
+                             ode_solve)
 
 
 def test_equilibrium_when_no_infectives():
@@ -92,11 +92,7 @@ def test_classic_spec_gate():
     xi1 = parse_dist("constant:1", ROLE_RECOVERY)
     rho1 = parse_dist("constant:1", ROLE_WEIGHT)
     assert classic_specs(xi1, rho1)
-    require_classic(xi1, rho1)
     xi2 = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
     assert not classic_specs(xi2, rho1)
-    with pytest.raises(ParamViolation):
-        require_classic(xi2, rho1)
     rho_half = parse_dist("constant:0.5", ROLE_WEIGHT)
-    with pytest.raises(ParamViolation):
-        require_classic(xi1, rho_half)
+    assert not classic_specs(xi1, rho_half)
