@@ -5,7 +5,9 @@ laws must live in [0, 1] with positive mass above 0.  The family menu is
 deliberately small (constant, uniform, two_point, and a shifted wrapper) so
 that the mean weight, the mean inverse recovery rate, the mean inverse
 square and the Laplace transforms all have closed forms, which the
-critical-rate and no-spread formulas require exactly.
+critical-rate and no-spread formulas require exactly.  The Laplace helpers
+behind them have one elementwise ndarray body each, which the quadrature of
+`psi` and the Sellke sampler share; a float argument gives a 0-d array.
 
 Text syntax, used verbatim by config files and CLI flags::
 
@@ -282,25 +284,25 @@ def expect_self_over_self_plus(spec: DistSpec, c: float) -> float:
     return total
 
 
-def _logsumexp(terms: list, xp=math):
-    top = functools.reduce(np.maximum, terms) if xp is np else max(terms)
-    return top + xp.log(sum(xp.exp(x - top) for x in terms))
+def _logsumexp(terms: list):
+    top = functools.reduce(np.maximum, terms)
+    return top + np.log(sum(np.exp(x - top) for x in terms))
 
 
-def _below_one(mixture: list, s, xp):
+def _below_one(mixture: list, s):
     """E[e^{-sX} - 1], each component term formed without cancellation."""
     total = 0.0
     for w, comp in mixture:
         if comp[0] == "atom":
-            total += w * xp.expm1(-s * comp[1])
+            total += w * np.expm1(-s * comp[1])
         else:
             a, b = comp[1], comp[2]
             z = s * (b - a)
-            total += w * (xp.expm1(-s * a) * -xp.expm1(-z) - _exp_tail(-z)) / z
+            total += w * (np.expm1(-s * a) * -np.expm1(-z) - _exp_tail(-z)) / z
     return total
 
 
-def _log_terms(mixture: list, s, xp) -> list:
+def _log_terms(mixture: list, s) -> list:
     """log of each component's share w E[e^{-sX} | component]."""
     terms = []
     for w, comp in mixture:
@@ -309,13 +311,13 @@ def _log_terms(mixture: list, s, xp) -> list:
         else:
             a, b = comp[1], comp[2]
             z = s * (b - a)
-            terms.append(math.log(w) - s * a + xp.log(-xp.expm1(-z) / z))
+            terms.append(math.log(w) - s * a + np.log(-np.expm1(-z) / z))
     return terms
 
 
 def log_laplace(spec: DistSpec, s):
-    """log E[exp(-s X)] for s >= 0, closed form per mixture component;
-    elementwise when s is an ndarray.
+    """log E[exp(-s X)] for s >= 0, elementwise over an array (a float gives
+    a 0-d array); closed form per mixture component.
 
     Where E e^{-sX} >= 1/2 this is log1p of E[e^{-sX} - 1], whose component
     terms are all <= 0 and formed without cancellation, so the value keeps
@@ -325,32 +327,29 @@ def log_laplace(spec: DistSpec, s):
     E e^{-sX} = e^{-sa} h(z) with h(z) = (1 - e^-z) / z, z = s (b - a), and
     e^{-sa} h(z) - 1 = (e^{-sa} - 1) h(z) - (e^-z - 1 + z) / z.
     """
+    s = np.asarray(s, dtype=float)
     mixture = as_mixture(spec)
-    if not isinstance(s, np.ndarray):
-        if s == 0.0:
-            return 0.0
-        below_one = _below_one(mixture, s, math)
-        if below_one >= -0.5:
-            return math.log1p(below_one)
-        return _logsumexp(_log_terms(mixture, s, math))
     with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 is set below
-        below_one = _below_one(mixture, s, np)
-        out = np.log1p(below_one)
+        below_one = _below_one(mixture, s)
+        out = np.asarray(np.log1p(below_one))
         far = below_one < -0.5
         if far.any():
-            out[far] = _logsumexp(_log_terms(mixture, s[far], np), np)
+            out[far] = _logsumexp(_log_terms(mixture, s[far]))
     out[s == 0.0] = 0.0
     return out
 
 
-def log_laplace_deriv(spec: DistSpec, t: float) -> float:
-    """log E[X exp(-t X)] (minus the Laplace transform's derivative), t >= 0.
+def log_laplace_deriv(spec: DistSpec, t):
+    """log E[X exp(-t X)] (minus the Laplace transform's derivative) for
+    t >= 0, elementwise like `log_laplace`.
 
     Requires support in (0, inf), as every recovery law has.  A Uniform(a, b)
     component contributes exp(-t a) (a h(z) + (b - a) g(z)) with z = t (b - a),
     h(z) = (1 - e^-z) / z and g(z) = (1 - e^-z (1 + z)) / z^2, the latter
     through the regularized incomplete gamma P(2, z) to avoid cancellation.
+    Below z = 1e-8 both are Taylor terms, whose error is below 1e-16 relative.
     """
+    t = np.asarray(t, dtype=float)
     terms = []
     for w, comp in as_mixture(spec):
         if comp[0] == "atom":
@@ -360,31 +359,20 @@ def log_laplace_deriv(spec: DistSpec, t: float) -> float:
             a, b = comp[1], comp[2]
             d = b - a
             z = t * d
-            if z < 1e-8:  # Taylor terms; the error is below 1e-16 relative
-                inner = a * (1.0 - 0.5 * z) + d * (0.5 - z / 3.0)
-            else:
-                inner = a * -math.expm1(-z) / z + d * gamma_p2(z) / (z * z)
-            terms.append(math.log(w * inner) - t * a)
+            with np.errstate(divide="ignore", invalid="ignore"):  # z = 0, branch not taken
+                inner = np.where(z < 1e-8, a * (1.0 - 0.5 * z) + d * (0.5 - z / 3.0),
+                                 a * -np.expm1(-z) / z + d * gamma_p2(z) / (z * z))
+            terms.append(np.log(w * inner) - t * a)
     return _logsumexp(terms)
 
 
 def _exp_tail(x):
-    """e^x - 1 - x, summed as its series where |x| < 1 to avoid cancellation.
-
-    A float sums terms until they drop below 1e-17 of the total; an ndarray
-    takes, by Horner's rule, as many terms as its largest |x| < 1 needs.
+    """e^x - 1 - x elementwise, summed as its series where |x| < 1 to avoid
+    cancellation: by Horner's rule, as many terms as the largest such |x|
+    needs for a truncation error below 1e-17 relative.
     """
-    if not isinstance(x, np.ndarray):
-        if abs(x) >= 1.0:
-            return math.expm1(x) - x
-        term = total = 0.5 * x * x
-        k = 2
-        while abs(term) > 1e-17 * total:
-            k += 1
-            term *= x / k
-            total += term
-        return total
-    out = np.expm1(x) - x
+    x = np.asarray(x)
+    out = np.asarray(np.expm1(x) - x)
     small = np.abs(x) < 1.0
     y = x[small]
     top = float(np.abs(y).max(initial=0.0))
@@ -398,14 +386,16 @@ def _exp_tail(x):
     return out
 
 
-def gamma_p2(z: float) -> float:
-    """Regularized lower incomplete gamma P(2, z) = 1 - e^-z (1 + z), z >= 0.
+def gamma_p2(z):
+    """Regularized lower incomplete gamma P(2, z) = 1 - e^-z (1 + z) for
+    z >= 0, elementwise.
 
     Below z = 1 the difference cancels, so there it is e^-z (e^z - 1 - z).
     """
-    if z >= 1.0:
-        return -math.expm1(-z) - z * math.exp(-z)
-    return math.exp(-z) * _exp_tail(z)
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # in the branch not taken
+        return np.where(z >= 1.0, -np.expm1(-z) - z * np.exp(-z),
+                        np.exp(-z) * _exp_tail(z))
 
 
 def psi(xi_spec: DistSpec, rho_spec: DistSpec, s: float, theta: float,
@@ -419,15 +409,16 @@ def psi(xi_spec: DistSpec, rho_spec: DistSpec, s: float, theta: float,
 
     whose factors have closed forms for every law in the menu, so the value
     is exact to quadrature tolerance for atomic and uniform laws alike.  The
-    integrand is formed in log space; phi^theta underflows otherwise.  The
-    complement integrates E[xi e^{-t xi}] (1 - phi(s t)^theta), so a small
-    1 - psi keeps its relative precision.
+    integrand is formed in log space, on all nodes of a subinterval at once;
+    phi^theta underflows otherwise.  The complement integrates
+    E[xi e^{-t xi}] (1 - phi(s t)^theta), so a small 1 - psi keeps its
+    relative precision.
     """
     def integrand(t):
         log_phi = theta * log_laplace(rho_spec, s * t)
         if complement:
-            return math.exp(log_laplace_deriv(xi_spec, t)) * -math.expm1(log_phi)
-        return math.exp(log_laplace_deriv(xi_spec, t) + log_phi)
+            return np.exp(log_laplace_deriv(xi_spec, t)) * -np.expm1(log_phi)
+        return np.exp(log_laplace_deriv(xi_spec, t) + log_phi)
 
     val, err = quad(integrand, 0.0, math.inf, epsabs=1e-14, epsrel=1e-12, limit=200)
     if not err <= max(1e-10 * abs(val), 1e-13):

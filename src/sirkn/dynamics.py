@@ -133,7 +133,6 @@ class EpidemicState:
         # re-hashing (bounded by n^2 floats, so gated).
         self._row_cache = {} if (not self.thinning and n <= 2048) else None
         if not self.thinning:
-            env._ensure_pair_keys()
             self.s_arr = sus = np.arange(1, n, dtype=np.int64)
             self.w = np.zeros(n, dtype=np.float64)
             if self.s_count > 0:

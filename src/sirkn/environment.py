@@ -64,11 +64,11 @@ class Environment:
         self._xi_values = None
 
     def _ensure_pair_keys(self) -> None:
-        """Precompute per-vertex key material for O(1)-mix edge queries.
+        """Precompute per-vertex key material for one-mix edge queries.
 
-        O(n) memory, computed once; worthwhile whenever a caller will make
-        O(n) edge queries against this environment (the dynamic engine does).
-        The derived values are identical to the lazy two-mix path.
+        O(n) memory, computed on the first vectorized edge query.  The key of
+        the lower endpoint is the child_key that rho_at derives, so every
+        query path gives the same weights.
         """
         if self._pair_lo_keys is None:
             salt = seeding.pair_salt(self.n)
@@ -135,15 +135,11 @@ class Environment:
             return np.broadcast_to(self.rho_const, (len(j),))
         i = np.asarray(i)
         j = np.asarray(j)
+        self._ensure_pair_keys()
         lo = np.minimum(i, j)
         hi = np.maximum(i, j)
-        if self._pair_lo_keys is not None:
-            h = seeding.mix64_array(self._pair_lo_keys[lo] ^ self._pair_salt[hi])
-            return np.asarray(quantile(self.rho_spec, seeding.to_uniform01(h)),
-                              dtype=float)
-        keys = seeding.child_key_array(self._rho_key, lo)
-        u = seeding.to_uniform01(seeding.chain_key_arrays(keys, hi))
-        return np.asarray(quantile(self.rho_spec, u), dtype=float)
+        h = seeding.mix64_array(self._pair_lo_keys[lo] ^ self._pair_salt[hi])
+        return np.asarray(quantile(self.rho_spec, seeding.to_uniform01(h)), dtype=float)
 
     def rho_row(self, i: int, js: np.ndarray) -> np.ndarray:
         """rho(i, j) for one vertex against an index array."""

@@ -19,7 +19,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
@@ -168,11 +168,6 @@ def read_config_fields(text: str) -> dict:
             val = [v.strip() for v in val.split(",") if v.strip()]
         values[key] = val
     return values
-
-
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the plain-text key = value config document."""
-    return config_from_dict(read_config_fields(text))
 
 
 def _number(key: str, kind: type, val):
@@ -383,25 +378,9 @@ class BatchStats:
     no_spread_limit: float
 
     def to_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "lambda": self.lam,
-            "lambda_over_lambda_c": self.lam_over_lambda_c,
-            "replications": self.replications,
-            "failures": self.failures,
-            "mean_r_inf": self.mean_r_inf,
-            "mean_ci": list(self.mean_ci),
-            "mean_final_fraction": self.mean_final_fraction,
-            "mean_final_fraction_ci": list(self.mean_final_fraction_ci),
-            "exceed_probability": self.exceed_probability,
-            "exceed_ci": list(self.exceed_ci),
-            "p_no_spread": self.p_no_spread,
-            "p_no_spread_ci": list(self.p_no_spread_ci),
-            "lambda_c": self.lambda_c,
-            "subcritical_mean_bound": self.subcritical_mean_bound,
-            "no_spread_finite_n": self.no_spread_finite_n,
-            "no_spread_limit": self.no_spread_limit,
-        }
+        d = asdict(self)
+        d["lambda"] = d.pop("lam")
+        d["lambda_over_lambda_c"] = d.pop("lam_over_lambda_c")
         return d
 
 

@@ -3,7 +3,9 @@
 The rule, its error heuristic and the map of [a, inf) onto (0, 1] are those
 of QUADPACK's qags and qagi (Piessens et al. 1983), without the epsilon
 extrapolation: the integrals the package needs are smooth and decay
-exponentially, so bisection alone converges quickly.
+exponentially, so bisection alone converges quickly.  The integrand is
+vectorised: it takes the 15 nodes of a subinterval as one ndarray and returns
+their values as one.
 """
 
 from __future__ import annotations
@@ -12,18 +14,24 @@ import heapq
 import math
 import sys
 
-# Kronrod abscissae on [-1, 1] (the positive half, then the centre) and their
-# weights; the 7-point Gauss rule uses _XGK[1], _XGK[3], _XGK[5] and the centre.
-_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245)
-_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+import numpy as np
+
+# Kronrod abscissae on [-1, 1] in the order x, 0, -x, and the Kronrod and the
+# 7-point Gauss weights at each of them (the Gauss rule uses every second
+# abscissa of each half and the centre).
+_X7 = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245])
+_XGK = np.concatenate((_X7, [0.0], -_X7))
+_W7 = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649])
+_WGK = np.concatenate((_W7, [0.209482141084727828012999174891714], _W7))
+_G3 = [0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+       0.0, 0.381830050505118944950369775488975, 0.0]
+_WG = np.array(_G3 + [0.417959183673469387755102040816327] + _G3)
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
@@ -31,20 +39,12 @@ _TINY = sys.float_info.min
 
 def _gk15(f, lo: float, hi: float):
     """(integral, error estimate) of f over [lo, hi], lo < hi."""
-    centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fc = f(centre)
-    pairs = [(f(centre - half * x), f(centre + half * x)) for x in _XGK]
-    kronrod = _WGK[7] * fc + sum(w * (f1 + f2) for w, (f1, f2) in zip(_WGK, pairs))
-    gauss = _WG[3] * fc + sum(_WG[j] * sum(pairs[2 * j + 1]) for j in range(3))
-    mid = 0.5 * kronrod
-    resabs = _WGK[7] * abs(fc) + sum(w * (abs(f1) + abs(f2))
-                                     for w, (f1, f2) in zip(_WGK, pairs))
-    resasc = _WGK[7] * abs(fc - mid) + sum(w * (abs(f1 - mid) + abs(f2 - mid))
-                                           for w, (f1, f2) in zip(_WGK, pairs))
-    err = abs((kronrod - gauss) * half)
-    resabs *= half
-    resasc *= half
+    fx = f(0.5 * (lo + hi) + half * _XGK)
+    kronrod = float((_WGK * fx).sum())
+    resabs = half * float((_WGK * np.abs(fx)).sum())
+    resasc = half * float((_WGK * np.abs(fx - 0.5 * kronrod)).sum())
+    err = abs((kronrod - float((_WG * fx).sum())) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     if resabs > _TINY / (50.0 * _EPS):
@@ -55,11 +55,13 @@ def _gk15(f, lo: float, hi: float):
 def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
     """(integral of f over [a, b], estimate of its absolute error); b may be inf.
 
-    Bisects the subinterval with the largest error estimate until the summed
-    estimate is at most max(epsabs, epsrel * |integral|) or `limit`
-    subintervals exist.  It never raises on missing accuracy: callers compare
-    the returned error with their own tolerance.  On [a, inf) the integrand is
-    taken to (0, 1] by t = a + (1 - x) / x, dt = -dx / x^2, as qagi does.
+    `f` maps an ndarray of abscissae to the ndarray of its values; it is
+    called once per subinterval, on that subinterval's 15 nodes.  Bisects the
+    subinterval with the largest error estimate until the summed estimate is
+    at most max(epsabs, epsrel * |integral|) or `limit` subintervals exist.
+    It never raises on missing accuracy: callers compare the returned error
+    with their own tolerance.  On [a, inf) the integrand is taken to (0, 1]
+    by t = a + (1 - x) / x, dt = -dx / x^2, as qagi does.
     """
     if math.isinf(b):
         return quad(lambda x: f(a + (1.0 - x) / x) / (x * x), 0.0, 1.0,

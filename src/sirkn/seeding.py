@@ -76,12 +76,6 @@ def child_key_array(key: int, index: np.ndarray) -> np.ndarray:
     return mix64_array(np.uint64(key) ^ (idx + _ONE) * _U_CHAIN)
 
 
-def chain_key_arrays(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """child_key applied elementwise to an array of keys."""
-    idx = index.astype(np.uint64, copy=False)
-    return mix64_array(keys ^ (idx + _ONE) * _U_CHAIN)
-
-
 def pair_salt(n: int) -> np.ndarray:
     """The per-index xor salt (index + 1) * CHAIN used by key chaining."""
     return (np.arange(n, dtype=np.uint64) + _ONE) * _U_CHAIN

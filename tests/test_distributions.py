@@ -1,4 +1,5 @@
 import decimal
+import functools
 from decimal import Decimal
 
 import numpy as np
@@ -280,3 +281,24 @@ def test_log_laplace_keeps_relative_precision(text, role):
     # the elementwise form, which the Sellke sampler uses, s = 0 included
     np.testing.assert_allclose(log_laplace(spec, np.append(grid, 0.0)), refs + [0.0],
                                rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("fn,text,role", [
+    (log_laplace, "uniform:0:1", ROLE_WEIGHT),
+    (log_laplace, "two_point:0.2:0.4:0.8", ROLE_WEIGHT),
+    (log_laplace, "shifted:two_point:0:0.5:1:+1", ROLE_RECOVERY),
+    (log_laplace_deriv, "uniform:1:3", ROLE_RECOVERY),
+    (log_laplace_deriv, "shifted:two_point:0:0.5:1:+1", ROLE_RECOVERY),
+    (gamma_p2, None, None),
+])
+def test_laplace_helpers_are_elementwise(fn, text, role):
+    # psi calls these on the quadrature nodes and the Sellke sampler on 2-D
+    # blocks: both must see the values a float gives.  Near-equal, not
+    # equal: the series in _exp_tail takes as many terms as the largest
+    # argument in the array needs.
+    f = functools.partial(fn, parse_dist(text, role)) if text else fn
+    grid = np.append(0.0, np.logspace(-12, 3, 47)).reshape(6, 8)
+    got = f(grid)
+    assert got.shape == grid.shape
+    want = [[float(f(float(s))) for s in row] for row in grid]
+    np.testing.assert_allclose(got, want, rtol=2 * np.finfo(float).eps, atol=0)

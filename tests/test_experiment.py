@@ -19,7 +19,7 @@ from sirkn.experiment import (ExperimentConfig, batch_stats_from_samples,
                               config_from_dict, config_hash, config_lambda_c,
                               config_to_dict, mean_interval,
                               no_spread_finite_n, no_spread_limit,
-                              parse_config_text, resolved_lambda_grid, run_batch,
+                              read_config_fields, resolved_lambda_grid, run_batch,
                               sweep, sweep_csv_text, SWEEP_CSV_COLUMNS,
                               wilson_interval, write_sweep)
 from sirkn.meanfield import MeanFieldState, final_size_fixed_point, ode_solve
@@ -454,7 +454,7 @@ master_seed = 31
 
 
 def test_parse_config_text():
-    config = parse_config_text(CONFIG_TEXT)
+    config = config_from_dict(read_config_fields(CONFIG_TEXT))
     assert config.n_grid == (100, 1000)
     assert config.lambda_units == "lambda_c"
     lc = config_lambda_c(config)
@@ -466,16 +466,16 @@ def test_parse_config_text():
 
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ParamViolation):
-        parse_config_text("bogus = 3\n" + CONFIG_TEXT)
+        config_from_dict(read_config_fields("bogus = 3\n" + CONFIG_TEXT))
 
 
 def test_parse_config_requires_fields():
     with pytest.raises(ParamViolation):
-        parse_config_text("xi_spec = constant:1\n")
+        config_from_dict(read_config_fields("xi_spec = constant:1\n"))
 
 
 def test_config_roundtrip_and_hash_stability():
-    config = parse_config_text(CONFIG_TEXT)
+    config = config_from_dict(read_config_fields(CONFIG_TEXT))
     again = config_from_dict(config_to_dict(config))
     assert again == config
     assert config_hash(config) == config_hash(again)
