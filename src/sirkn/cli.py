@@ -33,17 +33,18 @@ _TAG_CLI_ENV = 0x434C45
 _TAG_CLI_RUN = 0x434C52
 
 
-def _outdir(args, resolved: dict) -> Path:
-    if args.outdir:
-        out = Path(args.outdir)
-    else:
-        out = Path("out") / config_hash(resolved)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _outdir(args, resolved: dict | ExperimentConfig) -> Path:
+    return Path(args.outdir) if args.outdir else Path("out") / config_hash(resolved)
+
+
+def _write(path: Path, text: str) -> None:
+    # the directory is made at the first write, so a failed command leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -87,7 +88,7 @@ def _cmd_simulate(args) -> int:
         lines = ["time,event,vertex,s_count,i_count,r_count"]
         for t, kind, vertex, s, i, r in rows:
             lines.append(f"{t!r},{kind},{vertex},{s},{i},{r}")
-        (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+        _write(out / "trajectory.csv", "\n".join(lines) + "\n")
     print(out / "run.json")
     return 0
 
@@ -135,7 +136,7 @@ def _config_from_args(args) -> ExperimentConfig:
 def _cmd_sweep(args) -> int:
     jobs = _jobs(args)
     config = _config_from_args(args)
-    out = Path(args.outdir) if args.outdir else Path("out") / config_hash(config)
+    out = _outdir(args, config)
     result = sweep(config, jobs=jobs)
     csv_path, json_path = write_sweep(result, out)
     print(csv_path)
@@ -164,7 +165,7 @@ def _cmd_meanfield(args) -> int:
     lines = ["t,s,i,r"]
     for st in traj:
         lines.append(f"{st.t!r},{st.s!r},{st.i!r},{st.r!r}")
-    (out / "meanfield.csv").write_text("\n".join(lines) + "\n")
+    _write(out / "meanfield.csv", "\n".join(lines) + "\n")
     terminal = traj[-1]
     _write_json(out / "meanfield.json", {
         "config": resolved,

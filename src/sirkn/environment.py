@@ -1,10 +1,11 @@
 """O(n)-memory random environment on the complete graph.
 
 Recovery rates xi(j) and edge weights rho(i, j) are i.i.d. draws that are
-never stored: each value is a pure function of (seed, index), computed by the
-counter-based mixer in `seeding`.  Keying rho by the unordered pair
-{min(i,j), max(i,j)} makes the symmetry rho(i,j) == rho(j,i) structural, and
-keeps n = 1e5 sweeps in O(n) memory.
+never stored: each is the law's quantile of a uniform keyed by
+`seeding.child_key`, xi(j) by child j of the xi key and rho(i, j), i < j,
+by child j of child i of the rho key.  Keying rho by the unordered pair makes
+rho(i,j) == rho(j,i) structural and keeps n = 1e5 sweeps in O(n) memory.
+Constant laws need no query: the engines test `xi_const` and `rho_const`.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ class Environment:
     """Immutable view of one environment realization for a given (n, seed).
 
     Safe for any number of concurrent readers; every query is a pure function
-    of its arguments.  The key material that queries cache (`_pair_lo_keys`,
-    rho_at's `_lo_keys`) and the tuple of `xi_values` change no value.
+    of its arguments.  The key material that queries cache (`_salt`,
+    `_pair_lo_keys`, rho_at's `_lo_keys`) and the tuple of `xi_values` change
+    no value.
     """
 
     __slots__ = ("n", "seed", "xi_spec", "rho_spec", "_xi_key", "_rho_key",
-                 "xi_const", "rho_const", "xi_max", "rho_max", "_pair_salt",
+                 "xi_const", "rho_const", "xi_max", "rho_max", "_salt",
                  "_pair_lo_keys", "_lo_keys", "_xi_values")
 
     def __init__(self, n: int, seed: int, xi_spec: DistSpec, rho_spec: DistSpec):
@@ -45,8 +47,8 @@ class Environment:
         self.seed = int(seed)
         self.xi_spec = xi_spec
         self.rho_spec = rho_spec
-        # Constant laws skip hashing entirely; this is the dominant fast path
-        # for the classic xi = rho = 1 model, so keys are derived lazily.
+        # Constant laws are the classic xi = rho = 1 model's fast path: the
+        # engines never query them, so their keys are not derived.
         self.xi_const = xi_spec.params[0] if xi_spec.kind == "constant" else None
         self.rho_const = rho_spec.params[0] if rho_spec.kind == "constant" else None
         # Largest value each law can produce: the top of its atoms and
@@ -58,44 +60,34 @@ class Environment:
                         if self.xi_const is None else 0)
         self._rho_key = (seeding.derive_key(self.seed, _TAG_RHO)
                          if self.rho_const is None else 0)
-        self._pair_salt = None
+        self._salt = None
         self._pair_lo_keys = None
         self._lo_keys = {}  # rho_at's memo of child_key(rho_key, lo) by lo
         self._xi_values = None
 
-    def _ensure_pair_keys(self) -> None:
-        """Precompute per-vertex key material for one-mix edge queries.
+    def _child_keys(self, key: int, js=slice(None)) -> np.ndarray:
+        """child_key(key, j) for the vertices js (default all); the salt
+        (j + 1) * CHAIN of every vertex is built on first use."""
+        if self._salt is None:
+            self._salt = seeding.pair_salt(self.n)
+        return seeding.mix64_array(np.uint64(key) ^ self._salt[js])
 
-        O(n) memory, computed on the first vectorized edge query.  The key of
-        the lower endpoint is the child_key that rho_at derives, so every
-        query path gives the same weights.
+    def _pair_keys(self) -> tuple:
+        """child_key(rho_key, j) of every vertex, and the salt.
+
+        O(n) memory, computed on the first vectorized edge query.  rho_at
+        derives the same key for the lower endpoint, so every query path
+        gives the same weights.
         """
         if self._pair_lo_keys is None:
-            salt = seeding.pair_salt(self.n)
-            self._pair_salt = salt
-            self._pair_lo_keys = seeding.mix64_array(np.uint64(self._rho_key) ^ salt)
+            self._pair_lo_keys = self._child_keys(self._rho_key)
+        return self._pair_lo_keys, self._salt
 
-    def _check_vertex(self, j: int) -> None:
-        if not 0 <= j < self.n:
-            raise IndexOutOfRange(f"vertex {j} outside [0, {self.n})")
-
-    def xi_at(self, j: int) -> float:
-        """Recovery rate of vertex j; always >= 1."""
-        self._check_vertex(j)
-        if self.xi_const is not None:
-            return self.xi_const
-        return float(quantile(self.xi_spec, seeding.uniform01(self._xi_key, j)))
-
-    def xi_block(self, js: np.ndarray) -> np.ndarray:
-        """Vectorized xi over an index array (no bounds checks: engine path).
-
-        Constant laws return a read-only broadcast view; callers never
-        mutate returned blocks.
-        """
-        if self.xi_const is not None:
-            return np.broadcast_to(self.xi_const, (len(js),))
-        u = seeding.uniform01_array(self._xi_key, np.asarray(js))
-        return np.asarray(quantile(self.xi_spec, u), dtype=float)
+    def xi_block(self, js=slice(None)) -> np.ndarray:
+        """Vectorized xi over an index array, by default every vertex (no
+        bounds checks: engine path)."""
+        h = self._child_keys(self._xi_key, js)
+        return np.asarray(quantile(self.xi_spec, seeding.to_uniform01(h)), dtype=float)
 
     def xi_values(self) -> tuple:
         """xi of every vertex as a tuple of floats, computed on first use.
@@ -104,7 +96,7 @@ class Environment:
         environment (quenched sweeps) hash the recovery rates once.
         """
         if self._xi_values is None:
-            self._xi_values = (tuple(self.xi_block(np.arange(self.n)).tolist())
+            self._xi_values = (tuple(self.xi_block().tolist())
                                if self.xi_const is None else (float(self.xi_const),) * self.n)
         return self._xi_values
 
@@ -121,8 +113,6 @@ class Environment:
             raise IndexOutOfRange(f"vertex {j} outside [0, {n})")
         if i == j:
             raise SelfLoop(f"edge weight undefined for i == j == {i}")
-        if self.rho_const is not None:
-            return self.rho_const
         lo, hi = (i, j) if i < j else (j, i)
         key = self._lo_keys.get(lo)
         if key is None:
@@ -131,20 +121,12 @@ class Environment:
 
     def rho_pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Vectorized elementwise rho over index arrays (i[k] != j[k] assumed)."""
-        if self.rho_const is not None:
-            return np.broadcast_to(self.rho_const, (len(j),))
-        i = np.asarray(i)
-        j = np.asarray(j)
-        self._ensure_pair_keys()
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
-        h = seeding.mix64_array(self._pair_lo_keys[lo] ^ self._pair_salt[hi])
+        lo_keys, salt = self._pair_keys()
+        h = seeding.mix64_array(lo_keys[np.minimum(i, j)] ^ salt[np.maximum(i, j)])
         return np.asarray(quantile(self.rho_spec, seeding.to_uniform01(h)), dtype=float)
 
     def rho_row(self, i: int, js: np.ndarray) -> np.ndarray:
         """rho(i, j) for one vertex against an index array."""
-        if self.rho_const is not None:
-            return np.broadcast_to(self.rho_const, (len(js),))
         return self.rho_pairs(np.broadcast_to(np.int64(i), (len(js),)), js)
 
     def rho_full_row(self, i: int) -> np.ndarray:
@@ -154,13 +136,7 @@ class Environment:
         per-infection workhorse of the dynamic engine.
         """
         n = self.n
-        if self.rho_const is not None:
-            out = np.full(n, self.rho_const)
-            out[i] = 0.0
-            return out
-        self._ensure_pair_keys()
-        lo_keys = self._pair_lo_keys
-        salt = self._pair_salt
+        lo_keys, salt = self._pair_keys()
         out = np.empty(n, dtype=float)
         if i + 1 < n:
             h = seeding.mix64_array(lo_keys[i] ^ salt[i + 1:])

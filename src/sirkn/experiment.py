@@ -164,6 +164,8 @@ def read_config_fields(text: str) -> dict:
         val = val.strip()
         if key not in names:
             raise ParamViolation(f"config line {lineno}: unknown field {key!r}")
+        if key in values:
+            raise ParamViolation(f"config line {lineno}: field {key!r} given twice")
         if key in ("n_grid", "lambda_grid"):
             val = [v.strip() for v in val.split(",") if v.strip()]
         values[key] = val
@@ -190,18 +192,19 @@ def config_from_dict(values: dict) -> ExperimentConfig:
         raise ParamViolation(f"config missing required fields: {', '.join(missing)}")
     xi = values["xi_spec"]
     rho = values["rho_spec"]
+    # Optional fields that are not given keep the ExperimentConfig defaults.
+    optional = {key: values[key] for key in ("engine", "measure", "lambda_units")
+                if key in values}
+    optional.update((key, _number(key, kind, values[key])) for key, kind
+                    in (("epsilon", float), ("confidence", float), ("master_seed", int))
+                    if key in values)
     return ExperimentConfig(
         xi_spec=xi if isinstance(xi, DistSpec) else parse_dist(str(xi), ROLE_RECOVERY),
         rho_spec=rho if isinstance(rho, DistSpec) else parse_dist(str(rho), ROLE_WEIGHT),
         n_grid=tuple(_number("n_grid", int, v) for v in values["n_grid"]),
         lambda_grid=tuple(_number("lambda_grid", float, v) for v in values["lambda_grid"]),
         replications=_number("replications", int, values["replications"]),
-        engine=values.get("engine", ENGINE_PERCOLATION),
-        measure=values.get("measure", MEASURE_ANNEALED),
-        epsilon=_number("epsilon", float, values.get("epsilon", 0.05)),
-        confidence=_number("confidence", float, values.get("confidence", 0.95)),
-        lambda_units=values.get("lambda_units", UNITS_ABSOLUTE),
-        master_seed=_number("master_seed", int, values.get("master_seed", 0)),
+        **optional,
     )
 
 
@@ -257,9 +260,14 @@ def _block_seed(master_seed: int, grid_index: int, block: int) -> int:
     return seeding.derive_key(master_seed, _TAG_BLOCK, grid_index, block)
 
 
+def _per_block(config: ExperimentConfig) -> bool:
+    """Whether the config's points key one stream per block of replications."""
+    return config.engine == ENGINE_PERCOLATION and config.measure == MEASURE_ANNEALED
+
+
 def _collect_range(task):
     config, grid_index, n, lam, start, stop = task
-    if config.engine == ENGINE_PERCOLATION and config.measure == MEASURE_ANNEALED:
+    if _per_block(config):
         parts, failed = [np.zeros(0, dtype=np.uint32)], 0
         for first in range(start, stop, SELLKE_BLOCK):
             size = min(SELLKE_BLOCK, stop - first)
@@ -301,13 +309,15 @@ def collect_final_sizes(config: ExperimentConfig,
     grid_index, block); a block that raises counts all its replications as
     failed.  Every other point runs one engine call per replication, on a
     stream keyed by (master_seed, grid_index, replication).  Each point's
-    blocks are cut into `jobs` contiguous chunks and every chunk of every
-    point goes through one map: the builtin one at jobs <= 1, else one
-    process pool.  Chunks end on block boundaries, so the output is
-    byte-identical for every `jobs` value.
+    replications are cut into `jobs` contiguous chunks and every chunk of
+    every point goes through one map: the builtin one at jobs <= 1, else one
+    process pool.  Chunks end on the boundaries of what a stream is keyed by,
+    blocks or replications, so the output is byte-identical for every `jobs`
+    value.
     """
-    blocks = -(-config.replications // SELLKE_BLOCK)
-    bounds = np.linspace(0, blocks, max(jobs, 1) + 1, dtype=int) * SELLKE_BLOCK
+    unit = SELLKE_BLOCK if _per_block(config) else 1
+    units = -(-config.replications // unit)
+    bounds = np.linspace(0, units, max(jobs, 1) + 1, dtype=int) * unit
     bounds = np.minimum(bounds, config.replications)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     tasks = [(config, g, n, lam, a, b) for g, n, lam in points for a, b in spans]

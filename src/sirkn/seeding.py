@@ -4,9 +4,14 @@ Every random quantity in this package is either (a) a pure function of an
 integer key, computed by the splitmix-style mixer below, or (b) drawn from a
 Philox stream whose key is derived the same way, one generator per stream.
 Both give reproducible results independent of scheduling or worker count.
+
+There is one key derivation, `child_key`: `derive_key` folds it over its
+parts, and array callers mix `uint64(key) ^ pair_salt(n)[js]`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -19,7 +24,6 @@ _CHAIN = 0xC2B2AE3D27D4EB4F
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
-_U_GOLDEN = np.uint64(_GOLDEN)
 _U_CHAIN = np.uint64(_CHAIN)
 _U_M1 = np.uint64(_M1)
 _U_M2 = np.uint64(_M2)
@@ -55,29 +59,22 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def derive_key(*parts: int) -> int:
-    """Fold integer parts into one 64-bit key.
+    """Fold integer parts into one 64-bit key by `child_key`, from GOLDEN.
 
     Used for stream ids such as (master_seed, grid_index, replication,
     kind_tag); the result is order-sensitive and collision-resistant enough
     for statistical independence of the derived streams.
     """
-    h = _GOLDEN
-    for p in parts:
-        h = mix64(h ^ (((int(p) & MASK64) + 1) * _CHAIN & MASK64))
-    return h
+    return functools.reduce(child_key, parts, _GOLDEN)
 
 
 def child_key(key: int, index: int) -> int:
+    """The key of child `index` of `key`: mix64(key ^ (index + 1) * CHAIN)."""
     return mix64(key ^ (((int(index) & MASK64) + 1) * _CHAIN & MASK64))
 
 
-def child_key_array(key: int, index: np.ndarray) -> np.ndarray:
-    idx = index.astype(np.uint64, copy=False)
-    return mix64_array(np.uint64(key) ^ (idx + _ONE) * _U_CHAIN)
-
-
 def pair_salt(n: int) -> np.ndarray:
-    """The per-index xor salt (index + 1) * CHAIN used by key chaining."""
+    """The xor salt (index + 1) * CHAIN of `child_key` for indices 0..n-1."""
     return (np.arange(n, dtype=np.uint64) + _ONE) * _U_CHAIN
 
 
@@ -88,10 +85,6 @@ def to_uniform01(h: np.ndarray) -> np.ndarray:
 def uniform01(key: int, index: int) -> float:
     """Uniform in [0, 1), a pure function of (key, index)."""
     return (child_key(key, index) >> 11) * _INV53
-
-
-def uniform01_array(key: int, index: np.ndarray) -> np.ndarray:
-    return (child_key_array(key, index) >> _U11).astype(np.float64) * _INV53
 
 
 def stream(key: int) -> np.random.Generator:

@@ -194,6 +194,17 @@ def test_usage_error_exits_one(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args", [
+    ["simulate", "--n", "0", "--lambda", "1"],
+    ["percolate", "--n", "0", "--lambda", "1"],
+    ["meanfield", "--lambda", "2", "--step", "0"],
+], ids=["simulate", "percolate", "meanfield"])
+def test_validation_error_leaves_no_output_directory(tmp_path, capsys, args):
+    assert run_cli(args, tmp_path) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
     ["sweep", "--n-grid", "10", "--lambda-grid", "1", "--reps", "10", "--jobs", "-1"],
     ["no-spread", "--n", "10", "--lambda", "1", "--reps", "10", "--jobs", "-4"],
 ], ids=["sweep", "no-spread"])

@@ -189,7 +189,7 @@ def test_next_event_three_vertex_frequencies_match_rates(rho_text, thinning):
     lam = 1.7
     assert EpidemicState(env, lam=lam).thinning is thinning
     # exact per-event probabilities from the environment itself
-    rec_rate = env.xi_at(0)
+    rec_rate = env.xi_values()[0]
     w1, w2 = env.rho_at(1, 0), env.rho_at(2, 0)
     total = rec_rate + (lam / 3) * (w1 + w2)
     probs = {(RECOVERY, 0): rec_rate / total,
@@ -216,7 +216,7 @@ def test_recovery_pick_with_two_infectives_matches_rates(rho_text, thinning, lam
     xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
     env = Environment(3, 23, xi, parse_dist(rho_text, ROLE_WEIGHT))
     assert EpidemicState(env, lam=lam).thinning is thinning
-    assert [env.xi_at(j) for j in range(3)] == [env.xi_max, 1.0, 1.0]
+    assert list(env.xi_values()) == [env.xi_max, 1.0, 1.0]
     rng = seeding.stream(7)
     counts = {1: {}, 2: {}}
     for _ in range(40_000):
@@ -228,8 +228,9 @@ def test_recovery_pick_with_two_infectives_matches_rates(rho_text, thinning, lam
             state.run(rng, 1, trajectory)
             event = trajectory[1][1:]
             counts[v][event] = counts[v].get(event, 0) + 1
+    xi_of = env.xi_values()
     for v, w in ((1, 2), (2, 1)):
-        rates = {(RECOVERY, 0): env.xi_at(0), (RECOVERY, v): env.xi_at(v),
+        rates = {(RECOVERY, 0): xi_of[0], (RECOVERY, v): xi_of[v],
                  (INFECTION, w): (lam / 3) * (env.rho_at(w, 0) + env.rho_at(w, v))}
         total, reps = sum(rates.values()), sum(counts[v].values())
         assert set(counts[v]) <= set(rates) and reps > 2_000

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as spstats
 
-from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, parse_dist
+from sirkn import seeding
+from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, parse_dist, quantile
 from sirkn.dynamics import SimParams, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import IndexOutOfRange, ParamViolation, SelfLoop
@@ -13,6 +14,11 @@ from reference_stats import cdf
 
 XI1 = parse_dist("constant:1", ROLE_RECOVERY)
 RHO1 = parse_dist("constant:1", ROLE_WEIGHT)
+
+
+def xi_reference(env, j):
+    """xi(j) from its definition: the quantile of the uniform of child j."""
+    return float(quantile(env.xi_spec, seeding.uniform01(env._xi_key, j)))
 
 
 def test_constant_rho_value():
@@ -61,7 +67,7 @@ def test_scalar_matches_vector_paths():
     js = np.arange(40)
     xb = env.xi_block(js)
     for j in (0, 7, 39):
-        assert env.xi_at(j) == xb[j]
+        assert env.xi_values()[j] == xb[j] == xi_reference(env, j)
     i, j = np.array([0, 3, 12]), np.array([5, 9, 2])
     rp = env.rho_pairs(i, j)
     for k in range(3):
@@ -110,7 +116,7 @@ def test_xi_values_computed_once_and_runs_on_reused_environment_agree(xi_text):
     values = reused.xi_values()
     assert values is reused.xi_values()
     assert values == tuple(reused.xi_block(np.arange(n)).tolist())
-    assert values == tuple(reused.xi_at(j) for j in range(n))
+    assert values == tuple(xi_reference(reused, j) for j in range(n))
     assert max(values) <= reused.xi_max
     for run_seed in range(8):
         params = SimParams(lam=4.0, run_seed=run_seed, record_trajectory=True)
@@ -137,8 +143,6 @@ def test_errors():
         env.rho_at(4, 4)
     with pytest.raises(IndexOutOfRange):
         env.rho_at(0, 10)
-    with pytest.raises(IndexOutOfRange):
-        env.xi_at(-1)
     with pytest.raises(ParamViolation):
         Environment(0, 0, XI1, RHO1)
     with pytest.raises(ParamViolation):

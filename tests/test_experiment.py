@@ -425,6 +425,29 @@ def test_annealed_percolation_blocks_are_jobs_invariant(reps):
         assert samples.tobytes() == ref.tobytes(), jobs
 
 
+@pytest.mark.parametrize("measure", ["annealed", "quenched"])
+def test_dynamic_point_splits_on_replications(monkeypatch, measure):
+    # Dynamic points key one stream per replication, so a point of fewer
+    # than SELLKE_BLOCK replications still splits across workers.
+    spans = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            spans.extend(task[-2:] for task in tasks)
+            return super().map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = make_config(engine="dynamic", measure=measure, xi_spec=XI2,
+                         rho_spec=RHOU, n_grid=(30,), lambda_grid=(4.0,),
+                         replications=8)
+    [(ref, failures)] = collect_final_sizes(config, [(0, 30, 4.0)], jobs=1)
+    assert len(ref) == 8 and failures == 0
+    [(samples, _)] = collect_final_sizes(config, [(0, 30, 4.0)], jobs=2)
+    assert spans == [(0, 4), (4, 8)]
+    assert samples.tobytes() == ref.tobytes()
+
+
 def test_quenched_shares_one_environment():
     config = make_config(measure="quenched", xi_spec=XI2, rho_spec=RHOU,
                          replications=64)
@@ -467,6 +490,12 @@ def test_parse_config_text():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ParamViolation):
         config_from_dict(read_config_fields("bogus = 3\n" + CONFIG_TEXT))
+
+
+def test_parse_config_rejects_repeated_field():
+    text = CONFIG_TEXT + "replications = 7\n"
+    with pytest.raises(ParamViolation, match="line 13: field 'replications' given twice"):
+        read_config_fields(text)
 
 
 def test_parse_config_requires_fields():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sirkn import seeding
 
@@ -18,3 +19,22 @@ def test_stream_is_philox_keyed_by_the_key():
         np.testing.assert_array_equal(got.random(5), want.random(5))
         np.testing.assert_array_equal(got.integers(0, 1000, size=5),
                                       want.integers(0, 1000, size=5))
+
+
+@pytest.mark.parametrize("key", [0, 7, (1 << 63) + 5, seeding.MASK64])
+def test_child_key_is_the_salted_mix_of_array_callers(key):
+    n = 50
+    salted = seeding.mix64_array(np.uint64(key) ^ seeding.pair_salt(n))
+    assert [seeding.child_key(key, j) for j in range(n)] == [int(h) for h in salted]
+
+
+def test_derive_key_values_are_pinned():
+    # Every stream and environment key is derived from these; a change here
+    # changes every sample.
+    assert seeding.derive_key() == 0x9E3779B97F4A7C15
+    assert seeding.derive_key(0) == 0x9F8C483A1CD5B002
+    assert seeding.derive_key(7) == 0xD1E5CB17F70BDA16
+    assert seeding.derive_key(3, 1) == 0xCCA908013E42711B
+    assert seeding.derive_key(31, 0x454E56, 2, 5) == 0x9B3381DBFA5B534C
+    assert seeding.derive_key(-1) == 0xE220A8397B1DCDAF
+    assert seeding.derive_key(seeding.MASK64, 1 << 70) == 0x5908D5698A8F5AA3
