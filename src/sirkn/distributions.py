@@ -298,7 +298,8 @@ def _below_one(mixture: list, s):
         else:
             a, b = comp[1], comp[2]
             z = s * (b - a)
-            total += w * (np.expm1(-s * a) * -np.expm1(-z) - _exp_tail(-z)) / z
+            head = np.expm1(-s * a) * -np.expm1(-z) if a else -0.0  # -0.0 at a = 0
+            total += w * (head - _exp_tail(-z)) / z
     return total
 
 
@@ -369,20 +370,27 @@ def log_laplace_deriv(spec: DistSpec, t):
 def _exp_tail(x):
     """e^x - 1 - x elementwise, summed as its series where |x| < 1 to avoid
     cancellation: by Horner's rule, as many terms as the largest such |x|
-    needs for a truncation error below 1e-17 relative.
+    needs for a truncation error below 1e-17 relative.  When every |x| < 1
+    the series is formed on x itself, with the values it has when gathered.
     """
     x = np.asarray(x)
-    out = np.asarray(np.expm1(x) - x)
-    small = np.abs(x) < 1.0
-    y = x[small]
-    top = float(np.abs(y).max(initial=0.0))
+    mag = np.abs(x)
+    small = mag < 1.0
+    every = small.all()
+    y, mag = (x, mag) if every else (x[small], mag[small])
+    top = float(mag.max(initial=0.0))
     last = 2  # the series is x^2 (1/2! + x/3! + ... + x^(last-2)/last!)
     while 2.0 * top ** (last - 1) / math.factorial(last + 1) > 1e-17:
         last += 1
-    poly = 1.0 / math.factorial(last)
+    poly = y * (1.0 / math.factorial(last))
     for k in range(last - 1, 1, -1):
-        poly = poly * y + 1.0 / math.factorial(k)
-    out[small] = poly * y * y
+        poly += 1.0 / math.factorial(k)
+        poly *= y
+    poly *= y
+    if every:
+        return poly
+    out = np.asarray(np.expm1(x) - x)
+    out[small] = poly
     return out
 
 

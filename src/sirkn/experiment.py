@@ -311,9 +311,11 @@ def collect_final_sizes(config: ExperimentConfig,
     stream keyed by (master_seed, grid_index, replication).  Each point's
     replications are cut into `jobs` contiguous chunks and every chunk of
     every point goes through one map: the builtin one at jobs <= 1, else one
-    process pool.  Chunks end on the boundaries of what a stream is keyed by,
-    blocks or replications, so the output is byte-identical for every `jobs`
-    value.
+    process pool, which is handed the chunks in descending (lambda, n) order,
+    costliest first for both engines, so the largest point does not start
+    last; results go back in point order.  Chunks end on the boundaries of
+    what a stream is keyed by, blocks or replications, so the output is
+    byte-identical for every `jobs` value.
     """
     unit = SELLKE_BLOCK if _per_block(config) else 1
     units = -(-config.replications // unit)
@@ -324,8 +326,13 @@ def collect_final_sizes(config: ExperimentConfig,
     if jobs <= 1:
         chunks = list(map(_collect_range, tasks))
     else:
+        order = sorted(range(len(tasks)), reverse=True,
+                       key=lambda i: (tasks[i][3], tasks[i][2]))
+        chunks = [None] * len(tasks)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_collect_range, tasks))
+            ranked = pool.map(_collect_range, [tasks[i] for i in order])
+            for i, chunk in zip(order, ranked):
+                chunks[i] = chunk
     out = []
     for k, (_, n, lam) in enumerate(points):
         mine = chunks[k * len(spans):(k + 1) * len(spans)]

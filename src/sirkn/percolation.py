@@ -196,11 +196,15 @@ def sellke_final_sizes(xi_spec: DistSpec, rho_spec: DistSpec, n: int, lam: float
     while live.size and k < n - 1:
         steps = min(length, max(1, _SELLKE_CHUNK // live.size), n - 1 - k)
         shape = (live.size, steps)
-        gaps = rng.standard_exponential(shape) / np.arange(n - 1 - k, n - 1 - k - steps, -1)
+        gaps = rng.standard_exponential(shape)
+        gaps /= np.arange(n - 1 - k, n - 1 - k - steps, -1)
         t = rng.standard_exponential(shape)
         t /= xi_const if xi_const is not None else quantile(xi_spec, rng.random(shape))
-        q_next = q[:, None] + np.cumsum(gaps, axis=1)
-        total = pressure[:, None] - np.cumsum(log_laplace(rho_spec, s * t), axis=1)
+        q_next = np.cumsum(gaps, axis=1, out=gaps)
+        q_next += q[:, None]
+        t *= s
+        total = np.cumsum(log_laplace(rho_spec, t), axis=1, out=t)  # t is spent
+        np.subtract(pressure[:, None], total, out=total)
         escaped = q_next > total
         stop = escaped.any(axis=1)
         sizes[live[stop]] = k + 1 + escaped[stop].argmax(axis=1)

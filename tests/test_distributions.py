@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from sirkn.distributions import (DistSpec, Moments, ROLE_RECOVERY, ROLE_WEIGHT,
-                                 as_mixture, constant, critical_lambda,
+                                 _exp_tail, as_mixture, constant, critical_lambda,
                                  expect_self_over_self_plus, format_dist,
                                  gamma_p2, log_laplace, log_laplace_deriv, mean,
                                  mean_inverse, mean_inverse_square, moments,
@@ -281,6 +281,21 @@ def test_log_laplace_keeps_relative_precision(text, role):
     # the elementwise form, which the Sellke sampler uses, s = 0 included
     np.testing.assert_allclose(log_laplace(spec, np.append(grid, 0.0)), refs + [0.0],
                                rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("top", [0.0, 1e-9, 1e-2, 0.5, 0.999])
+def test_exp_tail_all_small_path_matches_gathered_path(top):
+    # With every |x| < 1 the series is formed on x itself; one entry of
+    # |x| >= 1 sends the call through the gather and scatter instead.  The
+    # series length comes from the largest small |x| in both, so the small
+    # entries must agree bit for bit.
+    x = np.concatenate([-np.linspace(0.0, top, 40), np.geomspace(1e-300, top or 1e-300, 9),
+                        [-0.0]])
+    fast = _exp_tail(x)
+    assert fast.shape == x.shape
+    for extra in (1.0, -3.5):
+        assert fast.tobytes() == _exp_tail(np.append(x, extra))[:-1].tobytes(), extra
+    assert _exp_tail(x.reshape(5, 10)).tobytes() == fast.tobytes()  # the Sellke blocks
 
 
 @pytest.mark.parametrize("fn,text,role", [

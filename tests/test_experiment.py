@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 
 import numpy as np
@@ -446,6 +447,33 @@ def test_dynamic_point_splits_on_replications(monkeypatch, measure):
     [(samples, _)] = collect_final_sizes(config, [(0, 30, 4.0)], jobs=2)
     assert spans == [(0, 4), (4, 8)]
     assert samples.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("engine,reps", [("percolation", SELLKE_BLOCK + 44),
+                                         ("dynamic", 4)])
+def test_pool_gets_costliest_points_first(monkeypatch, engine, reps):
+    # The pool is handed the tasks in descending (lambda, n) order; the
+    # results still come back per point, equal to point-by-point calls.
+    keys = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            keys.extend((task[3], task[2]) for task in tasks)
+            return super().map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = make_config(engine=engine, xi_spec=XI2, rho_spec=RHOU, n_grid=(30, 15),
+                         lambda_grid=(2.0, 0.5, 1.0), replications=reps)
+    points = [(g, n, lam) for g, (lam, n)
+              in enumerate(itertools.product(config.lambda_grid, config.n_grid))]
+    together = collect_final_sizes(config, points, jobs=2)
+    expected = [(lam, n) for lam in (2.0, 1.0, 0.5) for n in (30, 15) for _ in range(2)]
+    assert keys == expected
+    for point, (samples, failures) in zip(points, together):
+        [(alone, alone_failures)] = collect_final_sizes(config, [point], jobs=1)
+        assert samples.tobytes() == alone.tobytes(), point
+        assert failures == alone_failures == 0
 
 
 def test_quenched_shares_one_environment():

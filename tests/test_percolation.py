@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,13 +9,14 @@ from scipy import integrate
 
 from sirkn import seeding
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, as_mixture,
-                                 mean, mean_inverse, parse_dist)
+                                 critical_lambda, mean, mean_inverse, moments,
+                                 parse_dist)
 from sirkn.dynamics import SimParams, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import ParamViolation
 from sirkn.experiment import wilson_interval
 from sirkn.percolation import (er_giant_component, per_edge_open_probability,
-                               percolation_final_size)
+                               percolation_final_size, sellke_final_sizes)
 
 from reference_stats import chi_square_two_sample
 
@@ -186,6 +188,40 @@ def test_open_probability_validates():
         per_edge_open_probability(RHO1, XI1, -1.0, 3)
     with pytest.raises(ParamViolation):
         per_edge_open_probability(RHO1, XI1, 1.0, 0)
+
+
+# -- Sellke sampler ------------------------------------------------------------
+
+_SELLKE_LAWS = {
+    "classic": ("constant:1", "constant:1"),
+    "uniform": ("two_point:1:0.5:2", "uniform:0:1"),
+    "sparse": ("two_point:1:0.5:2", "two_point:0.01:0.99:1"),
+}
+# sha256 of sellke_final_sizes(xi, rho, n, mult * lambda_c, 256, 17).tobytes():
+# any change to the sampler's arithmetic or draw order shows here.
+_GOLDEN_SELLKE = {
+    ("classic", 100, 0.5): "7ad90c084e9d3ad3685b9c68a893e605f30c3cc5749e4520d2516769d1d36e0b",
+    ("classic", 100, 2.0): "68877dbca0006c2687ed9a7d7ef77dddc9d7b0f5953e6958c22af6c0a44c06c9",
+    ("classic", 10000, 0.5): "d80e62b67efd323c84eac1a9e461336def0b6e730d22bcdea55aa7f8b7a803c1",
+    ("classic", 10000, 2.0): "fdf499ced413428831582ca06a7f532b547a5f2b4936d250d37baf6f6ac62253",
+    ("uniform", 100, 0.5): "82637acb34d9d07fe164b425ce5ef458588af0e2e2354a6b70312ddafce9bac4",
+    ("uniform", 100, 2.0): "7d56bb964ba63c5f1c9a88086204819e567cf1079772bc46f6b06fcc080fc840",
+    ("uniform", 10000, 0.5): "12c362101ca1cb2e451d48629924f630c3e9fae69b7dda18ef60708dece9071f",
+    ("uniform", 10000, 2.0): "7f6568bf1900e272910d371668ce0da9c3337631c8df5f0df9ca92447ebdae0d",
+    ("sparse", 100, 0.5): "6e1aa0010b6fb8260f81da6b842210d2f3063af7e8560425bd0d885bf7775133",
+    ("sparse", 100, 2.0): "88dca584c1d0ce04870028a3c25a01ef714a8a8c95453cc600de2a18ead6328f",
+    ("sparse", 10000, 0.5): "2a4ed1a911ce4864cfa1a1d69a14f680d2d697113df21731655f2f3b9d398152",
+    ("sparse", 10000, 2.0): "05c1c18defca1c765baabfcac82bb446b50189337f930b4648355fdb94993310",
+}
+
+
+@pytest.mark.parametrize("law,n,mult", sorted(_GOLDEN_SELLKE))
+def test_golden_sellke_blocks_are_byte_identical(law, n, mult):
+    xi_text, rho_text = _SELLKE_LAWS[law]
+    xi = parse_dist(xi_text, ROLE_RECOVERY)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
+    sizes = sellke_final_sizes(xi, rho, n, mult * critical_lambda(moments(rho, xi)), 256, 17)
+    assert hashlib.sha256(sizes.tobytes()).hexdigest() == _GOLDEN_SELLKE[law, n, mult]
 
 
 # -- Erdos-Renyi comparison ---------------------------------------------------
