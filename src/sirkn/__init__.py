@@ -10,12 +10,11 @@ that locates the phase transition at lambda_c = 1 / (E[rho] * E[1/xi]).
 from .distributions import (DistSpec, Moments, constant, critical_lambda,
                             moments, parse_dist, two_point, uniform,
                             validate_spec)
-from .dynamics import EpidemicState, RunResult, SimParams, gillespie_run
+from .dynamics import EpidemicState, RunResult, gillespie_run
 from .environment import Environment
 from .experiment import ExperimentConfig, run_batch, sweep, wilson_interval
 from .meanfield import MeanFieldState, final_size_fixed_point, ode_solve
-from .percolation import (ReachResult, er_giant_component,
-                          per_edge_open_probability, percolation_final_size)
+from .percolation import ReachResult, er_giant_component, percolation_final_size
 
 __version__ = "0.1.0"
 
@@ -23,9 +22,8 @@ __all__ = [
     "DistSpec", "Moments", "constant", "uniform", "two_point", "parse_dist",
     "validate_spec", "moments", "critical_lambda",
     "Environment",
-    "EpidemicState", "SimParams", "RunResult", "gillespie_run",
-    "ReachResult", "percolation_final_size", "per_edge_open_probability",
-    "er_giant_component",
+    "EpidemicState", "RunResult", "gillespie_run",
+    "ReachResult", "percolation_final_size", "er_giant_component",
     "MeanFieldState", "ode_solve", "final_size_fixed_point",
     "ExperimentConfig", "run_batch", "sweep", "wilson_interval",
     "__version__",

@@ -20,9 +20,9 @@ from pathlib import Path
 
 from . import seeding
 from .distributions import ROLE_RECOVERY, ROLE_WEIGHT, format_dist, parse_dist
-from .dynamics import SimParams, gillespie_run, trajectory_rows
+from .dynamics import gillespie_run, trajectory_rows
 from .environment import Environment
-from .errors import ParamViolation, SirknError, SupportViolation, check_lambda
+from .errors import ParamViolation, SirknError, SupportViolation
 from .experiment import (ExperimentConfig, config_from_dict, config_to_dict,
                          config_hash, read_config_fields, run_batch, sweep,
                          write_sweep)
@@ -62,7 +62,6 @@ def _jobs(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    check_lambda(args.lam)
     xi = parse_dist(args.xi, ROLE_RECOVERY)
     rho = parse_dist(args.rho, ROLE_WEIGHT)
     resolved = {
@@ -77,11 +76,8 @@ def _cmd_simulate(args) -> int:
     }
     out = _outdir(args, resolved)
     env = Environment(args.n, seeding.derive_key(args.seed, _TAG_CLI_ENV), xi, rho)
-    params = SimParams(lam=args.lam,
-                       run_seed=seeding.derive_key(args.seed, _TAG_CLI_RUN),
-                       max_events=args.max_events,
-                       record_trajectory=bool(args.trajectory))
-    result = gillespie_run(env, params)
+    result = gillespie_run(env, args.lam, seeding.derive_key(args.seed, _TAG_CLI_RUN),
+                           args.max_events, args.trajectory)
     _write_json(out / "run.json", {"config": resolved, "result": result.to_dict()})
     if args.trajectory:
         rows = trajectory_rows(result, args.n)
@@ -94,7 +90,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_percolate(args) -> int:
-    check_lambda(args.lam)
     xi = parse_dist(args.xi, ROLE_RECOVERY)
     rho = parse_dist(args.rho, ROLE_WEIGHT)
     resolved = {
@@ -145,7 +140,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_meanfield(args) -> int:
-    check_lambda(args.lam)
     _require(0.0 <= args.i0 <= 1.0, f"i0 in [0, 1] is required (got {args.i0})")
     s0 = args.s0 if args.s0 is not None else 1.0 - args.i0
     _require(0.0 <= s0 and s0 + args.i0 <= 1.0 + 1e-12,
@@ -178,8 +172,6 @@ def _cmd_meanfield(args) -> int:
 
 
 def _cmd_er(args) -> int:
-    _require(args.n >= 1, f"n >= 1 is required (got {args.n})")
-    _require(args.mu >= 0, f"mu >= 0 is required (got {args.mu})")
     resolved = {"subcommand": "er", "n": args.n, "mu": args.mu, "seed": args.seed}
     out = _outdir(args, resolved)
     size = er_giant_component(args.n, args.mu, args.seed)
@@ -194,12 +186,9 @@ def _cmd_er(args) -> int:
 
 def _cmd_no_spread(args) -> int:
     jobs = _jobs(args)
-    check_lambda(args.lam)
-    xi = parse_dist(args.xi, ROLE_RECOVERY)
-    rho = parse_dist(args.rho, ROLE_WEIGHT)
     config = config_from_dict({
-        "xi_spec": xi,
-        "rho_spec": rho,
+        "xi_spec": args.xi,
+        "rho_spec": args.rho,
         "n_grid": [args.n],
         "lambda_grid": [args.lam],
         "replications": args.reps,

@@ -406,10 +406,8 @@ def gamma_p2(z):
                         np.exp(-z) * _exp_tail(z))
 
 
-def psi(xi_spec: DistSpec, rho_spec: DistSpec, s: float, theta: float,
-        complement: bool = False) -> float:
-    """psi(theta) = E[phi(s T)^theta] with T ~ Exp(xi), phi(u) = E e^{-u rho};
-    1 - psi(theta) when `complement` is set.
+def psi(xi_spec: DistSpec, rho_spec: DistSpec, s: float, theta: float) -> float:
+    """psi(theta) = E[phi(s T)^theta] with T ~ Exp(xi), phi(u) = E e^{-u rho}.
 
     It is the one integral behind the analytic references:
 
@@ -418,15 +416,10 @@ def psi(xi_spec: DistSpec, rho_spec: DistSpec, s: float, theta: float,
     whose factors have closed forms for every law in the menu, so the value
     is exact to quadrature tolerance for atomic and uniform laws alike.  The
     integrand is formed in log space, on all nodes of a subinterval at once;
-    phi^theta underflows otherwise.  The complement integrates
-    E[xi e^{-t xi}] (1 - phi(s t)^theta), so a small 1 - psi keeps its
-    relative precision.
+    phi^theta underflows otherwise.
     """
     def integrand(t):
-        log_phi = theta * log_laplace(rho_spec, s * t)
-        if complement:
-            return np.exp(log_laplace_deriv(xi_spec, t)) * -np.expm1(log_phi)
-        return np.exp(log_laplace_deriv(xi_spec, t) + log_phi)
+        return np.exp(log_laplace_deriv(xi_spec, t) + theta * log_laplace(rho_spec, s * t))
 
     val, err = quad(integrand, 0.0, math.inf, epsabs=1e-14, epsrel=1e-12, limit=200)
     if not err <= max(1e-10 * abs(val), 1e-13):

@@ -4,8 +4,9 @@ The process starts from one infective at vertex 0.  An infective i recovers
 at rate xi(i); a susceptible i is infected at rate (lam/n) * sum of rho(i, j)
 over infective j.  `EpidemicState.run` is the one event loop: it holds the
 state in local variables (Python lists for the packed vertex sets) and
-executes events until absorption or a cap; `gillespie_run` calls it once,
-and tests step it one event at a time.  The weight law picks one of its two
+executes events until absorption or a cap.  `gillespie_run(env, lam,
+run_seed)`, called like `percolation.percolation_final_size`, runs it once;
+tests step it one event at a time.  The weight law picks one of its two
 exact event selections:
 
 * thinning (Lewis & Shedler), used when the mean acceptance
@@ -54,14 +55,6 @@ def _variates(draw, size: int):
     """Endless iterator over the variates of draw(size), one block at a time."""
     while True:
         yield from draw(size).tolist()
-
-
-@dataclass(frozen=True)
-class SimParams:
-    lam: float
-    run_seed: int
-    max_events: Optional[int] = None  # defaults to 50 * n
-    record_trajectory: bool = False
 
 
 @dataclass
@@ -260,28 +253,32 @@ class EpidemicState:
         return events
 
 
-def gillespie_run(env: Environment, params: SimParams) -> RunResult:
-    """Simulate to absorption (I empty) or the event cap.
+def gillespie_run(env: Environment, lam: float, run_seed: int,
+                  max_events: Optional[int] = None,
+                  record_trajectory: bool = False) -> RunResult:
+    """Simulate from the stream keyed by run_seed to absorption (I empty) or
+    the event cap, max_events (default 50 n).
 
     r_infinity counts ever-infected vertices, which equals n - |S_final|
     because S only shrinks and R_0 is empty.  Truncated runs therefore report
-    a lower bound.
+    a lower bound.  With record_trajectory the result keeps one
+    (time, event, vertex) row per event.
     """
-    check_lambda(params.lam)
-    max_events = params.max_events if params.max_events is not None else 50 * env.n
+    if max_events is None:
+        max_events = 50 * env.n
     if max_events < 1:
         raise ParamViolation(f"max_events must satisfy max_events >= 1 (got {max_events})")
 
-    state = EpidemicState(env, params.lam)
-    trajectory = [] if params.record_trajectory else None
-    events = state.run(seeding.stream(params.run_seed), max_events, trajectory)
+    state = EpidemicState(env, lam)
+    trajectory = [] if record_trajectory else None
+    events = state.run(seeding.stream(run_seed), max_events, trajectory)
     return RunResult(
         r_infinity=state.n - state.s_count,
         extinction_time=state.time,
         events_executed=events,
         engine="dynamic",
         env_seed=env.seed,
-        run_seed=params.run_seed,
+        run_seed=run_seed,
         truncated=state.i_count > 0,
         trajectory=trajectory,
     )

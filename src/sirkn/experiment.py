@@ -33,7 +33,7 @@ from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT,
                             validate_spec)
 # Not used here; perfbench/child.py traces it under this module's name.
 from .distributions import quantile  # noqa: F401
-from .dynamics import SimParams, gillespie_run
+from .dynamics import gillespie_run
 from .environment import Environment
 from .errors import ParamViolation, SirknError, check_lambda
 from .meanfield import classic_specs, final_size_fixed_point
@@ -181,17 +181,15 @@ def _number(key: str, kind: type, val):
 
 
 def config_from_dict(values: dict) -> ExperimentConfig:
-    """Build a config from field values given as text or as typed values.
+    """Build a config from field values given as text.
 
-    This is the one place where config numbers are converted; a value that
-    does not convert raises ParamViolation naming its field.
+    This is the one place where config specs and numbers are converted; a
+    value that does not convert raises ParamViolation naming its field.
     """
     missing = [k for k in ("xi_spec", "rho_spec", "n_grid", "lambda_grid",
                            "replications") if k not in values]
     if missing:
         raise ParamViolation(f"config missing required fields: {', '.join(missing)}")
-    xi = values["xi_spec"]
-    rho = values["rho_spec"]
     # Optional fields that are not given keep the ExperimentConfig defaults.
     optional = {key: values[key] for key in ("engine", "measure", "lambda_units")
                 if key in values}
@@ -199,8 +197,8 @@ def config_from_dict(values: dict) -> ExperimentConfig:
                     in (("epsilon", float), ("confidence", float), ("master_seed", int))
                     if key in values)
     return ExperimentConfig(
-        xi_spec=xi if isinstance(xi, DistSpec) else parse_dist(str(xi), ROLE_RECOVERY),
-        rho_spec=rho if isinstance(rho, DistSpec) else parse_dist(str(rho), ROLE_WEIGHT),
+        xi_spec=parse_dist(str(values["xi_spec"]), ROLE_RECOVERY),
+        rho_spec=parse_dist(str(values["rho_spec"]), ROLE_WEIGHT),
         n_grid=tuple(_number("n_grid", int, v) for v in values["n_grid"]),
         lambda_grid=tuple(_number("lambda_grid", float, v) for v in values["lambda_grid"]),
         replications=_number("replications", int, values["replications"]),
@@ -290,8 +288,7 @@ def _collect_range(task):
             if config.engine == ENGINE_PERCOLATION:
                 out[done] = percolation_final_size(env, lam, run_seed).r_infinity
             else:
-                out[done] = gillespie_run(
-                    env, SimParams(lam=lam, run_seed=run_seed)).r_infinity
+                out[done] = gillespie_run(env, lam, run_seed).r_infinity
         except SirknError:
             continue
         done += 1

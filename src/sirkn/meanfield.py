@@ -50,10 +50,10 @@ def ode_solve(lam: float, init: MeanFieldState, horizon: float = 50.0,
     this triggers only on wildly inappropriate steps).
     """
     check_lambda(lam)
-    if step <= 0:
-        raise ParamViolation(f"step must be positive (got {step})")
-    if horizon < 0:
-        raise ParamViolation(f"horizon must be nonnegative (got {horizon})")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ParamViolation(f"step must be finite and positive (got {step})")
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        raise ParamViolation(f"horizon must be finite and nonnegative (got {horizon})")
     _validate_state(init)
 
     out = [init]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .distributions import DistSpec, log_laplace, psi, quantile, validate_spec
+from .distributions import DistSpec, log_laplace, quantile
 from .environment import Environment
 from .errors import ParamViolation, check_lambda
 
@@ -216,24 +216,6 @@ def sellke_final_sizes(xi_spec: DistSpec, rho_spec: DistSpec, n: int, lam: float
 
 
 # ---------------------------------------------------------------------------
-# Per-arc open probability E[(lam/n) rho / ((lam/n) rho + xi)]
-
-
-def per_edge_open_probability(rho_spec: DistSpec, xi_spec: DistSpec,
-                              lam: float, n: int) -> float:
-    """Probability an infective endpoint infects a given neighbor before
-    recovering: 1 - psi(1) at s = lam/n (`distributions.psi`), since the arc
-    stays closed with probability E[phi(lam T / n)], phi(u) = E e^{-u rho}.
-    """
-    validate_spec(rho_spec)
-    validate_spec(xi_spec)
-    if n < 1:
-        raise ParamViolation(f"n must satisfy n >= 1 (got {n})")
-    check_lambda(lam)
-    return psi(xi_spec, rho_spec, lam / n, 1, complement=True)
-
-
-# ---------------------------------------------------------------------------
 # Erdos-Renyi giant component comparison
 
 
@@ -272,8 +254,8 @@ def er_giant_component(n: int, mu: float, seed: int) -> int:
     """
     if n < 1:
         raise ParamViolation(f"n must satisfy n >= 1 (got {n})")
-    if mu < 0:
-        raise ParamViolation(f"mu must satisfy mu >= 0 (got {mu})")
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ParamViolation(f"mu must be finite and satisfy mu >= 0 (got {mu})")
     if n == 1 or mu == 0.0:
         return 1
     p = mu / n

@@ -197,7 +197,22 @@ def test_usage_error_exits_one(tmp_path, capsys, args):
     ["simulate", "--n", "0", "--lambda", "1"],
     ["percolate", "--n", "0", "--lambda", "1"],
     ["meanfield", "--lambda", "2", "--step", "0"],
-], ids=["simulate", "percolate", "meanfield"])
+    ["simulate", "--n", "5", "--lambda", "-1"],
+    ["percolate", "--n", "5", "--lambda", "nan"],
+    ["meanfield", "--lambda", "inf"],
+    ["meanfield", "--lambda", "2", "--step", "nan"],
+    ["meanfield", "--lambda", "2", "--step", "inf"],
+    ["meanfield", "--lambda", "2", "--horizon", "nan"],
+    ["meanfield", "--lambda", "2", "--horizon", "inf"],
+    ["er", "--n", "10", "--mu", "nan"],
+    ["er", "--n", "10", "--mu", "-1"],
+    ["er", "--n", "0", "--mu", "1"],
+    ["no-spread", "--n", "10", "--lambda", "nan", "--reps", "10", "--jobs", "1"],
+    ["no-spread", "--n", "10", "--lambda", "1", "--xi", "constant:0", "--jobs", "1"],
+], ids=["simulate", "percolate", "meanfield", "simulate-lambda", "percolate-lambda",
+        "meanfield-lambda", "meanfield-step-nan", "meanfield-step-inf",
+        "meanfield-horizon-nan", "meanfield-horizon-inf", "er-mu-nan", "er-mu-negative",
+        "er-n", "no-spread-lambda", "no-spread-xi"])
 def test_validation_error_leaves_no_output_directory(tmp_path, capsys, args):
     assert run_cli(args, tmp_path) == 1
     assert "error:" in capsys.readouterr().err

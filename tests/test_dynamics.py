@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sirkn import seeding
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda,
                                  moments, parse_dist, support)
-from sirkn.dynamics import (INFECTION, RECOVERY, EpidemicState, SimParams,
-                            gillespie_run, trajectory_rows)
+from sirkn.dynamics import (INFECTION, RECOVERY, EpidemicState, gillespie_run,
+                            trajectory_rows)
 from sirkn.environment import Environment
 from sirkn.errors import DeadState, ParamViolation, SupportViolation
 from sirkn.experiment import wilson_interval
@@ -60,7 +60,7 @@ def test_oracle_is_a_distribution():
 
 def test_lambda_zero_single_recovery():
     env = Environment(100, 5, XI1, RHO1)
-    res = gillespie_run(env, SimParams(lam=0.0, run_seed=1))
+    res = gillespie_run(env, 0.0, 1)
     assert res.r_infinity == 1
     assert res.events_executed == 1
     assert not res.truncated
@@ -68,7 +68,7 @@ def test_lambda_zero_single_recovery():
 
 def test_n1_instant_absorption():
     env = Environment(1, 5, XI1, RHO1)
-    res = gillespie_run(env, SimParams(lam=2.0, run_seed=3))
+    res = gillespie_run(env, 2.0, 3)
     assert res.r_infinity == 1
     assert res.events_executed == 1
 
@@ -77,7 +77,7 @@ def test_two_vertex_race_probability():
     # P(r = 2) = (lam/n) / ((lam/n) + 1) = 1/2 at lam = 2, n = 2
     env = Environment(2, 17, XI1, RHO1)
     reps = 20_000
-    hits = sum(gillespie_run(env, SimParams(lam=2.0, run_seed=r)).r_infinity == 2
+    hits = sum(gillespie_run(env, 2.0, r).r_infinity == 2
                for r in range(reps))
     lo, hi = wilson_interval(hits, reps, 0.99)
     assert lo <= 0.5 <= hi
@@ -87,7 +87,7 @@ def test_three_vertex_distribution_matches_enumeration():
     env = Environment(3, 8, XI1, RHO1)
     reps = 100_000
     samples = np.fromiter(
-        (gillespie_run(env, SimParams(lam=2.0, run_seed=r)).r_infinity
+        (gillespie_run(env, 2.0, r).r_infinity
          for r in range(reps)), dtype=np.int64, count=reps)
     dist = final_size_distribution_symmetric(3, 2.0)
     observed = np.array([(samples == k).sum() for k in (1, 2, 3)], dtype=float)
@@ -100,7 +100,7 @@ def test_three_vertex_distribution_matches_enumeration():
 def test_final_state_absorbed_and_r_equals_removed():
     env = Environment(60, 4, parse_dist("two_point:1:0.5:2", ROLE_RECOVERY),
                       parse_dist("uniform:0:1", ROLE_WEIGHT))
-    res = gillespie_run(env, SimParams(lam=4.0, run_seed=2, record_trajectory=True))
+    res = gillespie_run(env, 4.0, 2, record_trajectory=True)
     assert not res.truncated
     rows = trajectory_rows(res, 60)
     # absorbing state: no infectives left, removed count equals r_infinity
@@ -112,7 +112,7 @@ def test_final_state_absorbed_and_r_equals_removed():
 
 def test_monotone_removal_and_unit_steps():
     env = Environment(50, 12, XI1, RHO1)
-    res = gillespie_run(env, SimParams(lam=3.0, run_seed=9, record_trajectory=True))
+    res = gillespie_run(env, 3.0, 9, record_trajectory=True)
     r_prev, i_prev = 0, 1
     for _, kind, _vertex in res.trajectory:
         if kind == RECOVERY:
@@ -127,9 +127,8 @@ def test_monotone_removal_and_unit_steps():
 def test_seed_determinism_bit_identical():
     env = Environment(40, 3, parse_dist("two_point:1:0.25:3", ROLE_RECOVERY),
                       parse_dist("uniform:0.2:0.9", ROLE_WEIGHT))
-    p = SimParams(lam=2.5, run_seed=77, record_trajectory=True)
-    a = gillespie_run(env, p)
-    b = gillespie_run(env, p)
+    a = gillespie_run(env, 2.5, 77, record_trajectory=True)
+    b = gillespie_run(env, 2.5, 77, record_trajectory=True)
     assert a.r_infinity == b.r_infinity
     assert a.extinction_time == b.extinction_time
     assert a.trajectory == b.trajectory
@@ -137,7 +136,7 @@ def test_seed_determinism_bit_identical():
 
 def test_event_cap_flags_truncated():
     env = Environment(200, 6, XI1, RHO1)
-    res = gillespie_run(env, SimParams(lam=5.0, run_seed=1, max_events=3))
+    res = gillespie_run(env, 5.0, 1, max_events=3)
     assert res.truncated
     assert res.events_executed == 3
     assert res.r_infinity >= 1  # lower bound on ever-infected
@@ -291,7 +290,7 @@ def test_dynamic_matches_percolation_distribution(rho_text):
     perc = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         env = Environment(10, seeding.derive_key(env_seed, 0, r), xi, rho)
-        dyn[r] = gillespie_run(env, SimParams(lam=lam, run_seed=r)).r_infinity
+        dyn[r] = gillespie_run(env, lam, r).r_infinity
         env = Environment(10, seeding.derive_key(env_seed, 1, r), xi, rho)
         perc[r] = percolation_final_size(env, lam, r).r_infinity
     _, _, p = chi_square_two_sample(dyn, perc)
@@ -331,10 +330,8 @@ def test_constant_weight_scales_out_of_thinning(monkeypatch):
     monkeypatch.setattr(Environment, "rho_at", no_lookup)
     half = parse_dist("constant:0.5", ROLE_WEIGHT)
     for seed in range(20):
-        a = gillespie_run(Environment(30, 1, XI1, RHO1),
-                          SimParams(lam=3.0, run_seed=seed, record_trajectory=True))
-        b = gillespie_run(Environment(30, 1, XI1, half),
-                          SimParams(lam=6.0, run_seed=seed, record_trajectory=True))
+        a = gillespie_run(Environment(30, 1, XI1, RHO1), 3.0, seed, record_trajectory=True)
+        b = gillespie_run(Environment(30, 1, XI1, half), 6.0, seed, record_trajectory=True)
         assert a.trajectory == b.trajectory
 
 
@@ -369,8 +366,7 @@ def test_golden_runs_are_byte_identical(case):
     rho = parse_dist(rho_text, ROLE_WEIGHT)
     lam = lam_units * critical_lambda(moments(rho, xi))
     res = gillespie_run(Environment(n, env_seed, xi, rho),
-                        SimParams(lam=lam, run_seed=run_seed, max_events=cap,
-                                  record_trajectory=True))
+                        lam, run_seed, max_events=cap, record_trajectory=True)
     text = "\n".join(f"{t.hex()} {kind} {v}" for t, kind, v in res.trajectory)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (res.r_infinity, res.events_executed, res.extinction_time.hex(),
@@ -381,9 +377,9 @@ def test_golden_runs_are_byte_identical(case):
 def test_invalid_params_rejected():
     env = Environment(5, 0, XI1, RHO1)
     with pytest.raises(ParamViolation):
-        gillespie_run(env, SimParams(lam=-1.0, run_seed=0))
+        gillespie_run(env, -1.0, 0)
     with pytest.raises(ParamViolation):
-        gillespie_run(env, SimParams(lam=1.0, run_seed=0, max_events=0))
+        gillespie_run(env, 1.0, 0, max_events=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -392,7 +388,7 @@ def test_invalid_params_rejected():
        st.floats(min_value=0.0, max_value=6.0))
 def test_run_invariants_property(seed, n, lam):
     env = Environment(n, seed, XI1, parse_dist("uniform:0:1", ROLE_WEIGHT))
-    res = gillespie_run(env, SimParams(lam=lam, run_seed=seed ^ 1))
+    res = gillespie_run(env, lam, seed ^ 1)
     assert 1 <= res.r_infinity <= n
     assert res.extinction_time > 0
     assert res.events_executed == 2 * res.r_infinity - 1  # r recoveries + r-1 infections

@@ -6,7 +6,7 @@ from scipy import stats as spstats
 
 from sirkn import seeding
 from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, parse_dist, quantile
-from sirkn.dynamics import SimParams, gillespie_run
+from sirkn.dynamics import gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import IndexOutOfRange, ParamViolation, SelfLoop
 
@@ -82,7 +82,7 @@ def test_rho_at_memo_agrees_with_vector_paths(rho_text):
     n = 30
     rho = parse_dist(rho_text, ROLE_WEIGHT)
     reused = Environment(n, 78, XI1, rho)
-    gillespie_run(reused, SimParams(lam=20.0, run_seed=1))
+    gillespie_run(reused, 20.0, 1)
     assert reused._lo_keys  # the run filled the memo
     for env in (Environment(n, 77, XI1, rho), reused):
         for _ in range(2):  # second pass: every key comes from the memo
@@ -119,9 +119,8 @@ def test_xi_values_computed_once_and_runs_on_reused_environment_agree(xi_text):
     assert values == tuple(xi_reference(reused, j) for j in range(n))
     assert max(values) <= reused.xi_max
     for run_seed in range(8):
-        params = SimParams(lam=4.0, run_seed=run_seed, record_trajectory=True)
-        a = gillespie_run(reused, params)
-        b = gillespie_run(Environment(n, 5, xi, rho), params)
+        a = gillespie_run(reused, 4.0, run_seed, record_trajectory=True)
+        b = gillespie_run(Environment(n, 5, xi, rho), 4.0, run_seed, record_trajectory=True)
         assert a.trajectory == b.trajectory and a.r_infinity == b.r_infinity
 
 

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as spstats
 
+import sirkn
 import sirkn.distributions
 import sirkn.experiment
 from sirkn import seeding
 from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, as_mixture, parse_dist
-from sirkn.dynamics import EpidemicState, SimParams, gillespie_run
+from sirkn.dynamics import EpidemicState, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import ParamViolation, QuadratureFailure, SirknError
 from sirkn.experiment import (ExperimentConfig, batch_stats_from_samples,
@@ -24,8 +25,7 @@ from sirkn.experiment import (ExperimentConfig, batch_stats_from_samples,
                               sweep, sweep_csv_text, SWEEP_CSV_COLUMNS,
                               wilson_interval, write_sweep)
 from sirkn.meanfield import MeanFieldState, final_size_fixed_point, ode_solve
-from sirkn.percolation import (SELLKE_BLOCK, per_edge_open_probability,
-                               percolation_final_size, sellke_final_sizes)
+from sirkn.percolation import SELLKE_BLOCK, percolation_final_size, sellke_final_sizes
 
 from reference_stats import chi_square_two_sample
 
@@ -265,12 +265,10 @@ def test_no_spread_references_reject_invalid_lambda(lam):
 _LAMBDA_ENTRIES = {
     "EpidemicState": lambda lam: EpidemicState(Environment(10, 1, XI1, RHOU), lam).run(
         seeding.stream(0), 1),
-    "gillespie_run": lambda lam: gillespie_run(Environment(10, 1, XI1, RHO1),
-                                               SimParams(lam=lam, run_seed=0)),
+    "gillespie_run": lambda lam: gillespie_run(Environment(10, 1, XI1, RHO1), lam, 0),
     "percolation_final_size": lambda lam: percolation_final_size(
         Environment(10, 1, XI1, RHO1), lam, 0),
     "sellke_final_sizes": lambda lam: sellke_final_sizes(XI1, RHO1, 10, lam, 4, 0),
-    "per_edge_open_probability": lambda lam: per_edge_open_probability(RHO1, XI1, lam, 10),
     "validate_config": lambda lam: make_config(lambda_grid=(lam,)),
     "ode_solve": lambda lam: ode_solve(lam, MeanFieldState(s=0.99, i=0.01, r=0.0)),
     "final_size_fixed_point": lambda lam: final_size_fixed_point(lam, 0.99, 0.01),
@@ -282,6 +280,12 @@ _LAMBDA_ENTRIES = {
 def test_public_entries_reject_invalid_lambda(entry, lam):
     with pytest.raises(ParamViolation):
         _LAMBDA_ENTRIES[entry](lam)
+
+
+def test_every_exported_name_resolves():
+    # `import sirkn` does not read __all__, so a stale export would go unseen
+    missing = [name for name in sirkn.__all__ if not hasattr(sirkn, name)]
+    assert not missing
 
 
 def test_estimate_p_no_spread_matches_analytic():

@@ -82,6 +82,10 @@ def test_validation_errors():
         ode_solve(-1.0, MeanFieldState(1.0, 0.0, 0.0))
     with pytest.raises(ParamViolation):
         ode_solve(1.0, MeanFieldState(0.5, 0.2, 0.3), step=0.0)
+    for bad in ({"step": math.nan}, {"step": math.inf}, {"horizon": math.nan},
+                {"horizon": math.inf}, {"horizon": -1.0}):
+        with pytest.raises(ParamViolation):
+            ode_solve(1.0, MeanFieldState(0.5, 0.2, 0.3), **bad)
     with pytest.raises(ParamViolation):
         ode_solve(1.0, MeanFieldState(0.9, 0.5, 0.3))  # sums to 1.7
     with pytest.raises(ParamViolation):

@@ -3,20 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy import integrate
 
 from sirkn import seeding
-from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, as_mixture,
-                                 critical_lambda, mean, mean_inverse, moments,
+from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda, moments,
                                  parse_dist)
-from sirkn.dynamics import SimParams, gillespie_run
+from sirkn.dynamics import gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import ParamViolation
 from sirkn.experiment import wilson_interval
-from sirkn.percolation import (er_giant_component, per_edge_open_probability,
-                               percolation_final_size, sellke_final_sizes)
+from sirkn.percolation import er_giant_component, percolation_final_size, sellke_final_sizes
 
 from reference_stats import chi_square_two_sample
 
@@ -50,7 +45,7 @@ def test_matches_dynamic_engine_small_n():
     for r in range(reps):
         env = Environment(10, seeding.derive_key(9, r), XI2, RHOU)
         perc[r] = percolation_final_size(env, lam, r).r_infinity
-        dyn[r] = gillespie_run(env, SimParams(lam=lam, run_seed=r ^ 5)).r_infinity
+        dyn[r] = gillespie_run(env, lam, r ^ 5).r_infinity
     _, _, p = chi_square_two_sample(perc, dyn)
     assert p > 0.01
 
@@ -95,101 +90,6 @@ def test_reached_always_contains_origin():
         assert res.r_infinity == len(res.reached) >= 1
 
 
-# -- per-arc open probability -------------------------------------------------
-
-def test_open_probability_constants():
-    assert per_edge_open_probability(RHO1, XI1, 2.0, 2) == pytest.approx(0.5)
-    assert per_edge_open_probability(RHO1, XI1, 0.0, 5) == 0.0
-
-
-def test_open_probability_mc_oracle_uniform_rho():
-    # rho ~ U(0,1), xi = 1, lam = 1, n = 10, 1e7-sample Monte Carlo oracle
-    lam, n = 1.0, 10
-    val = per_edge_open_probability(RHOU, XI1, lam, n)
-    rng = np.random.default_rng(123)
-    c = lam / n
-    mc = ((c * (u := rng.random(10_000_000))) / (c * u + 1.0))
-    se = mc.std() / math.sqrt(mc.size)
-    assert abs(val - mc.mean()) < 4 * se
-
-
-def test_open_probability_double_uniform_quadrature_vs_mc():
-    xi = parse_dist("uniform:1:3", ROLE_RECOVERY)
-    lam, n = 2.0, 7
-    val = per_edge_open_probability(RHOU, xi, lam, n)
-    rng = np.random.default_rng(7)
-    c = lam / n
-    rho = rng.random(5_000_000)
-    s = 1.0 + 2.0 * rng.random(5_000_000)
-    samples = c * rho / (c * rho + s)
-    se = samples.std() / math.sqrt(samples.size)
-    assert abs(val - samples.mean()) < 4 * se
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=0.01, max_value=8.0), st.integers(min_value=1, max_value=50))
-def test_open_probability_bounded_by_moment_product(lam, n):
-    for rho_spec, xi_spec in [(RHO1, XI2), (RHOU, XI1), (RHOU, XI2)]:
-        p = per_edge_open_probability(rho_spec, xi_spec, lam, n)
-        bound = (lam / n) * mean(rho_spec) * mean_inverse(xi_spec)
-        assert p <= bound + 1e-12
-        assert p >= 0.0
-
-
-def open_probability_oracle(rho_spec, xi_spec, lam, n):
-    """E[c rho / (c rho + xi)], c = lam/n, per pair of mixture components:
-    closed forms where either side is an atom, a 2-d quadrature for
-    uniform x uniform."""
-    c = lam / n
-    total = 0.0
-    for w_r, comp_r in as_mixture(rho_spec):
-        for w_x, comp_x in as_mixture(xi_spec):
-            if comp_r[0] == "atom" and comp_x[0] == "atom":
-                v, s = comp_r[1], comp_x[1]
-                p = c * v / (c * v + s)
-            elif comp_r[0] == "atom":
-                v, (a, b) = comp_r[1], comp_x[1:]
-                p = c * v * math.log1p((b - a) / (a + c * v)) / (b - a)
-            elif comp_x[0] == "atom":
-                (a, b), s = comp_r[1:], comp_x[1]
-                p = 1.0 - (s / (c * (b - a))) * math.log1p(c * (b - a) / (c * a + s))
-            else:
-                (a, b), (a2, b2) = comp_r[1:], comp_x[1:]
-                p, _ = integrate.dblquad(lambda r, s: c * r / (c * r + s), a2, b2, a, b,
-                                         epsabs=1e-13, epsrel=1e-12)
-                p /= (b - a) * (b2 - a2)
-            total += w_r * w_x * p
-    return total
-
-
-@pytest.mark.parametrize("rho_text", ["constant:1", "uniform:0:1", "two_point:0.2:0.4:0.8",
-                                      "two_point:0:0.5:1", "uniform:0.25:0.75"])
-@pytest.mark.parametrize("xi_text", ["constant:1", "two_point:1:0.5:2", "uniform:1:3",
-                                     "shifted:uniform:0:1:+1"])
-def test_open_probability_matches_closed_forms(xi_text, rho_text):
-    xi = parse_dist(xi_text, ROLE_RECOVERY)
-    rho = parse_dist(rho_text, ROLE_WEIGHT)
-    for lam in (0.1, 1.0, 5.0, 50.0):
-        for n in (2, 10, 1000):
-            assert per_edge_open_probability(rho, xi, lam, n) == pytest.approx(
-                open_probability_oracle(rho, xi, lam, n), abs=1e-10), (lam, n)
-
-
-def test_open_probability_keeps_relative_precision():
-    # 1 - psi(1) is integrated as such, not subtracted from psi(1) ~ 1:
-    # xi = 1, rho ~ U(0, 1) gives 1 - log1p(c) / c = c/2 - c^2/3 + c^3/4 - ...
-    for c in (1e-3, 1e-6, 1e-9):
-        want = c / 2 - c * c / 3 + c ** 3 / 4 - c ** 4 / 5
-        assert per_edge_open_probability(RHOU, XI1, c, 1) == pytest.approx(want, rel=1e-12)
-
-
-def test_open_probability_validates():
-    with pytest.raises(ParamViolation):
-        per_edge_open_probability(RHO1, XI1, -1.0, 3)
-    with pytest.raises(ParamViolation):
-        per_edge_open_probability(RHO1, XI1, 1.0, 0)
-
-
 # -- Sellke sampler ------------------------------------------------------------
 
 _SELLKE_LAWS = {
@@ -230,6 +130,12 @@ def test_er_trivial_cases():
     assert er_giant_component(10, 10.0, 0) == 10  # p = 1: complete graph
     assert er_giant_component(10, 0.0, 0) == 1
     assert er_giant_component(1, 5.0, 0) == 1
+
+
+@pytest.mark.parametrize("mu", [-1.0, float("nan"), float("inf")])
+def test_er_rejects_invalid_mu(mu):
+    with pytest.raises(ParamViolation):
+        er_giant_component(10, mu, 0)
 
 
 def test_er_pair_decode_is_exhaustive():
