@@ -140,10 +140,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_meanfield(args) -> int:
-    _require(0.0 <= args.i0 <= 1.0, f"i0 in [0, 1] is required (got {args.i0})")
     s0 = args.s0 if args.s0 is not None else 1.0 - args.i0
-    _require(0.0 <= s0 and s0 + args.i0 <= 1.0 + 1e-12,
-             f"s0 >= 0 and s0 + i0 <= 1 are required (got s0={s0}, i0={args.i0})")
     resolved = {
         "subcommand": "meanfield",
         "lambda": args.lam,

@@ -6,19 +6,14 @@ over infective j.  `EpidemicState.run` is the one event loop: it holds the
 state in local variables (Python lists for the packed vertex sets) and
 executes events until absorption or a cap.  `gillespie_run(env, lam,
 run_seed)`, called like `percolation.percolation_final_size`, runs it once;
-tests step it one event at a time.  The weight law picks one of its two
-exact event selections:
+tests step it one event at a time.
 
-* thinning (Lewis & Shedler), used when the mean acceptance
-  E[rho] / rho_max is at least _MIN_THINNING_ACCEPTANCE, rho_max being the
-  largest weight the law puts mass on (`Environment.rho_max`): infections
-  are proposed at the envelope rate (lam/n) * rho_max * |S| * |I| for a
-  uniform pair (i, j) in S x I and accepted with probability
-  rho(i, j) / rho_max, looked up by `Environment.rho_at`.  Constant laws
-  accept every proposal and never look up a weight.
-* direct (Gillespie), for sparser laws: maintains the per-susceptible
-  pressure w(i) and picks events proportionally (O(n) pressure update per
-  event), so no proposal is wasted.
+Infections are selected by thinning (Lewis & Shedler) for every weight law:
+a uniform pair (i, j) in S x I is proposed at the envelope rate
+(lam/n) * rho_max * |S| * |I| and accepted with probability
+rho(i, j) / rho_max, looked up by `Environment.rho_at`; rho_max is the
+largest weight the law puts mass on (`Environment.rho_max`).  Constant laws
+accept every proposal and never look up a weight.
 
 A recovery draws uniform infectives until one, v, is kept with probability
 xi(v) / xi_max (`Environment.xi_max`); constant xi laws keep the first one
@@ -35,19 +30,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import seeding
-from .distributions import mean
 from .environment import Environment
 from .errors import DeadState, ParamViolation, check_lambda
 
 RECOVERY = "recovery"
 INFECTION = "infection"
 
-# Thinning wastes a share 1 - E[rho]/rho_max of its proposals; the direct
-# path pays an O(n) pressure update per event instead.  Below this mean
-# acceptance the direct path is used.  Paired timings over n = 300-1000 and
-# 0.5-2 lambda_c (CHANGES.md) put the break-even between 0.03 (subcritical
-# runs) and 0.055 (surviving runs at n = 300), near 0.04 over the grid.
-_MIN_THINNING_ACCEPTANCE = 0.05
 _BLOCK = 32  # variates per generator call, chosen by timing (CHANGES.md)
 
 
@@ -83,22 +71,18 @@ class RunResult:
 
 
 class EpidemicState:
-    """State (S_t, I_t, R_t) of one run plus the aggregate rates for selection.
+    """State (S_t, I_t, R_t) of one run plus its total recovery rate.
 
     A vertex is susceptible iff s_pos >= 0, infective iff i_pos >= 0 and
     removed otherwise; removed vertices never leave.  The packed lists and
     positions are Python lists; xi is the environment's read-only tuple of
-    recovery rates.  The incrementally maintained totals must agree with a
-    from-scratch recomputation to relative 1e-9.
-    `thinning` records which event selection the weight law picked; the
-    pressure vector w, the array mirror s_arr of s_list and the row cache
-    exist only on the direct path.
+    recovery rates.  The incrementally maintained total recovery rate must
+    agree with a from-scratch sum to relative 1e-9.
     """
 
-    __slots__ = ("env", "lam", "n", "xi", "thinning",
+    __slots__ = ("env", "lam", "n", "xi",
                  "s_list", "s_pos", "s_count", "i_list", "i_pos", "i_count",
-                 "s_arr", "w", "total_recovery_rate", "_pressure_acc", "time",
-                 "_row_cache")
+                 "total_recovery_rate", "time")
 
     def __init__(self, env: Environment, lam: float):
         check_lambda(lam)
@@ -106,7 +90,6 @@ class EpidemicState:
         self.env = env
         self.lam = float(lam)
         self.n = n
-        self.thinning = mean(env.rho_spec) >= _MIN_THINNING_ACCEPTANCE * env.rho_max
         # Packed vertex lists with positional index for O(1) swap-removal;
         # both share one set of int objects.
         ids = list(range(n))
@@ -119,22 +102,6 @@ class EpidemicState:
         self.i_count = 1
         self.xi = env.xi_values()
         self.total_recovery_rate = self.xi[0]
-        self.s_arr = self.w = None
-        self._pressure_acc = 0.0
-        # Full weight rows of active infectives are cached at moderate n so a
-        # recovery can subtract the same values its infection added without
-        # re-hashing (bounded by n^2 floats, so gated).
-        self._row_cache = {} if (not self.thinning and n <= 2048) else None
-        if not self.thinning:
-            self.s_arr = sus = np.arange(1, n, dtype=np.int64)
-            self.w = np.zeros(n, dtype=np.float64)
-            if self.s_count > 0:
-                if self._row_cache is not None:
-                    row = self._row_cache[0] = env.rho_full_row(0)
-                    self.w[sus] = row[sus]
-                else:
-                    self.w[sus] = env.rho_row(0, sus)
-                self._pressure_acc = float(self.w[sus].sum())
         self.time = 0.0
 
     def run(self, rng: np.random.Generator, max_events: int,
@@ -143,9 +110,9 @@ class EpidemicState:
 
         Each event advances the clock by an exponential with the total rate
         and is a recovery of i in I with probability xi(i)/total, else an
-        infection of i in S with probability (lam/n) w(i)/total; thinning
-        loops its rejected proposals inside one event, so both selections
-        realize this law.  Appends (time, kind, vertex) per event to
+        infection of i in S with probability (lam/n) sum_{j in I} rho(i, j) /
+        total; thinning loops its rejected proposals inside one event, so it
+        realizes this law.  Appends (time, kind, vertex) per event to
         `trajectory` when given, and returns the number of events executed.
         The state lives in local variables while the loop runs and is
         written back before returning.
@@ -156,44 +123,30 @@ class EpidemicState:
         xi, xi_max, xi_varies = self.xi, env.xi_max, env.xi_const is None
         s_list, s_pos, s_count = self.s_list, self.s_pos, self.s_count
         i_list, i_pos, i_count = self.i_list, self.i_pos, self.i_count
-        s_arr, w, acc, cache = self.s_arr, self.w, self._pressure_acc, self._row_cache
         rec, time = self.total_recovery_rate, self.time
         exponential = _variates(rng.standard_exponential, _BLOCK).__next__
         uniform = _variates(rng.random, _BLOCK).__next__
         rho_at, rho_const, rho_max = env.rho_at, env.rho_const, env.rho_max
-        thinning = self.thinning
-        lam_n = self.lam / self.n
-        envelope = lam_n * rho_max
+        envelope = self.lam / self.n * rho_max
         events = 0
         while i_count and events < max_events:
             v = -1  # the infected susceptible, if the event is an infection
-            if thinning:
-                elapsed = 0.0
-                while True:
-                    total = rec + envelope * s_count * i_count
-                    elapsed += exponential() / total
-                    if uniform() * total < rec:
-                        break
-                    if rho_const is not None:
-                        v = s_list[int(uniform() * s_count)]
-                        break
-                    # one uniform picks the proposed pair (i, j) in S x I
-                    k, m = divmod(int(uniform() * (s_count * i_count)), i_count)
-                    if uniform() * rho_max < rho_at(s_list[k], i_list[m]):
-                        v = s_list[k]
-                        break
-                    # rejected proposal: time already advanced, redraw
-                time += elapsed
-            else:
-                total = rec + lam_n * acc
-                time += exponential() / total
-                if uniform() * total >= rec and s_count > 0:
-                    c = w[s_arr[:s_count]].cumsum()
-                    if c[-1] > 0.0:
-                        k = int(c.searchsorted(uniform() * c[-1], "right"))
-                        v = s_list[min(k, s_count - 1)]
-                    # Otherwise the pressure drifted to zero between
-                    # bookkeeping and selection: the (measure-zero) recovery.
+            elapsed = 0.0
+            while True:
+                total = rec + envelope * s_count * i_count
+                elapsed += exponential() / total
+                if uniform() * total < rec:
+                    break
+                if rho_const is not None:
+                    v = s_list[int(uniform() * s_count)]
+                    break
+                # one uniform picks the proposed pair (i, j) in S x I
+                k, m = divmod(int(uniform() * (s_count * i_count)), i_count)
+                if uniform() * rho_max < rho_at(s_list[k], i_list[m]):
+                    v = s_list[k]
+                    break
+                # rejected proposal: time already advanced, redraw
+            time += elapsed
             if v >= 0:
                 pos = s_pos[v]
                 s_count -= 1
@@ -205,18 +158,6 @@ class EpidemicState:
                 i_pos[v] = i_count
                 i_count += 1
                 rec += xi[v]
-                if w is not None:
-                    s_arr[pos] = moved
-                    acc -= float(w[v])
-                    if s_count > 0:
-                        sus = s_arr[:s_count]
-                        if cache is not None:
-                            row = cache[v] = env.rho_full_row(v)
-                            row = row[sus]
-                        else:
-                            row = env.rho_row(v, sus)
-                        w[sus] += row
-                        acc += float(row.sum())
                 kind = INFECTION
             else:
                 if i_count == 1:
@@ -235,21 +176,12 @@ class EpidemicState:
                 rec -= xi[v]
                 if i_count == 0:
                     rec = 0.0
-                if w is not None:
-                    row = cache.pop(v, None) if cache is not None else None
-                    if s_count > 0:
-                        sus = s_arr[:s_count]
-                        row = row[sus] if row is not None else env.rho_row(v, sus)
-                        w_slice = w[sus] - row
-                        np.maximum(w_slice, 0.0, out=w_slice)  # clamp float residue
-                        w[sus] = w_slice
-                        acc = max(float(acc - row.sum()), 0.0)
                 kind = RECOVERY
             events += 1
             if trajectory is not None:
                 trajectory.append((time, kind, v))
         self.s_count, self.i_count = s_count, i_count
-        self._pressure_acc, self.total_recovery_rate, self.time = acc, rec, time
+        self.total_recovery_rate, self.time = rec, time
         return events
 
 

@@ -125,15 +125,12 @@ class Environment:
         h = seeding.mix64_array(lo_keys[np.minimum(i, j)] ^ salt[np.maximum(i, j)])
         return np.asarray(quantile(self.rho_spec, seeding.to_uniform01(h)), dtype=float)
 
-    def rho_row(self, i: int, js: np.ndarray) -> np.ndarray:
-        """rho(i, j) for one vertex against an index array."""
-        return self.rho_pairs(np.broadcast_to(np.int64(i), (len(js),)), js)
-
     def rho_full_row(self, i: int) -> np.ndarray:
         """rho(i, j) for every j, with a zero placeholder at position i.
 
-        Uses contiguous slices of the precomputed key material; this is the
-        per-infection workhorse of the dynamic engine.
+        Uses contiguous slices of the precomputed key material.  No engine
+        calls it: it stays as the row form of `rho_pairs`, which the tests
+        compare it with and the benchmark's tracer wraps by name.
         """
         n = self.n
         lo_keys, salt = self._pair_keys()

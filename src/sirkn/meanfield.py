@@ -54,6 +54,8 @@ def ode_solve(lam: float, init: MeanFieldState, horizon: float = 50.0,
         raise ParamViolation(f"step must be finite and positive (got {step})")
     if not (math.isfinite(horizon) and horizon >= 0.0):
         raise ParamViolation(f"horizon must be finite and nonnegative (got {horizon})")
+    if not math.isfinite(horizon / step):
+        raise ParamViolation(f"horizon / step must be finite (got {horizon} / {step})")
     _validate_state(init)
 
     out = [init]

@@ -204,6 +204,10 @@ def test_usage_error_exits_one(tmp_path, capsys, args):
     ["meanfield", "--lambda", "2", "--step", "inf"],
     ["meanfield", "--lambda", "2", "--horizon", "nan"],
     ["meanfield", "--lambda", "2", "--horizon", "inf"],
+    ["meanfield", "--lambda", "2", "--horizon", "1e308", "--step", "1e-10"],
+    ["meanfield", "--lambda", "2", "--i0", "nan"],
+    ["meanfield", "--lambda", "2", "--i0", "2"],
+    ["meanfield", "--lambda", "2", "--s0", "0.9", "--i0", "0.2"],
     ["er", "--n", "10", "--mu", "nan"],
     ["er", "--n", "10", "--mu", "-1"],
     ["er", "--n", "0", "--mu", "1"],
@@ -211,7 +215,9 @@ def test_usage_error_exits_one(tmp_path, capsys, args):
     ["no-spread", "--n", "10", "--lambda", "1", "--xi", "constant:0", "--jobs", "1"],
 ], ids=["simulate", "percolate", "meanfield", "simulate-lambda", "percolate-lambda",
         "meanfield-lambda", "meanfield-step-nan", "meanfield-step-inf",
-        "meanfield-horizon-nan", "meanfield-horizon-inf", "er-mu-nan", "er-mu-negative",
+        "meanfield-horizon-nan", "meanfield-horizon-inf", "meanfield-step-overflow",
+        "meanfield-i0-nan", "meanfield-i0-above-one", "meanfield-sum-above-one",
+        "er-mu-nan", "er-mu-negative",
         "er-n", "no-spread-lambda", "no-spread-xi"])
 def test_validation_error_leaves_no_output_directory(tmp_path, capsys, args):
     assert run_cli(args, tmp_path) == 1

@@ -19,10 +19,12 @@ from reference_stats import chi_square_two_sample
 
 XI1 = parse_dist("constant:1", ROLE_RECOVERY)
 RHO1 = parse_dist("constant:1", ROLE_WEIGHT)
-# One weight law per event-selection path, for tests parametrized over both.
+# Two weight laws for tests parametrized over the acceptance of thinning:
+# about half of the proposals are accepted under the first, 2% under the
+# sparse one.
 RHO_THINNING = "uniform:0:1"
-RHO_DIRECT = "two_point:0.01:0.99:1"
-PATH_IDS = ["thinning", "direct"]
+RHO_SPARSE = "two_point:0.01:0.99:1"
+LAW_IDS = ["thinning", "sparse"]
 
 
 def final_size_distribution_symmetric(n: int, lam: float) -> dict:
@@ -178,15 +180,12 @@ def test_next_event_two_vertex_infection_probability():
     assert lo <= 0.5 <= hi
 
 
-@pytest.mark.parametrize("rho_text,thinning", [("uniform:0.1:1", True),
-                                               (RHO_DIRECT, False)],
-                         ids=PATH_IDS)
-def test_next_event_three_vertex_frequencies_match_rates(rho_text, thinning):
+@pytest.mark.parametrize("rho_text", ["uniform:0.1:1", RHO_SPARSE], ids=LAW_IDS)
+def test_next_event_three_vertex_frequencies_match_rates(rho_text):
     xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
     rho = parse_dist(rho_text, ROLE_WEIGHT)
     env = Environment(3, 23, xi, rho)
     lam = 1.7
-    assert EpidemicState(env, lam=lam).thinning is thinning
     # exact per-event probabilities from the environment itself
     rec_rate = env.xi_values()[0]
     w1, w2 = env.rho_at(1, 0), env.rho_at(2, 0)
@@ -204,17 +203,14 @@ def test_next_event_three_vertex_frequencies_match_rates(rho_text, thinning):
         assert abs(counts[ev] / reps - p) < 3 * se, ev
 
 
-@pytest.mark.parametrize("rho_text,thinning,lam", [("uniform:0.1:1", True, 1.7),
-                                                   (RHO_DIRECT, False, 150.0)],
-                         ids=PATH_IDS)
-def test_recovery_pick_with_two_infectives_matches_rates(rho_text, thinning, lam):
+def test_recovery_pick_with_two_infectives_matches_rates():
     # After a first infection of v, I = {0, v} and S = {w}: the next event is
     # a recovery of 0 or of v, at rates xi(0) and xi(v), or the infection of
     # w at rate (lam/3)(rho(w, 0) + rho(w, v)).  Here xi(0) = 2 = xi_max and
     # xi(1) = xi(2) = 1, so the pick rejects half of its proposals of v.
     xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
-    env = Environment(3, 23, xi, parse_dist(rho_text, ROLE_WEIGHT))
-    assert EpidemicState(env, lam=lam).thinning is thinning
+    env = Environment(3, 23, xi, parse_dist("uniform:0.1:1", ROLE_WEIGHT))
+    lam = 1.7
     assert list(env.xi_values()) == [env.xi_max, 1.0, 1.0]
     rng = seeding.stream(7)
     counts = {1: {}, 2: {}}
@@ -239,16 +235,7 @@ def test_recovery_pick_with_two_infectives_matches_rates(rho_text, thinning, lam
             assert abs(counts[v].get(ev, 0) / reps - p) < 3 * se, (v, ev)
 
 
-def recompute_totals(state):
-    """From-scratch (total recovery rate, total pressure over S), the pressure
-    being the sum over susceptibles i of sum_{j in I} rho(i, j)."""
-    inf = state.i_list[: state.i_count]
-    sus = np.array(state.s_list[: state.s_count], dtype=np.int64)
-    pressure = sum(float(state.env.rho_row(j, sus).sum()) for j in inf)
-    return float(np.asarray(state.xi)[inf].sum()), pressure
-
-
-@pytest.mark.parametrize("rho_text", [RHO_THINNING, RHO_DIRECT], ids=PATH_IDS)
+@pytest.mark.parametrize("rho_text", [RHO_THINNING, RHO_SPARSE], ids=LAW_IDS)
 def test_rate_consistency_along_trajectory(rho_text):
     xi = parse_dist("shifted:uniform:0:1:+1", ROLE_RECOVERY)
     rho = parse_dist(rho_text, ROLE_WEIGHT)
@@ -262,12 +249,8 @@ def test_rate_consistency_along_trajectory(rho_text):
             state = EpidemicState(env, lam=lam)  # restart: check live states only
         assert state.run(rng, 1) == 1
         peak = max(peak, state.i_count)
-        rec, pressure = recompute_totals(state)
+        rec = float(np.asarray(state.xi)[state.i_list[: state.i_count]].sum())
         assert state.total_recovery_rate == pytest.approx(rec, rel=1e-9, abs=1e-12)
-        if not state.thinning:
-            # direct selection keeps the pressure incrementally
-            assert state._pressure_acc == pytest.approx(pressure, rel=1e-9, abs=1e-9)
-            assert state.s_arr[: state.s_count].tolist() == state.s_list[: state.s_count]
         # s_pos/i_pos index the packed lists and partition the vertex set
         s_pos, i_pos = np.asarray(state.s_pos), np.asarray(state.i_pos)
         for lst, pos, count in ((state.s_list, s_pos, state.s_count),
@@ -278,7 +261,7 @@ def test_rate_consistency_along_trajectory(rho_text):
     assert peak > 1
 
 
-@pytest.mark.parametrize("rho_text", [RHO_THINNING, RHO_DIRECT], ids=PATH_IDS)
+@pytest.mark.parametrize("rho_text", [RHO_THINNING, RHO_SPARSE], ids=LAW_IDS)
 def test_dynamic_matches_percolation_distribution(rho_text):
     # the percolation engine is the exact static representation of the law
     xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
@@ -297,14 +280,19 @@ def test_dynamic_matches_percolation_distribution(rho_text):
     assert p > 0.01
 
 
-@pytest.mark.parametrize("rho_text,thinning", [
-    ("constant:1", True), ("constant:0.5", True),
-    (RHO_THINNING, True), ("uniform:0.5:1", True), (RHO_DIRECT, False)])
-def test_weight_law_selects_event_path(rho_text, thinning):
-    env = Environment(20, 4, XI1, parse_dist(rho_text, ROLE_WEIGHT))
-    state = EpidemicState(env, lam=1.0)
-    assert state.thinning is thinning
-    assert (state.w is None) is thinning
+def test_engine_makes_no_row_queries(monkeypatch):
+    # Every weight law thins, with one rho_at lookup per proposal, so even a
+    # sparse law at large n makes no vectorized edge query.
+    def no_rows(*args):
+        raise AssertionError("the engine queried a row of weights")
+
+    monkeypatch.setattr(Environment, "rho_pairs", no_rows)
+    monkeypatch.setattr(Environment, "rho_full_row", no_rows)
+    xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
+    rho = parse_dist(RHO_SPARSE, ROLE_WEIGHT)
+    lam = 2.0 * critical_lambda(moments(rho, xi))
+    res = gillespie_run(Environment(3000, 14, xi, rho), lam, 7, max_events=50)
+    assert res.truncated and res.events_executed == 50
 
 
 def test_envelope_ignores_atoms_without_mass():
@@ -313,9 +301,7 @@ def test_envelope_ignores_atoms_without_mass():
     # thinning accepts every proposal.
     rho = parse_dist("two_point:0.1:1:1", ROLE_WEIGHT)
     assert support(rho) == (0.1, 1.0)
-    state = EpidemicState(Environment(20, 4, XI1, rho), lam=1.0)
-    assert state.thinning
-    assert state.env.rho_max == 0.1
+    assert Environment(20, 4, XI1, rho).rho_max == 0.1
     with pytest.raises(SupportViolation):
         parse_dist("two_point:0.5:1:2", ROLE_WEIGHT)
 
@@ -336,13 +322,12 @@ def test_constant_weight_scales_out_of_thinning(monkeypatch):
 
 
 # Fixed-seed sample values of the dynamic engine, one per code path: thinning
-# with a non-constant xi, the classic constant law, direct selection with the
-# cached weight rows, and a truncated direct run at n > 2048, where rows are
-# hashed against S on every event.  A change to any draw, its order or a float
-# expression of the engine shows here as a changed value.  Each run_seed is
-# the first, counting up from the one pinned before, whose run is a major
-# outbreak (the truncated one: whose run reaches its cap), so that every case
-# exercises its path.
+# with a non-constant xi, the classic constant law, a sparse law that rejects
+# about 98% of its proposals, and a truncated sparse run.  A change to any
+# draw, its order or a float expression of the engine shows here as a changed
+# value.  Each run_seed is the first, counting up from the one pinned before,
+# whose run is a major outbreak (the truncated one: whose run reaches its
+# cap), so that every case exercises its path.
 _GOLDEN_RUNS = {
     "thinning": (("shifted:uniform:0:1:+1", "uniform:0:1", 300, 11, 2.0, 2, None),
                  (210, 419, "0x1.2f144478a8419p+3",
@@ -350,12 +335,12 @@ _GOLDEN_RUNS = {
     "classic": (("constant:1", "constant:1", 300, 12, 3.0, 1, None),
                 (268, 535, "0x1.3f5ce25211b2bp+3",
                  "b21ee54f86256c6e7c7cdd1f7ba92f1aaf584f1dc0f31ed624db23efdb8b0ea5")),
-    "direct": (("two_point:1:0.5:2", RHO_DIRECT, 200, 13, 2.0, 2, None),
-               (164, 327, "0x1.b4a8b7ab49225p+2",
-                "14544cc9f3f51ed9c122dcb60201026fd0ebb868f697da5b4e3a45b9d02c3f02")),
-    "truncated": (("two_point:1:0.5:2", RHO_DIRECT, 3000, 14, 2.0, 6, 400),
-                  (270, 400, "0x1.5f162d74629b3p+1",
-                   "099f09ecad2ec8708533a0f38ea292d60abf806331b3b046a1549f72353cde37")),
+    "sparse": (("two_point:1:0.5:2", RHO_SPARSE, 200, 13, 2.0, 7, None),
+               (128, 255, "0x1.6ed410a878bb8p+3",
+                "3c04e3e645e8bcdb3c4f8831d6246750e68e7b180a5a52d79c8b6995714de78e")),
+    "truncated": (("two_point:1:0.5:2", RHO_SPARSE, 3000, 14, 2.0, 7, 400),
+                  (245, 400, "0x1.20f80a3d507f2p+2",
+                   "1f8256ab3044aaefec0703822ec3b9740a07dcabfc9f178d8d189bd354ffe09c")),
 }
 
 

@@ -83,7 +83,8 @@ def test_validation_errors():
     with pytest.raises(ParamViolation):
         ode_solve(1.0, MeanFieldState(0.5, 0.2, 0.3), step=0.0)
     for bad in ({"step": math.nan}, {"step": math.inf}, {"horizon": math.nan},
-                {"horizon": math.inf}, {"horizon": -1.0}):
+                {"horizon": math.inf}, {"horizon": -1.0},
+                {"horizon": 1e308, "step": 1e-10}):
         with pytest.raises(ParamViolation):
             ode_solve(1.0, MeanFieldState(0.5, 0.2, 0.3), **bad)
     with pytest.raises(ParamViolation):
