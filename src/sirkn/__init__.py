@@ -7,9 +7,7 @@ no-spread probabilities, mean-field limit), and a Monte Carlo sweep harness
 that locates the phase transition at lambda_c = 1 / (E[rho] * E[1/xi]).
 """
 
-from .distributions import (DistSpec, Moments, constant, critical_lambda,
-                            moments, parse_dist, two_point, uniform,
-                            validate_spec)
+from .distributions import DistSpec, critical_lambda, parse_dist, validate_spec
 from .dynamics import EpidemicState, RunResult, gillespie_run
 from .environment import Environment
 from .experiment import ExperimentConfig, run_batch, sweep, wilson_interval
@@ -19,8 +17,7 @@ from .percolation import ReachResult, er_giant_component, percolation_final_size
 __version__ = "0.1.0"
 
 __all__ = [
-    "DistSpec", "Moments", "constant", "uniform", "two_point", "parse_dist",
-    "validate_spec", "moments", "critical_lambda",
+    "DistSpec", "parse_dist", "validate_spec", "critical_lambda",
     "Environment",
     "EpidemicState", "RunResult", "gillespie_run",
     "ReachResult", "percolation_final_size", "er_giant_component",

@@ -13,6 +13,7 @@ violated constraint), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -61,49 +62,32 @@ def _jobs(args) -> int:
 # Subcommand handlers
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_run(args, engine, options=()) -> int:
+    """One run of `simulate` or `percolate`: the engine call is
+    engine(env, lambda, run_seed, *options), where options name the
+    subcommand's own flags, passed on in order and recorded by name."""
     xi = parse_dist(args.xi, ROLE_RECOVERY)
     rho = parse_dist(args.rho, ROLE_WEIGHT)
     resolved = {
-        "subcommand": "simulate",
+        "subcommand": args.subcommand,
         "n": args.n,
         "lambda": args.lam,
         "xi_spec": format_dist(xi),
         "rho_spec": format_dist(rho),
         "seed": args.seed,
-        "max_events": args.max_events,
-        "trajectory": bool(args.trajectory),
     }
+    resolved.update((name, getattr(args, name)) for name in options)
     out = _outdir(args, resolved)
     env = Environment(args.n, seeding.derive_key(args.seed, _TAG_CLI_ENV), xi, rho)
-    result = gillespie_run(env, args.lam, seeding.derive_key(args.seed, _TAG_CLI_RUN),
-                           args.max_events, args.trajectory)
+    result = engine(env, args.lam, seeding.derive_key(args.seed, _TAG_CLI_RUN),
+                    *(resolved[name] for name in options))
     _write_json(out / "run.json", {"config": resolved, "result": result.to_dict()})
-    if args.trajectory:
+    if resolved.get("trajectory"):
         rows = trajectory_rows(result, args.n)
         lines = ["time,event,vertex,s_count,i_count,r_count"]
         for t, kind, vertex, s, i, r in rows:
             lines.append(f"{t!r},{kind},{vertex},{s},{i},{r}")
         _write(out / "trajectory.csv", "\n".join(lines) + "\n")
-    print(out / "run.json")
-    return 0
-
-
-def _cmd_percolate(args) -> int:
-    xi = parse_dist(args.xi, ROLE_RECOVERY)
-    rho = parse_dist(args.rho, ROLE_WEIGHT)
-    resolved = {
-        "subcommand": "percolate",
-        "n": args.n,
-        "lambda": args.lam,
-        "xi_spec": format_dist(xi),
-        "rho_spec": format_dist(rho),
-        "seed": args.seed,
-    }
-    out = _outdir(args, resolved)
-    env = Environment(args.n, seeding.derive_key(args.seed, _TAG_CLI_ENV), xi, rho)
-    result = percolation_final_size(env, args.lam, seeding.derive_key(args.seed, _TAG_CLI_RUN))
-    _write_json(out / "run.json", {"config": resolved, "result": result.to_dict()})
     print(out / "run.json")
     return 0
 
@@ -150,7 +134,8 @@ def _cmd_meanfield(args) -> int:
         "horizon": args.horizon,
     }
     out = _outdir(args, resolved)
-    init = MeanFieldState(s=s0, i=args.i0, r=1.0 - s0 - args.i0)
+    # by subtraction r can come out a rounding error below 0
+    init = MeanFieldState(s=s0, i=args.i0, r=max(0.0, 1.0 - s0 - args.i0))
     traj = ode_solve(args.lam, init, horizon=args.horizon, step=args.step)
     fp = final_size_fixed_point(args.lam, s0, args.i0)
     lines = ["t,s,i,r"]
@@ -240,12 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory", action="store_true",
                    help="also write trajectory.csv")
     add_common(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=functools.partial(_cmd_run, engine=gillespie_run,
+                                          options=("max_events", "trajectory")))
 
     p = sub.add_parser("percolate", help="one reachability run", exit_on_error=False)
     add_model(p)
     add_common(p)
-    p.set_defaults(func=_cmd_percolate)
+    p.set_defaults(func=functools.partial(_cmd_run, engine=percolation_final_size))
 
     p = sub.add_parser("sweep", help="Monte Carlo grid sweep", exit_on_error=False)
     p.add_argument("--config", default=None, help="config file path")

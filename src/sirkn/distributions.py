@@ -2,12 +2,12 @@
 
 Two roles exist: "recovery" laws must have support in [1, inf) and "weight"
 laws must live in [0, 1] with positive mass above 0.  The family menu is
-deliberately small (constant, uniform, two_point, and a shifted wrapper) so
-that the mean weight, the mean inverse recovery rate, the mean inverse
-square and the Laplace transforms all have closed forms, which the
-critical-rate and no-spread formulas require exactly.  The Laplace helpers
-behind them have one elementwise ndarray body each, which the quadrature of
-`psi` and the Sellke sampler share; a float argument gives a 0-d array.
+deliberately small (constant, uniform, two_point) so that the mean weight,
+the mean inverse recovery rate and the Laplace transforms all have closed
+forms, which the critical-rate and no-spread formulas require exactly.  The
+Laplace helpers behind them have one elementwise ndarray body each, which the
+quadrature of `psi` and the Sellke sampler share; a float argument gives a
+0-d array.
 
 Text syntax, used verbatim by config files and CLI flags::
 
@@ -15,6 +15,9 @@ Text syntax, used verbatim by config files and CLI flags::
     uniform:0.0:1.0
     two_point:1.0:0.5:2.0
     shifted:uniform:0:1:+1
+
+The last is shorthand: `shifted:<base>:<off>` parses into the base family
+with its values moved by off, here `uniform:1:2`, and is echoed that way.
 """
 
 from __future__ import annotations
@@ -22,18 +25,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import (DegenerateMoments, ParamViolation, QuadratureFailure,
-                     SupportViolation)
+from .errors import ParamViolation, QuadratureFailure, SupportViolation
 from .quadrature import quad
 
 ROLE_RECOVERY = "recovery"
 ROLE_WEIGHT = "weight"
 
-_KINDS = ("constant", "uniform", "two_point", "shifted")
+_ARITY = {"constant": 1, "uniform": 2, "two_point": 3}
 
 
 @dataclass(frozen=True)
@@ -44,54 +46,28 @@ class DistSpec:
       constant(v)          params = (v,)
       uniform(a, b)        params = (a, b), a < b
       two_point(v1, p1, v2) params = (v1, p1, v2), P(v1) = p1
-      shifted(base, off)   params = (off,), base is another DistSpec
+
+    `parse_dist` builds a validated one; `validate_spec` checks one built
+    by hand.
     """
 
     kind: str
     params: tuple
     role: str
-    base: Optional["DistSpec"] = None
-
-
-def constant(v: float, role: str) -> DistSpec:
-    return validate_spec(DistSpec("constant", (float(v),), role))
-
-
-def uniform(a: float, b: float, role: str) -> DistSpec:
-    return validate_spec(DistSpec("uniform", (float(a), float(b)), role))
-
-
-def two_point(v1: float, p1: float, v2: float, role: str) -> DistSpec:
-    return validate_spec(DistSpec("two_point", (float(v1), float(p1), float(v2)), role))
-
-
-def shifted(base: DistSpec, offset: float, role: str) -> DistSpec:
-    rebased = DistSpec(base.kind, base.params, role, base.base)
-    return validate_spec(DistSpec("shifted", (float(offset),), role, rebased))
 
 
 def support(spec: DistSpec) -> tuple:
     """Closed support interval (lo, hi) of the law."""
-    if spec.kind == "constant":
-        return spec.params[0], spec.params[0]
-    if spec.kind == "uniform":
-        return spec.params[0], spec.params[1]
     if spec.kind == "two_point":
         v1, _, v2 = spec.params
         return min(v1, v2), max(v1, v2)
-    lo, hi = support(spec.base)
-    off = spec.params[0]
-    return lo + off, hi + off
+    return spec.params[0], spec.params[-1]  # constant (v,), uniform (a, b)
 
 
 def _check_params(spec: DistSpec) -> None:
-    """Family parameter constraints, applied recursively.
-
-    Support constraints are role properties of the composite law and are
-    checked separately in validate_spec (a shifted law's base need not
-    satisfy them on its own).
-    """
-    if spec.kind not in _KINDS:
+    """Family parameter constraints; the role's support constraints are
+    checked separately in validate_spec."""
+    if spec.kind not in _ARITY:
         raise ParamViolation(f"unknown distribution kind {spec.kind!r}")
     if spec.kind == "constant":
         (v,) = spec.params
@@ -103,20 +79,12 @@ def _check_params(spec: DistSpec) -> None:
             raise ParamViolation("uniform endpoints must be finite")
         if not a < b:
             raise ParamViolation(f"uniform requires a < b (got a={a}, b={b})")
-    elif spec.kind == "two_point":
+    else:
         v1, p1, v2 = spec.params
         if not (0.0 <= p1 <= 1.0):
             raise ParamViolation(f"two_point requires p1 in [0, 1] (got p1={p1})")
         if not (math.isfinite(v1) and math.isfinite(v2)):
             raise ParamViolation("two_point values must be finite")
-    else:  # shifted
-        if spec.base is None:
-            raise ParamViolation("shifted requires a base distribution")
-        if spec.base.kind == "shifted":
-            raise ParamViolation("shifted base must not itself be shifted")
-        if not math.isfinite(spec.params[0]):
-            raise ParamViolation("shift offset must be finite")
-        _check_params(spec.base)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -148,26 +116,32 @@ def validate_spec(spec: DistSpec) -> DistSpec:
     return spec
 
 
-def _parse_raw(text: str, role: str) -> DistSpec:
-    parts = text.strip().split(":")
-    kind = parts[0]
+def _numbers(text: str, fields: list) -> tuple:
     try:
-        if kind == "constant" and len(parts) == 2:
-            return DistSpec("constant", (float(parts[1]),), role)
-        if kind == "uniform" and len(parts) == 3:
-            return DistSpec("uniform", (float(parts[1]), float(parts[2])), role)
-        if kind == "two_point" and len(parts) == 4:
-            return DistSpec("two_point",
-                            (float(parts[1]), float(parts[2]), float(parts[3])), role)
-        if kind == "shifted" and len(parts) >= 4:
-            base = _parse_raw(":".join(parts[1:-1]), role)
-            return DistSpec("shifted", (float(parts[-1]),), role, base)
+        return tuple(float(f) for f in fields)
     except ValueError as exc:
         raise ParamViolation(f"could not parse number in {text!r}: {exc}") from exc
-    raise ParamViolation(
-        f"unrecognized distribution syntax {text!r}; expected "
-        "constant:v | uniform:a:b | two_point:v1:p1:v2 | shifted:<base>:offset"
-    )
+
+
+def _parse_raw(text: str, role: str) -> DistSpec:
+    kind, *fields = text.strip().split(":")
+    if kind == "shifted" and len(fields) >= 3:
+        if fields[0].strip() == "shifted":
+            raise ParamViolation("shifted base must not itself be shifted")
+        base = _parse_raw(":".join(fields[:-1]), role)
+        (off,) = _numbers(text, fields[-1:])
+        if not math.isfinite(off):
+            raise ParamViolation("shift offset must be finite")
+        if base.kind == "two_point":
+            v1, p1, v2 = base.params
+            return DistSpec("two_point", (v1 + off, p1, v2 + off), role)
+        return DistSpec(base.kind, tuple(v + off for v in base.params), role)
+    if _ARITY.get(kind) != len(fields):
+        raise ParamViolation(
+            f"unrecognized distribution syntax {text!r}; expected "
+            "constant:v | uniform:a:b | two_point:v1:p1:v2 | shifted:<base>:offset"
+        )
+    return DistSpec(kind, _numbers(text, fields), role)
 
 
 def parse_dist(text: str, role: str) -> DistSpec:
@@ -181,10 +155,6 @@ def _fmt_param(p: float) -> str:
 
 
 def format_dist(spec: DistSpec) -> str:
-    if spec.kind == "shifted":
-        off = spec.params[0]
-        sign = "+" if off >= 0 else ""
-        return f"shifted:{format_dist(spec.base)}:{sign}{_fmt_param(off)}"
     return ":".join([spec.kind] + [_fmt_param(p) for p in spec.params])
 
 
@@ -202,12 +172,10 @@ def quantile(spec: DistSpec, u: Union[float, np.ndarray]):
     if spec.kind == "uniform":
         a, b = spec.params
         return a + (b - a) * u
-    if spec.kind == "two_point":
-        v1, p1, v2 = spec.params
-        if np.isscalar(u):
-            return v1 if u < p1 else v2
-        return np.where(u < p1, v1, v2)
-    return quantile(spec.base, u) + spec.params[0]
+    v1, p1, v2 = spec.params
+    if np.isscalar(u):
+        return v1 if u < p1 else v2
+    return np.where(u < p1, v1, v2)
 
 
 def as_mixture(spec: DistSpec) -> list:
@@ -221,22 +189,13 @@ def as_mixture(spec: DistSpec) -> list:
     if spec.kind == "uniform":
         a, b = spec.params
         return [(1.0, ("uniform", a, b))]
-    if spec.kind == "two_point":
-        v1, p1, v2 = spec.params
-        comps = []
-        if p1 > 0:
-            comps.append((p1, ("atom", v1)))
-        if p1 < 1:
-            comps.append((1.0 - p1, ("atom", v2)))
-        return comps
-    off = spec.params[0]
-    out = []
-    for w, comp in as_mixture(spec.base):
-        if comp[0] == "atom":
-            out.append((w, ("atom", comp[1] + off)))
-        else:
-            out.append((w, ("uniform", comp[1] + off, comp[2] + off)))
-    return out
+    v1, p1, v2 = spec.params
+    comps = []
+    if p1 > 0:
+        comps.append((p1, ("atom", v1)))
+    if p1 < 1:
+        comps.append((1.0 - p1, ("atom", v2)))
+    return comps
 
 
 def mean(spec: DistSpec) -> float:
@@ -256,17 +215,6 @@ def mean_inverse(spec: DistSpec) -> float:
             a, b = comp[1], comp[2]
             # log1p form stays accurate when the interval is narrow
             total += w * math.log1p((b - a) / a) / (b - a)
-    return total
-
-
-def mean_inverse_square(spec: DistSpec) -> float:
-    total = 0.0
-    for w, comp in as_mixture(spec):
-        if comp[0] == "atom":
-            total += w / comp[1] ** 2
-        else:
-            a, b = comp[1], comp[2]
-            total += w / (a * b)
     return total
 
 
@@ -428,37 +376,19 @@ def psi(xi_spec: DistSpec, rho_spec: DistSpec, s: float, theta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Moments and the critical infection rate
+# The critical infection rate
 
 
-@dataclass(frozen=True)
-class Moments:
-    """The three closed-form moments the theory needs.
+def critical_lambda(xi_spec: DistSpec, rho_spec: DistSpec) -> float:
+    """The phase-transition threshold 1 / (E[rho] * E[1/xi]).
 
-    mean_rho = E[rho], mean_inv_xi = E[1/xi], mean_inv_xi_sq = E[1/xi^2].
+    Both laws are validated, so the threshold is finite and positive: a
+    weight law has mass above 0 and a recovery law lives in [1, inf).
     """
-
-    mean_rho: float
-    mean_inv_xi: float
-    mean_inv_xi_sq: float
-
-
-def moments(rho_spec: DistSpec, xi_spec: DistSpec) -> Moments:
-    if rho_spec.role != ROLE_WEIGHT:
-        raise ParamViolation("rho_spec must have role=weight")
     if xi_spec.role != ROLE_RECOVERY:
         raise ParamViolation("xi_spec must have role=recovery")
-    return Moments(
-        mean_rho=mean(rho_spec),
-        mean_inv_xi=mean_inverse(xi_spec),
-        mean_inv_xi_sq=mean_inverse_square(xi_spec),
-    )
-
-
-def critical_lambda(m: Moments) -> float:
-    """The phase-transition threshold 1 / (E[rho] * E[1/xi])."""
-    if m.mean_rho <= 0.0:
-        raise DegenerateMoments("mean_rho must be positive for a finite threshold")
-    if m.mean_inv_xi <= 0.0:
-        raise DegenerateMoments("mean_inv_xi must be positive")
-    return 1.0 / (m.mean_rho * m.mean_inv_xi)
+    if rho_spec.role != ROLE_WEIGHT:
+        raise ParamViolation("rho_spec must have role=weight")
+    validate_spec(xi_spec)
+    validate_spec(rho_spec)
+    return 1.0 / (mean(rho_spec) * mean_inverse(xi_spec))

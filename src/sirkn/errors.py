@@ -15,10 +15,6 @@ class SupportViolation(SirknError, ValueError):
     """A distribution's support violates its role constraint."""
 
 
-class DegenerateMoments(SirknError, ValueError):
-    """Moments make the critical rate undefined (e.g. mean weight 0)."""
-
-
 class IndexOutOfRange(SirknError, IndexError):
     """Vertex index outside [0, n)."""
 

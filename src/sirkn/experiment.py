@@ -29,7 +29,7 @@ import numpy as np
 from . import seeding
 from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT,
                             critical_lambda, expect_self_over_self_plus,
-                            format_dist, mean, moments, parse_dist, psi,
+                            format_dist, mean, parse_dist, psi,
                             validate_spec)
 # Not used here; perfbench/child.py traces it under this module's name.
 from .distributions import quantile  # noqa: F401
@@ -109,7 +109,7 @@ def validate_config(config: ExperimentConfig) -> None:
 
 
 def config_lambda_c(config: ExperimentConfig) -> float:
-    return critical_lambda(moments(config.rho_spec, config.xi_spec))
+    return critical_lambda(config.xi_spec, config.rho_spec)
 
 
 def resolved_lambda_grid(config: ExperimentConfig) -> Tuple[float, ...]:
@@ -307,10 +307,11 @@ def collect_final_sizes(config: ExperimentConfig,
     failed.  Every other point runs one engine call per replication, on a
     stream keyed by (master_seed, grid_index, replication).  Each point's
     replications are cut into `jobs` contiguous chunks and every chunk of
-    every point goes through one map: the builtin one at jobs <= 1, else one
-    process pool, which is handed the chunks in descending (lambda, n) order,
-    costliest first for both engines, so the largest point does not start
-    last; results go back in point order.  Chunks end on the boundaries of
+    every point goes through one map: the builtin one at jobs <= 1 or for a
+    single chunk, else one process pool of at most one worker per chunk,
+    which is handed the chunks in descending (lambda, n) order, costliest
+    first for both engines, so the largest point does not start last;
+    results go back in point order.  Chunks end on the boundaries of
     what a stream is keyed by, blocks or replications, so the output is
     byte-identical for every `jobs` value.
     """
@@ -320,13 +321,14 @@ def collect_final_sizes(config: ExperimentConfig,
     bounds = np.minimum(bounds, config.replications)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     tasks = [(config, g, n, lam, a, b) for g, n, lam in points for a, b in spans]
-    if jobs <= 1:
+    if jobs <= 1 or len(tasks) == 1:
         chunks = list(map(_collect_range, tasks))
     else:
         order = sorted(range(len(tasks)), reverse=True,
                        key=lambda i: (tasks[i][3], tasks[i][2]))
         chunks = [None] * len(tasks)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(tasks))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             ranked = pool.map(_collect_range, [tasks[i] for i in order])
             for i, chunk in zip(order, ranked):
                 chunks[i] = chunk

@@ -68,7 +68,5 @@ def cdf(spec: DistSpec, x: Union[float, np.ndarray]):
     if spec.kind == "uniform":
         a, b = spec.params
         return np.clip((x - a) / (b - a), 0.0, 1.0)
-    if spec.kind == "two_point":
-        v1, p1, v2 = spec.params
-        return p1 * (x >= v1) + (1.0 - p1) * (x >= v2)
-    return cdf(spec.base, x - spec.params[0])
+    v1, p1, v2 = spec.params
+    return p1 * (x >= v1) + (1.0 - p1) * (x >= v2)

@@ -26,7 +26,7 @@ import pytest
 from scipy.optimize import brentq
 
 from sirkn.cli import main as cli_main
-from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda, moments, parse_dist
+from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda, parse_dist
 from sirkn.dynamics import gillespie_run, trajectory_rows
 from sirkn.environment import Environment
 from sirkn.experiment import (ExperimentConfig, collect_final_sizes, run_batch,
@@ -92,7 +92,7 @@ def test_criterion_2_engine_equivalence_grid():
         failures = []
         for xi in (XI1, XI2):
             for rho in (RHO1, RHOU):
-                lc = critical_lambda(moments(rho, xi))
+                lc = critical_lambda(xi, rho)
                 for mult in (0.5, 2.0):
                     lam = mult * lc
                     for n in (2, 10, 30):
@@ -147,7 +147,7 @@ def test_criterion_4_supercritical_witness_classic():
 
 def test_criterion_5_random_environment_threshold():
     with criterion(5, "random-environment threshold placement at 8/3", 300):
-        lc = critical_lambda(moments(RHOU, XI2))
+        lc = critical_lambda(XI2, RHOU)
         assert lc == pytest.approx(8.0 / 3.0, rel=1e-12)
         _subcritical_checks(XI2, RHOU, 0.5 * lc, lc, master_seed=14, label="random-env")
         exceeds = {}

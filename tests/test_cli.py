@@ -149,6 +149,20 @@ def test_meanfield_outputs(tmp_path):
     assert abs(payload["terminal"]["r"] - payload["fixed_point"]["value"]) < 1e-3
 
 
+@pytest.mark.parametrize("start", [["--i0", "0.1"], ["--s0", "0.9", "--i0", "0.1"]])
+def test_meanfield_starts_at_r_zero_when_s_and_i_fill_the_population(tmp_path, start):
+    # 1 - 0.9 - 0.1 is -2.8e-17 in doubles; r must start at 0, not fail
+    assert run_cli(["meanfield", "--lambda", "2", *start, "--outdir", "mf"], tmp_path) == 0
+    first = (tmp_path / "mf" / "meanfield.csv").read_text().splitlines()[1]
+    assert first.startswith("0.0,") and first.endswith(",0.0")
+
+
+def test_meanfield_rejects_fractions_above_one(tmp_path, capsys):
+    assert run_cli(["meanfield", "--lambda", "2", "--s0", "0.9", "--i0", "0.2"],
+                   tmp_path) == 1
+    assert "sum to 1" in capsys.readouterr().err
+
+
 def test_er_subcommand(tmp_path):
     assert run_cli(["er", "--n", "10000", "--mu", "2", "--seed", "3",
                     "--outdir", "er"], tmp_path) == 0

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from sirkn.distributions import (DistSpec, Moments, ROLE_RECOVERY, ROLE_WEIGHT,
-                                 _exp_tail, as_mixture, constant, critical_lambda,
+from sirkn.distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT, _exp_tail,
+                                 as_mixture, critical_lambda,
                                  expect_self_over_self_plus, format_dist,
                                  gamma_p2, log_laplace, log_laplace_deriv, mean,
-                                 mean_inverse, mean_inverse_square, moments,
-                                 parse_dist, quantile, shifted, support,
-                                 two_point, uniform, validate_spec)
-from sirkn.errors import DegenerateMoments, ParamViolation, SupportViolation
+                                 mean_inverse, parse_dist, quantile, support,
+                                 validate_spec)
+from sirkn.errors import ParamViolation, SupportViolation
 
 from reference_stats import cdf
 
@@ -23,57 +22,74 @@ from reference_stats import cdf
 # -- validation --------------------------------------------------------------
 
 def test_constant_one_recovery_is_valid_boundary():
-    spec = constant(1.0, ROLE_RECOVERY)
-    assert validate_spec(spec) is spec
+    spec = DistSpec("constant", (1.0,), ROLE_RECOVERY)
+    assert validate_spec(spec) == spec == parse_dist("constant:1", ROLE_RECOVERY)
 
 
 def test_constant_zero_weight_rejected():
     with pytest.raises(SupportViolation):
-        constant(0.0, ROLE_WEIGHT)
+        parse_dist("constant:0", ROLE_WEIGHT)
 
 
 def test_uniform_reversed_endpoints_rejected():
     with pytest.raises(ParamViolation):
-        uniform(0.5, 0.2, ROLE_WEIGHT)
+        parse_dist("uniform:0.5:0.2", ROLE_WEIGHT)
 
 
 def test_recovery_support_below_one_rejected():
     with pytest.raises(SupportViolation):
-        uniform(0.5, 2.0, ROLE_RECOVERY)
+        parse_dist("uniform:0.5:2", ROLE_RECOVERY)
     with pytest.raises(SupportViolation):
-        two_point(0.9, 0.5, 2.0, ROLE_RECOVERY)
+        parse_dist("two_point:0.9:0.5:2", ROLE_RECOVERY)
 
 
 def test_weight_support_above_one_rejected():
     with pytest.raises(SupportViolation):
-        constant(1.5, ROLE_WEIGHT)
+        parse_dist("constant:1.5", ROLE_WEIGHT)
     with pytest.raises(SupportViolation):
-        uniform(0.0, 1.2, ROLE_WEIGHT)
+        parse_dist("uniform:0:1.2", ROLE_WEIGHT)
 
 
 def test_two_point_all_mass_at_zero_rejected():
     with pytest.raises(SupportViolation):
-        two_point(0.0, 1.0, 0.5, ROLE_WEIGHT)
+        parse_dist("two_point:0:1:0.5", ROLE_WEIGHT)
     # mass 0.5 above zero is fine
-    two_point(0.0, 0.5, 0.5, ROLE_WEIGHT)
+    parse_dist("two_point:0:0.5:0.5", ROLE_WEIGHT)
 
 
 def test_probability_parameter_range():
     with pytest.raises(ParamViolation):
-        two_point(1.0, 1.5, 2.0, ROLE_RECOVERY)
+        parse_dist("two_point:1:1.5:2", ROLE_RECOVERY)
 
 
 def test_shifted_uniform_expresses_one_plus_uniform():
     spec = parse_dist("shifted:uniform:0:1:+1", ROLE_RECOVERY)
     assert support(spec) == (1.0, 2.0)
+    assert format_dist(spec) == "uniform:1:2"
     with pytest.raises(SupportViolation):
         parse_dist("shifted:uniform:0:1:-0.5", ROLE_RECOVERY)
 
 
+@pytest.mark.parametrize("text,family,role", [
+    ("shifted:constant:0:+1", "constant:1", ROLE_RECOVERY),
+    ("shifted:uniform:0:1:+1", "uniform:1:2", ROLE_RECOVERY),
+    ("shifted:two_point:0:0.5:1:+1", "two_point:1:0.5:2", ROLE_RECOVERY),
+    ("shifted:uniform:0.5:1.5:-0.5", "uniform:0:1", ROLE_WEIGHT),
+])
+def test_shifted_parses_into_its_family(text, family, role):
+    # `shifted:` is shorthand: the values move by the offset, p1 stays
+    assert parse_dist(text, role) == parse_dist(family, role)
+
+
 def test_nested_shift_rejected():
-    base = shifted(DistSpec("uniform", (0.0, 1.0), ROLE_RECOVERY), 1.0, ROLE_RECOVERY)
     with pytest.raises(ParamViolation):
-        shifted(base, 1.0, ROLE_RECOVERY)
+        parse_dist("shifted:shifted:uniform:0:1:+1:+1", ROLE_RECOVERY)
+    for off in ("inf", "-inf", "nan"):
+        with pytest.raises(ParamViolation, match="offset must be finite"):
+            parse_dist(f"shifted:uniform:0:1:{off}", ROLE_RECOVERY)
+    # the moved endpoints round to one value, so the family check fails
+    with pytest.raises(ParamViolation, match="a < b"):
+        parse_dist("shifted:uniform:0:1e-17:+1", ROLE_RECOVERY)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -82,10 +98,10 @@ def test_nested_shift_rejected():
     ("constant:1.0", "constant"),
     ("uniform:0.0:1.0", "uniform"),
     ("two_point:1.0:0.5:2.0", "two_point"),
-    ("shifted:uniform:0:1:+1", "shifted"),
+    ("shifted:uniform:0:1:+1", "uniform"),
 ])
 def test_parse_examples(text, kind):
-    role = ROLE_RECOVERY if kind in ("constant", "two_point", "shifted") else ROLE_WEIGHT
+    role = ROLE_WEIGHT if text.startswith("uniform") else ROLE_RECOVERY
     spec = parse_dist(text, role)
     assert spec.kind == kind
 
@@ -112,19 +128,18 @@ def test_format_roundtrip():
 # -- moments and the critical rate -------------------------------------------
 
 def test_moments_constants():
-    m = moments(constant(1.0, ROLE_WEIGHT), constant(1.0, ROLE_RECOVERY))
-    assert m == Moments(1.0, 1.0, 1.0)
+    xi = parse_dist("constant:1", ROLE_RECOVERY)
+    rho = parse_dist("constant:1", ROLE_WEIGHT)
+    assert (mean(rho), mean_inverse(xi), critical_lambda(xi, rho)) == (1.0, 1.0, 1.0)
 
 
 def test_moments_uniform_weight_mean():
-    m = moments(uniform(0.0, 1.0, ROLE_WEIGHT), constant(1.0, ROLE_RECOVERY))
-    assert m.mean_rho == pytest.approx(0.5, abs=0)
+    assert mean(parse_dist("uniform:0:1", ROLE_WEIGHT)) == pytest.approx(0.5, abs=0)
 
 
 def test_moments_two_point_recovery():
-    m = moments(constant(1.0, ROLE_WEIGHT), two_point(1.0, 0.5, 2.0, ROLE_RECOVERY))
-    assert m.mean_inv_xi == pytest.approx(0.75, abs=0)
-    assert m.mean_inv_xi_sq == pytest.approx(0.625, abs=0)
+    xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
+    assert mean_inverse(xi) == pytest.approx(0.75, abs=0)
 
 
 @pytest.mark.parametrize("rho,xi,expected", [
@@ -135,45 +150,59 @@ def test_moments_two_point_recovery():
 def test_critical_lambda_examples(rho, xi, expected):
     rho_spec = DistSpec(rho[0], tuple(rho[1:]), ROLE_WEIGHT)
     xi_spec = DistSpec(xi[0], tuple(xi[1:]), ROLE_RECOVERY)
-    lc = critical_lambda(moments(validate_spec(rho_spec), validate_spec(xi_spec)))
+    lc = critical_lambda(validate_spec(xi_spec), validate_spec(rho_spec))
     assert lc == pytest.approx(expected, rel=1e-14)
 
 
 def test_degenerate_moments_rejected():
-    with pytest.raises(DegenerateMoments):
-        critical_lambda(Moments(0.0, 1.0, 1.0))
+    # E[rho] = 0 would make the threshold infinite; the unvalidated weight
+    # law is validated on the way in and fails there
+    xi = parse_dist("constant:1", ROLE_RECOVERY)
+    with pytest.raises(SupportViolation, match="positive mass above 0"):
+        critical_lambda(xi, DistSpec("constant", (0.0,), ROLE_WEIGHT))
+
+
+def test_critical_lambda_rejects_swapped_roles():
+    xi = parse_dist("constant:1", ROLE_RECOVERY)
+    rho = parse_dist("constant:1", ROLE_WEIGHT)
+    with pytest.raises(ParamViolation, match="xi_spec must have role=recovery"):
+        critical_lambda(rho, xi)
+    with pytest.raises(ParamViolation, match="rho_spec must have role=weight"):
+        critical_lambda(xi, xi)
 
 
 def test_mean_inverse_uniform_matches_quadrature():
-    spec = uniform(1.0, 3.0, ROLE_RECOVERY)
+    spec = parse_dist("uniform:1:3", ROLE_RECOVERY)
     val, _ = integrate.quad(lambda x: (1.0 / x) / 2.0, 1.0, 3.0)
     assert mean_inverse(spec) == pytest.approx(val, rel=1e-12)
-    val2, _ = integrate.quad(lambda x: (1.0 / x ** 2) / 2.0, 1.0, 3.0)
-    assert mean_inverse_square(spec) == pytest.approx(val2, rel=1e-12)
 
 
 # -- strategy for valid specs -------------------------------------------------
 
+def _specs(kind, role, params):
+    return params.map(lambda p: validate_spec(DistSpec(kind, p, role)))
+
+
 def recovery_specs():
     finite = st.floats(min_value=1.0, max_value=50.0, allow_nan=False)
+    role = ROLE_RECOVERY
     return st.one_of(
-        finite.map(lambda v: constant(v, ROLE_RECOVERY)),
-        st.tuples(finite, finite).filter(lambda ab: ab[0] < ab[1]).map(
-            lambda ab: uniform(ab[0], ab[1], ROLE_RECOVERY)),
-        st.tuples(finite, st.floats(min_value=0.0, max_value=1.0), finite).map(
-            lambda t: two_point(t[0], t[1], t[2], ROLE_RECOVERY)),
+        _specs("constant", role, st.tuples(finite)),
+        _specs("uniform", role, st.tuples(finite, finite).filter(lambda ab: ab[0] < ab[1])),
+        _specs("two_point", role,
+               st.tuples(finite, st.floats(min_value=0.0, max_value=1.0), finite)),
     )
 
 
 def weight_specs():
     unit = st.floats(min_value=0.0, max_value=1.0)
+    role = ROLE_WEIGHT
     return st.one_of(
-        unit.filter(lambda v: v > 0).map(lambda v: constant(v, ROLE_WEIGHT)),
-        st.tuples(unit, unit).filter(lambda ab: ab[0] < ab[1]).map(
-            lambda ab: uniform(ab[0], ab[1], ROLE_WEIGHT)),
-        st.tuples(unit, st.floats(min_value=0.01, max_value=0.99), unit)
-        .filter(lambda t: t[0] > 0 or t[2] > 0).map(
-            lambda t: two_point(t[0], t[1], t[2], ROLE_WEIGHT)),
+        _specs("constant", role, st.tuples(unit.filter(lambda v: v > 0))),
+        _specs("uniform", role, st.tuples(unit, unit).filter(lambda ab: ab[0] < ab[1])),
+        _specs("two_point", role,
+               st.tuples(unit, st.floats(min_value=0.01, max_value=0.99), unit)
+               .filter(lambda t: t[0] > 0 or t[2] > 0)),
     )
 
 
@@ -187,9 +216,8 @@ def test_format_parse_roundtrip_exact(spec):
 @given(recovery_specs())
 def test_recovery_moment_invariants(spec):
     inv = mean_inverse(spec)
-    inv_sq = mean_inverse_square(spec)
     assert 0.0 < inv <= 1.0  # xi >= 1
-    assert inv ** 2 <= inv_sq + 1e-15  # Jensen
+    assert 1.0 / mean(spec) <= inv + 1e-15  # Jensen
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,7 +245,7 @@ def test_expect_ratio_matches_quadrature(spec, c):
 
 
 def test_cdf_matches_quantile_mass():
-    spec = two_point(0.2, 0.3, 0.8, ROLE_WEIGHT)
+    spec = parse_dist("two_point:0.2:0.3:0.8", ROLE_WEIGHT)
     xs = np.array([0.1, 0.2, 0.5, 0.8, 1.0])
     np.testing.assert_allclose(cdf(spec, xs), [0.0, 0.3, 0.3, 1.0, 1.0])
     u = np.linspace(0, 1, 10001, endpoint=False)
@@ -226,7 +254,7 @@ def test_cdf_matches_quantile_mass():
 
 
 def test_mean_matches_sample_mean():
-    spec = shifted(DistSpec("uniform", (0.0, 1.0), ROLE_RECOVERY), 1.0, ROLE_RECOVERY)
+    spec = parse_dist("shifted:uniform:0:1:+1", ROLE_RECOVERY)
     u = np.random.default_rng(0).random(200_000)
     assert mean(spec) == pytest.approx(float(np.mean(quantile(spec, u))), abs=2e-3)
 

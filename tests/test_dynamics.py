@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sirkn import seeding
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda,
-                                 moments, parse_dist, support)
+                                 parse_dist, support)
 from sirkn.dynamics import (INFECTION, RECOVERY, EpidemicState, gillespie_run,
                             trajectory_rows)
 from sirkn.environment import Environment
@@ -240,7 +240,7 @@ def test_rate_consistency_along_trajectory(rho_text):
     xi = parse_dist("shifted:uniform:0:1:+1", ROLE_RECOVERY)
     rho = parse_dist(rho_text, ROLE_WEIGHT)
     env = Environment(200, 31, xi, rho)
-    lam = 2.0 * critical_lambda(moments(rho, xi))
+    lam = 2.0 * critical_lambda(xi, rho)
     state = EpidemicState(env, lam=lam)
     rng = seeding.stream(314)
     peak = 1
@@ -266,7 +266,7 @@ def test_dynamic_matches_percolation_distribution(rho_text):
     # the percolation engine is the exact static representation of the law
     xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
     rho = parse_dist(rho_text, ROLE_WEIGHT)
-    lam = 2.0 * critical_lambda(moments(rho, xi))
+    lam = 2.0 * critical_lambda(xi, rho)
     env_seed = 55
     reps = 10_000
     dyn = np.empty(reps, dtype=np.int64)
@@ -290,7 +290,7 @@ def test_engine_makes_no_row_queries(monkeypatch):
     monkeypatch.setattr(Environment, "rho_full_row", no_rows)
     xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
     rho = parse_dist(RHO_SPARSE, ROLE_WEIGHT)
-    lam = 2.0 * critical_lambda(moments(rho, xi))
+    lam = 2.0 * critical_lambda(xi, rho)
     res = gillespie_run(Environment(3000, 14, xi, rho), lam, 7, max_events=50)
     assert res.truncated and res.events_executed == 50
 
@@ -349,7 +349,7 @@ def test_golden_runs_are_byte_identical(case):
     (xi_text, rho_text, n, env_seed, lam_units, run_seed, cap), expected = _GOLDEN_RUNS[case]
     xi = parse_dist(xi_text, ROLE_RECOVERY)
     rho = parse_dist(rho_text, ROLE_WEIGHT)
-    lam = lam_units * critical_lambda(moments(rho, xi))
+    lam = lam_units * critical_lambda(xi, rho)
     res = gillespie_run(Environment(n, env_seed, xi, rho),
                         lam, run_seed, max_events=cap, record_trajectory=True)
     text = "\n".join(f"{t.hex()} {kind} {v}" for t, kind, v in res.trajectory)

@@ -25,7 +25,7 @@ import pytest
 from scipy import stats
 
 from sirkn import percolation, seeding
-from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda, moments,
+from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda,
                                  parse_dist, psi)
 from sirkn.environment import Environment
 from sirkn.experiment import ExperimentConfig, collect_final_sizes, no_spread_finite_n
@@ -120,7 +120,7 @@ def gof_p_value(samples, law):
 
 def cell_law(law, n, mult):
     xi, rho = specs(law)
-    lam = mult * critical_lambda(moments(rho, xi))
+    lam = mult * critical_lambda(xi, rho)
     return xi, rho, lam, exact_final_size_law(xi, rho, lam, n)
 
 

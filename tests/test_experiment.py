@@ -362,6 +362,28 @@ def test_sweep_starts_one_process_pool(monkeypatch):
     assert starts == [2]
 
 
+def test_single_task_point_runs_without_a_pool(monkeypatch):
+    # An annealed percolation point of at most SELLKE_BLOCK replications is
+    # one task; a pool for it costs more than it saves.
+    config = make_config(xi_spec=XI2, rho_spec=RHOU, n_grid=(30,), lambda_grid=(2.0,),
+                         replications=SELLKE_BLOCK)
+    [(ref, _)] = collect_final_sizes(config, [(0, 30, 2.0)], jobs=1)
+    starts = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    [(samples, failures)] = collect_final_sizes(config, [(0, 30, 2.0)], jobs=2)
+    assert starts == []
+    assert samples.tobytes() == ref.tobytes() and failures == 0
+    # two tasks at jobs 3 start a pool of two workers
+    collect_final_sizes(config, [(0, 30, 2.0), (1, 15, 2.0)], jobs=3)
+    assert starts == [2]
+
+
 def test_failed_replications_are_dropped_not_counted_as_zero(monkeypatch):
     config = make_config(n_grid=(25,), lambda_grid=(1.5,), replications=100,
                          measure="quenched")

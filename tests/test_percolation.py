@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sirkn import seeding
-from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda, moments,
+from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda,
                                  parse_dist)
 from sirkn.dynamics import gillespie_run
 from sirkn.environment import Environment
@@ -120,7 +120,7 @@ def test_golden_sellke_blocks_are_byte_identical(law, n, mult):
     xi_text, rho_text = _SELLKE_LAWS[law]
     xi = parse_dist(xi_text, ROLE_RECOVERY)
     rho = parse_dist(rho_text, ROLE_WEIGHT)
-    sizes = sellke_final_sizes(xi, rho, n, mult * critical_lambda(moments(rho, xi)), 256, 17)
+    sizes = sellke_final_sizes(xi, rho, n, mult * critical_lambda(xi, rho), 256, 17)
     assert hashlib.sha256(sizes.tobytes()).hexdigest() == _GOLDEN_SELLKE[law, n, mult]
 
 
