@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import seeding
@@ -93,22 +94,12 @@ def _cmd_run(args, engine, options=()) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    # flags replace the file's raw field text; config_from_dict converts once
+    # flags, named by their config field, replace the file's raw field text;
+    # config_from_dict converts once
     values = read_config_fields(Path(args.config).read_text()) if args.config else {}
-    overrides = {
-        "xi_spec": args.xi,
-        "rho_spec": args.rho,
-        "n_grid": args.n_grid.split(",") if args.n_grid else None,
-        "lambda_grid": args.lambda_grid.split(",") if args.lambda_grid else None,
-        "lambda_units": args.lambda_units,
-        "replications": args.reps,
-        "engine": args.engine,
-        "measure": args.measure,
-        "epsilon": args.epsilon,
-        "confidence": args.confidence,
-        "master_seed": args.seed,
-    }
-    values.update((key, val) for key, val in overrides.items() if val is not None)
+    flags = vars(args)
+    values.update((f.name, flags[f.name]) for f in fields(ExperimentConfig)
+                  if flags[f.name] is not None)
     return config_from_dict(values)
 
 
@@ -173,7 +164,7 @@ def _cmd_no_spread(args) -> int:
         "rho_spec": args.rho,
         "n_grid": [args.n],
         "lambda_grid": [args.lam],
-        "replications": args.reps,
+        "replications": args.replications,
         "engine": args.engine,
         "master_seed": args.seed,
     })
@@ -234,19 +225,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=functools.partial(_cmd_run, engine=percolation_final_size))
 
     p = sub.add_parser("sweep", help="Monte Carlo grid sweep", exit_on_error=False)
-    p.add_argument("--config", default=None, help="config file path")
-    p.add_argument("--xi", default=None)
-    p.add_argument("--rho", default=None)
-    p.add_argument("--n-grid", default=None, help="comma list, e.g. 100,1000")
-    p.add_argument("--lambda-grid", default=None, help="comma list, e.g. 0.5,2")
-    p.add_argument("--lambda-units", choices=["absolute", "lambda_c"],
-                   default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--engine", choices=["dynamic", "percolation"], default=None)
-    p.add_argument("--measure", choices=["annealed", "quenched"], default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--confidence", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    # Each flag below sets the config field its dest names; the value is
+    # text, converted and checked as a config file's would be.
+    p.add_argument("--config", help="config file path")
+    p.add_argument("--xi", dest="xi_spec", help="recovery-rate law")
+    p.add_argument("--rho", dest="rho_spec", help="edge-weight law")
+    p.add_argument("--n-grid", help="comma list, e.g. 100,1000")
+    p.add_argument("--lambda-grid", help="comma list, e.g. 0.5,2")
+    p.add_argument("--lambda-units", help="absolute | lambda_c")
+    p.add_argument("--reps", dest="replications", help="replications per grid point")
+    p.add_argument("--engine", help="dynamic | percolation")
+    p.add_argument("--measure", help="annealed | quenched")
+    p.add_argument("--epsilon", help="exceedance threshold as a fraction of n")
+    p.add_argument("--confidence", help="confidence level of the intervals")
+    p.add_argument("--seed", dest="master_seed", help="master seed")
     p.add_argument("--jobs", type=int, default=0,
                    help="worker processes (0 = available parallelism)")
     add_common(p)
@@ -272,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("no-spread", help="P(final size = 1) vs analytic values",
                        exit_on_error=False)
     add_model(p)
-    p.add_argument("--reps", type=int, default=10000)
-    p.add_argument("--engine", choices=["dynamic", "percolation"],
-                   default="percolation")
+    p.add_argument("--reps", dest="replications", default=10000)
+    p.add_argument("--engine", default="percolation",
+                   help="dynamic | percolation (default %(default)s)")
     p.add_argument("--jobs", type=int, default=0)
     add_common(p)
     p.set_defaults(func=_cmd_no_spread)

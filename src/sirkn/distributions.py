@@ -47,13 +47,41 @@ class DistSpec:
       uniform(a, b)        params = (a, b), a < b
       two_point(v1, p1, v2) params = (v1, p1, v2), P(v1) = p1
 
-    `parse_dist` builds a validated one; `validate_spec` checks one built
-    by hand.
+    Every spec is valid: building one checks the family's parameter ranges
+    and the role's support and raises ParamViolation or SupportViolation
+    naming the violated constraint.  `parse_dist` builds one from text.
     """
 
     kind: str
     params: tuple
     role: str
+
+    def __post_init__(self):
+        if self.role not in (ROLE_RECOVERY, ROLE_WEIGHT):
+            raise ParamViolation(f"role must be one of recovery|weight, got {self.role!r}")
+        _check_params(self)
+        lo, hi = support(self)
+        if self.role == ROLE_RECOVERY:
+            if lo < 1.0:
+                raise SupportViolation(
+                    f"recovery support must satisfy value >= 1 (support reaches {lo})"
+                )
+        else:
+            if lo < 0.0 or hi > 1.0:
+                raise SupportViolation(
+                    f"weight support must lie in [0, 1] (got [{lo}, {hi}])"
+                )
+            # as_mixture drops atoms without mass
+            if not any(comp[-1] > 0 for _, comp in as_mixture(self)):
+                raise SupportViolation("weight law must place positive mass above 0")
+
+
+def check_roles(xi_spec: DistSpec, rho_spec: DistSpec) -> None:
+    """Reject a pair of laws whose roles are not (recovery, weight)."""
+    if xi_spec.role != ROLE_RECOVERY:
+        raise ParamViolation("xi_spec must have role=recovery")
+    if rho_spec.role != ROLE_WEIGHT:
+        raise ParamViolation("rho_spec must have role=weight")
 
 
 def support(spec: DistSpec) -> tuple:
@@ -66,9 +94,10 @@ def support(spec: DistSpec) -> tuple:
 
 def _check_params(spec: DistSpec) -> None:
     """Family parameter constraints; the role's support constraints are
-    checked separately in validate_spec."""
-    if spec.kind not in _ARITY:
-        raise ParamViolation(f"unknown distribution kind {spec.kind!r}")
+    checked by the caller, `DistSpec.__post_init__`."""
+    if _ARITY.get(spec.kind) != len(spec.params):
+        raise ParamViolation(
+            f"unknown distribution kind {spec.kind!r} with {len(spec.params)} parameters")
     if spec.kind == "constant":
         (v,) = spec.params
         if not math.isfinite(v):
@@ -87,35 +116,6 @@ def _check_params(spec: DistSpec) -> None:
             raise ParamViolation("two_point values must be finite")
 
 
-@functools.lru_cache(maxsize=1024)
-def validate_spec(spec: DistSpec) -> DistSpec:
-    """Check parameter ranges and role-dependent support constraints.
-
-    Returns the spec unchanged when valid; raises ParamViolation or
-    SupportViolation naming the violated constraint otherwise.  Results are
-    cached (specs are frozen), so re-validating per replication is free.
-    """
-    if spec.role not in (ROLE_RECOVERY, ROLE_WEIGHT):
-        raise ParamViolation(f"role must be one of recovery|weight, got {spec.role!r}")
-    _check_params(spec)
-
-    lo, hi = support(spec)
-    if spec.role == ROLE_RECOVERY:
-        if lo < 1.0:
-            raise SupportViolation(
-                f"recovery support must satisfy value >= 1 (support reaches {lo})"
-            )
-    else:
-        if lo < 0.0 or hi > 1.0:
-            raise SupportViolation(
-                f"weight support must lie in [0, 1] (got [{lo}, {hi}])"
-            )
-        # as_mixture drops atoms without mass
-        if not any(comp[-1] > 0 for _, comp in as_mixture(spec)):
-            raise SupportViolation("weight law must place positive mass above 0")
-    return spec
-
-
 def _numbers(text: str, fields: list) -> tuple:
     try:
         return tuple(float(f) for f in fields)
@@ -123,30 +123,32 @@ def _numbers(text: str, fields: list) -> tuple:
         raise ParamViolation(f"could not parse number in {text!r}: {exc}") from exc
 
 
-def _parse_raw(text: str, role: str) -> DistSpec:
-    kind, *fields = text.strip().split(":")
+def _parse_raw(text: str) -> tuple:
+    """(kind, params) of spec text; a `shifted:` base is moved, not built."""
+    kind, *fields = text.split(":")
+    kind = kind.strip()  # float() strips the numbers
     if kind == "shifted" and len(fields) >= 3:
         if fields[0].strip() == "shifted":
             raise ParamViolation("shifted base must not itself be shifted")
-        base = _parse_raw(":".join(fields[:-1]), role)
+        kind, params = _parse_raw(":".join(fields[:-1]))
         (off,) = _numbers(text, fields[-1:])
         if not math.isfinite(off):
             raise ParamViolation("shift offset must be finite")
-        if base.kind == "two_point":
-            v1, p1, v2 = base.params
-            return DistSpec("two_point", (v1 + off, p1, v2 + off), role)
-        return DistSpec(base.kind, tuple(v + off for v in base.params), role)
+        if kind == "two_point":
+            v1, p1, v2 = params
+            return kind, (v1 + off, p1, v2 + off)
+        return kind, tuple(v + off for v in params)
     if _ARITY.get(kind) != len(fields):
         raise ParamViolation(
             f"unrecognized distribution syntax {text!r}; expected "
             "constant:v | uniform:a:b | two_point:v1:p1:v2 | shifted:<base>:offset"
         )
-    return DistSpec(kind, _numbers(text, fields), role)
+    return kind, _numbers(text, fields)
 
 
 def parse_dist(text: str, role: str) -> DistSpec:
-    """Parse the colon-separated spec syntax; returns a validated spec."""
-    return validate_spec(_parse_raw(text, role))
+    """Parse the colon-separated spec syntax into a (valid) spec."""
+    return DistSpec(*_parse_raw(text), role)
 
 
 def _fmt_param(p: float) -> str:
@@ -382,13 +384,8 @@ def psi(xi_spec: DistSpec, rho_spec: DistSpec, s: float, theta: float) -> float:
 def critical_lambda(xi_spec: DistSpec, rho_spec: DistSpec) -> float:
     """The phase-transition threshold 1 / (E[rho] * E[1/xi]).
 
-    Both laws are validated, so the threshold is finite and positive: a
-    weight law has mass above 0 and a recovery law lives in [1, inf).
+    Every spec is valid, so the threshold is finite and positive: a weight
+    law has mass above 0 and a recovery law lives in [1, inf).
     """
-    if xi_spec.role != ROLE_RECOVERY:
-        raise ParamViolation("xi_spec must have role=recovery")
-    if rho_spec.role != ROLE_WEIGHT:
-        raise ParamViolation("rho_spec must have role=weight")
-    validate_spec(xi_spec)
-    validate_spec(rho_spec)
+    check_roles(xi_spec, rho_spec)
     return 1.0 / (mean(rho_spec) * mean_inverse(xi_spec))

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import seeding
-from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT, as_mixture, quantile,
-                            validate_spec)
+from .distributions import DistSpec, as_mixture, check_roles, quantile
 from .errors import IndexOutOfRange, ParamViolation, SelfLoop
 
 _TAG_XI = 0x5849
@@ -37,12 +36,7 @@ class Environment:
     def __init__(self, n: int, seed: int, xi_spec: DistSpec, rho_spec: DistSpec):
         if n < 1:
             raise ParamViolation(f"environment requires n >= 1 (got {n})")
-        if xi_spec.role != ROLE_RECOVERY:
-            raise ParamViolation("xi_spec must have role=recovery")
-        if rho_spec.role != ROLE_WEIGHT:
-            raise ParamViolation("rho_spec must have role=weight")
-        validate_spec(xi_spec)
-        validate_spec(rho_spec)
+        check_roles(xi_spec, rho_spec)
         self.n = int(n)
         self.seed = int(seed)
         self.xi_spec = xi_spec

@@ -19,18 +19,17 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import seeding
-from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT,
+from . import __version__, seeding
+from .distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT, check_roles,
                             critical_lambda, expect_self_over_self_plus,
-                            format_dist, mean, parse_dist, psi,
-                            validate_spec)
+                            format_dist, mean, parse_dist, psi)
 # Not used here; perfbench/child.py traces it under this module's name.
 from .distributions import quantile  # noqa: F401
 from .dynamics import gillespie_run
@@ -49,8 +48,6 @@ UNITS_LAMBDA_C = "lambda_c"
 _TAG_ENV = 0x454E56
 _TAG_RUN = 0x52554E
 _TAG_BLOCK = 0x424C4B
-
-VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +73,7 @@ class ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    validate_spec(config.xi_spec)
-    validate_spec(config.rho_spec)
-    if config.xi_spec.role != ROLE_RECOVERY:
-        raise ParamViolation("xi_spec must have role=recovery")
-    if config.rho_spec.role != ROLE_WEIGHT:
-        raise ParamViolation("rho_spec must have role=weight")
+    check_roles(config.xi_spec, config.rho_spec)
     if not config.n_grid:
         raise ParamViolation("n_grid must be non-empty")
     if not config.lambda_grid:
@@ -121,19 +113,11 @@ def resolved_lambda_grid(config: ExperimentConfig) -> Tuple[float, ...]:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "xi_spec": format_dist(config.xi_spec),
-        "rho_spec": format_dist(config.rho_spec),
-        "n_grid": list(config.n_grid),
-        "lambda_grid": list(config.lambda_grid),
-        "lambda_units": config.lambda_units,
-        "replications": config.replications,
-        "engine": config.engine,
-        "measure": config.measure,
-        "epsilon": config.epsilon,
-        "confidence": config.confidence,
-        "master_seed": config.master_seed,
-    }
+    """Field values of a config as JSON values, laws in their text form."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    values.update(xi_spec=format_dist(config.xi_spec), rho_spec=format_dist(config.rho_spec),
+                  n_grid=list(config.n_grid), lambda_grid=list(config.lambda_grid))
+    return values
 
 
 def config_hash(config: ExperimentConfig | dict) -> str:
@@ -147,9 +131,8 @@ def config_hash(config: ExperimentConfig | dict) -> str:
 def read_config_fields(text: str) -> dict:
     """Raw field text of the plain-text key = value config document.
 
-    Grids become lists of their comma-separated items; nothing is converted,
-    so command-line flags can replace any field before `config_from_dict`
-    converts them all.
+    Nothing is split or converted, so command-line flags can replace any
+    field before `config_from_dict` converts them all.
     """
     names = {f.name for f in fields(ExperimentConfig)}
     values: dict = {}
@@ -166,8 +149,6 @@ def read_config_fields(text: str) -> dict:
             raise ParamViolation(f"config line {lineno}: unknown field {key!r}")
         if key in values:
             raise ParamViolation(f"config line {lineno}: field {key!r} given twice")
-        if key in ("n_grid", "lambda_grid"):
-            val = [v.strip() for v in val.split(",") if v.strip()]
         values[key] = val
     return values
 
@@ -181,29 +162,32 @@ def _number(key: str, kind: type, val):
 
 
 def config_from_dict(values: dict) -> ExperimentConfig:
-    """Build a config from field values given as text.
+    """Build a config from field values given as text, by a config file or
+    by command-line flags.
 
-    This is the one place where config specs and numbers are converted; a
-    value that does not convert raises ParamViolation naming its field.
+    This is the one place where config values are converted: laws are
+    parsed, a grid given as text is split at commas (empty items skipped),
+    and a number that does not convert raises ParamViolation naming its
+    field.  `ExperimentConfig` checks the result, the choice fields
+    included; fields not given keep their defaults.
     """
-    missing = [k for k in ("xi_spec", "rho_spec", "n_grid", "lambda_grid",
-                           "replications") if k not in values]
+    missing = [f.name for f in fields(ExperimentConfig)
+               if f.default is MISSING and f.name not in values]
     if missing:
         raise ParamViolation(f"config missing required fields: {', '.join(missing)}")
-    # Optional fields that are not given keep the ExperimentConfig defaults.
-    optional = {key: values[key] for key in ("engine", "measure", "lambda_units")
-                if key in values}
-    optional.update((key, _number(key, kind, values[key])) for key, kind
-                    in (("epsilon", float), ("confidence", float), ("master_seed", int))
-                    if key in values)
-    return ExperimentConfig(
-        xi_spec=parse_dist(str(values["xi_spec"]), ROLE_RECOVERY),
-        rho_spec=parse_dist(str(values["rho_spec"]), ROLE_WEIGHT),
-        n_grid=tuple(_number("n_grid", int, v) for v in values["n_grid"]),
-        lambda_grid=tuple(_number("lambda_grid", float, v) for v in values["lambda_grid"]),
-        replications=_number("replications", int, values["replications"]),
-        **optional,
-    )
+    given = {f.name: values[f.name] for f in fields(ExperimentConfig) if f.name in values}
+    given["xi_spec"] = parse_dist(str(given["xi_spec"]), ROLE_RECOVERY)
+    given["rho_spec"] = parse_dist(str(given["rho_spec"]), ROLE_WEIGHT)
+    for key, kind in (("n_grid", int), ("lambda_grid", float)):
+        items = given[key]
+        if isinstance(items, str):
+            items = [v.strip() for v in items.split(",") if v.strip()]
+        given[key] = tuple(_number(key, kind, v) for v in items)
+    for key, kind in (("replications", int), ("epsilon", float), ("confidence", float),
+                      ("master_seed", int)):
+        if key in given:
+            given[key] = _number(key, kind, given[key])
+    return ExperimentConfig(**given)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +487,7 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
             "config_hash": config_hash(config),
             "master_seed": config.master_seed,
             "engine": config.engine,
-            "version": VERSION,
+            "version": __version__,
         },
     )
 

@@ -58,7 +58,6 @@ _SELLKE_CHUNK = 1 << 14
 
 @dataclass
 class ReachResult:
-    reached: np.ndarray  # sorted vertex ids, always contains 0
     r_infinity: int
     t_draws: int
     u_draws: int
@@ -117,7 +116,6 @@ def percolation_final_size(env: Environment, lam: float, run_seed: int) -> Reach
             found.append(new)
         frontier = found[0] if len(found) == 1 else np.concatenate(found)
     return ReachResult(
-        reached=np.flatnonzero(visited),
         r_infinity=reached_count,
         t_draws=t_draws,
         u_draws=u_draws,

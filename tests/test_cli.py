@@ -96,11 +96,15 @@ def test_sweep_flag_overrides_config(tmp_path):
     assert payload["config"]["replications"] == 20
 
 
-@pytest.mark.parametrize("text,flags", [
-    ("replications = abc\n", []),
-    ("replications = 50\n", ["--n-grid", "10,abc"]),
-], ids=["file", "flag"])
-def test_sweep_malformed_number_names_field(tmp_path, capsys, text, flags):
+@pytest.mark.parametrize("text,flags,field", [
+    ("replications = abc\n", [], "replications"),
+    ("replications = 50\n", ["--n-grid", "10,abc"], "n_grid"),
+    ("", ["--reps", "abc"], "replications"),
+    ("replications = 50\n", ["--epsilon", "x"], "epsilon"),
+    ("replications = 50\n", ["--engine", "magic"], "engine"),
+], ids=["file", "flag", "flag-reps", "flag-epsilon", "flag-engine"])
+def test_sweep_malformed_number_names_field(tmp_path, capsys, text, flags, field):
+    # flags are converted and checked as config-file fields are
     (tmp_path / "phase.cfg").write_text(
         "xi_spec = constant:1\nrho_spec = constant:1\n"
         "n_grid = 10\nlambda_grid = 1.0\n" + text)
@@ -108,8 +112,24 @@ def test_sweep_malformed_number_names_field(tmp_path, capsys, text, flags):
                    tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert ("replications" if not flags else "n_grid") in err
+    assert f"{field} must" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["10,,20", "10,20,", " 10 , 20 "])
+def test_sweep_grid_flag_parses_like_config_field(tmp_path, grid):
+    base = "xi_spec = constant:1\nrho_spec = constant:1\nreplications = 20\n"
+    (tmp_path / "file.cfg").write_text(base + f"n_grid = {grid}\nlambda_grid = {grid}\n")
+    (tmp_path / "flag.cfg").write_text(base)
+    assert run_cli(["sweep", "--config", "file.cfg", "--outdir", "file",
+                    "--jobs", "1"], tmp_path) == 0
+    assert run_cli(["sweep", "--config", "flag.cfg", "--n-grid", grid,
+                    "--lambda-grid", grid, "--outdir", "flag", "--jobs", "1"],
+                   tmp_path) == 0
+    file_doc, flag_doc = (json.loads((tmp_path / d / "sweep.json").read_text())
+                          for d in ("file", "flag"))
+    assert file_doc["config"] == flag_doc["config"]
+    assert flag_doc["config"]["n_grid"] == [10, 20]
 
 
 @pytest.mark.parametrize("text,flags", [

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import functools
 from decimal import Decimal
@@ -12,8 +13,7 @@ from sirkn.distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT, _exp_tail
                                  as_mixture, critical_lambda,
                                  expect_self_over_self_plus, format_dist,
                                  gamma_p2, log_laplace, log_laplace_deriv, mean,
-                                 mean_inverse, parse_dist, quantile, support,
-                                 validate_spec)
+                                 mean_inverse, parse_dist, quantile, support)
 from sirkn.errors import ParamViolation, SupportViolation
 
 from reference_stats import cdf
@@ -23,7 +23,7 @@ from reference_stats import cdf
 
 def test_constant_one_recovery_is_valid_boundary():
     spec = DistSpec("constant", (1.0,), ROLE_RECOVERY)
-    assert validate_spec(spec) == spec == parse_dist("constant:1", ROLE_RECOVERY)
+    assert spec == parse_dist("constant:1", ROLE_RECOVERY)
 
 
 def test_constant_zero_weight_rejected():
@@ -34,6 +34,9 @@ def test_constant_zero_weight_rejected():
 def test_uniform_reversed_endpoints_rejected():
     with pytest.raises(ParamViolation):
         parse_dist("uniform:0.5:0.2", ROLE_WEIGHT)
+    # a spec is checked when it is built, by hand as well as by parse_dist
+    with pytest.raises(ParamViolation, match="a < b"):
+        DistSpec("uniform", (0.5, 0.2), ROLE_WEIGHT)
 
 
 def test_recovery_support_below_one_rejected():
@@ -48,6 +51,9 @@ def test_weight_support_above_one_rejected():
         parse_dist("constant:1.5", ROLE_WEIGHT)
     with pytest.raises(SupportViolation):
         parse_dist("uniform:0:1.2", ROLE_WEIGHT)
+    # a copy with another role is checked against that role's support
+    with pytest.raises(SupportViolation):
+        dataclasses.replace(parse_dist("uniform:1:2", ROLE_RECOVERY), role=ROLE_WEIGHT)
 
 
 def test_two_point_all_mass_at_zero_rejected():
@@ -99,11 +105,19 @@ def test_nested_shift_rejected():
     ("uniform:0.0:1.0", "uniform"),
     ("two_point:1.0:0.5:2.0", "two_point"),
     ("shifted:uniform:0:1:+1", "uniform"),
+    ("uniform :0:1", "uniform"),
+    ("uniform: 0 : 1", "uniform"),
+    (" constant :1 ", "constant"),
+    ("two_point : 1 : 0.5 : 2", "two_point"),
+    ("shifted:uniform :0:1:+1", "uniform"),
+    (" shifted : uniform : 0 : 1 : +1", "uniform"),
 ])
 def test_parse_examples(text, kind):
-    role = ROLE_WEIGHT if text.startswith("uniform") else ROLE_RECOVERY
+    role = ROLE_WEIGHT if text.strip().startswith("uniform") else ROLE_RECOVERY
     spec = parse_dist(text, role)
     assert spec.kind == kind
+    # whitespace around a field is ignored
+    assert spec == parse_dist("".join(text.split()), role)
 
 
 def test_parse_rejects_gibberish():
@@ -113,6 +127,8 @@ def test_parse_rejects_gibberish():
         parse_dist("uniform:0", ROLE_WEIGHT)
     with pytest.raises(ParamViolation):
         parse_dist("uniform:a:b", ROLE_WEIGHT)
+    with pytest.raises(ParamViolation):
+        DistSpec("uniform", (0.0,), ROLE_WEIGHT)
 
 
 def test_format_roundtrip():
@@ -150,13 +166,13 @@ def test_moments_two_point_recovery():
 def test_critical_lambda_examples(rho, xi, expected):
     rho_spec = DistSpec(rho[0], tuple(rho[1:]), ROLE_WEIGHT)
     xi_spec = DistSpec(xi[0], tuple(xi[1:]), ROLE_RECOVERY)
-    lc = critical_lambda(validate_spec(xi_spec), validate_spec(rho_spec))
+    lc = critical_lambda(xi_spec, rho_spec)
     assert lc == pytest.approx(expected, rel=1e-14)
 
 
 def test_degenerate_moments_rejected():
-    # E[rho] = 0 would make the threshold infinite; the unvalidated weight
-    # law is validated on the way in and fails there
+    # E[rho] = 0 would make the threshold infinite; a zero weight law cannot
+    # be built, so it never reaches critical_lambda
     xi = parse_dist("constant:1", ROLE_RECOVERY)
     with pytest.raises(SupportViolation, match="positive mass above 0"):
         critical_lambda(xi, DistSpec("constant", (0.0,), ROLE_WEIGHT))
@@ -180,7 +196,7 @@ def test_mean_inverse_uniform_matches_quadrature():
 # -- strategy for valid specs -------------------------------------------------
 
 def _specs(kind, role, params):
-    return params.map(lambda p: validate_spec(DistSpec(kind, p, role)))
+    return params.map(lambda p: DistSpec(kind, p, role))
 
 
 def recovery_specs():

@@ -1,6 +1,8 @@
 import concurrent.futures
 import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -577,6 +579,13 @@ def test_config_validation():
         make_config(lambda_grid=(-0.5,))
 
 
+def test_version_matches_pyproject():
+    # a regex, not tomllib: the package supports Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    [version] = re.findall(r'^version = "([^"]*)"$', text, flags=re.M)
+    assert version == sirkn.__version__
+
+
 # -- sweeps ---------------------------------------------------------------------
 
 def test_sweep_structure_and_witnesses(tmp_path):
@@ -596,6 +605,7 @@ def test_sweep_structure_and_witnesses(tmp_path):
     assert len(text.splitlines()) == 5
     payload = json.loads(json_path.read_text())
     assert payload["provenance"]["config_hash"] == config_hash(config)
+    assert payload["provenance"]["version"] == sirkn.__version__ == "0.1.0"
     assert len(payload["rows"]) == 4
     # classic specs carry the mean-field final size as a reference field
     mf = {entry["lambda"]: entry["final_size_fraction"]

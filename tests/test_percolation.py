@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sirkn import seeding
+from sirkn import percolation, seeding
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda,
                                  parse_dist)
 from sirkn.dynamics import gillespie_run
@@ -25,7 +25,6 @@ def test_lambda_zero_reaches_only_origin():
     env = Environment(50, 3, XI1, RHO1)
     res = percolation_final_size(env, 0.0, 7)
     assert res.r_infinity == 1
-    assert list(res.reached) == [0]
 
 
 def test_two_vertex_race():
@@ -60,34 +59,37 @@ def test_lazy_sampling_counters():
 def test_constant_weight_scales_out_of_the_bfs(monkeypatch):
     # At the envelope rho_max = rho, a constant law keeps every skip hit
     # without a weight lookup or an acceptance draw, so halving rho and
-    # doubling lambda reaches the same vertices; lam = 40 runs the dense
-    # branch as well.
+    # doubling lambda reaches the same vertices, found in the same order;
+    # lam = 40 runs the dense branch as well.
     def no_lookup(*args):
         raise AssertionError("constant law looked up a weight")
 
+    found = []  # the vertices that each _open_targets call newly reaches
+
+    def recording(*args):
+        new, draws = open_targets(*args)
+        found.append(new.tolist())
+        return new, draws
+
+    def reached(rho, lam, seed):
+        found.clear()
+        percolation_final_size(Environment(30, 1, XI2, rho), lam, seed)
+        return list(found)
+
+    open_targets = percolation._open_targets
     monkeypatch.setattr(Environment, "rho_pairs", no_lookup)
+    monkeypatch.setattr(percolation, "_open_targets", recording)
     half = parse_dist("constant:0.5", ROLE_WEIGHT)
     for lam in (1.5, 40.0):
         for seed in range(20):
-            a = percolation_final_size(Environment(30, 1, XI2, RHO1), lam, seed)
-            b = percolation_final_size(Environment(30, 1, XI2, half), 2 * lam, seed)
-            np.testing.assert_array_equal(a.reached, b.reached)
+            assert reached(RHO1, lam, seed) == reached(half, 2 * lam, seed)
 
 
 def test_determinism():
     env = Environment(123, 9, XI2, RHOU)
     a = percolation_final_size(env, 1.5, 42)
     b = percolation_final_size(env, 1.5, 42)
-    assert a.r_infinity == b.r_infinity
-    np.testing.assert_array_equal(a.reached, b.reached)
-
-
-def test_reached_always_contains_origin():
-    env = Environment(30, 1, XI1, RHOU)
-    for r in range(50):
-        res = percolation_final_size(env, 1.0, r)
-        assert 0 in res.reached
-        assert res.r_infinity == len(res.reached) >= 1
+    assert (a.r_infinity, a.t_draws, a.u_draws) == (b.r_infinity, b.t_draws, b.u_draws)
 
 
 # -- Sellke sampler ------------------------------------------------------------
