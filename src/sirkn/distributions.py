@@ -165,18 +165,13 @@ def format_dist(spec: DistSpec) -> str:
 
 
 def quantile(spec: DistSpec, u: Union[float, np.ndarray]):
-    """Inverse CDF; maps uniforms in [0, 1) to the law of the spec."""
+    """Inverse CDF, elementwise: maps uniforms in [0, 1) to the law."""
     if spec.kind == "constant":
-        v = spec.params[0]
-        if np.isscalar(u):
-            return v
-        return np.full(np.shape(u), v)
+        return np.full(np.shape(u), spec.params[0])
     if spec.kind == "uniform":
         a, b = spec.params
         return a + (b - a) * u
     v1, p1, v2 = spec.params
-    if np.isscalar(u):
-        return v1 if u < p1 else v2
     return np.where(u < p1, v1, v2)
 
 

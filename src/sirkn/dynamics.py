@@ -11,7 +11,7 @@ tests step it one event at a time.
 Infections are selected by thinning (Lewis & Shedler) for every weight law:
 a uniform pair (i, j) in S x I is proposed at the envelope rate
 (lam/n) * rho_max * |S| * |I| and accepted with probability
-rho(i, j) / rho_max, looked up by `Environment.rho_at`; rho_max is the
+rho(i, j) / rho_max, one call of `Environment.rho_lookup`; rho_max is the
 largest weight the law puts mass on (`Environment.rho_max`).  Constant laws
 accept every proposal and never look up a weight.
 
@@ -24,6 +24,7 @@ samples, not their law.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -41,8 +42,8 @@ _BLOCK = 32  # variates per generator call, chosen by timing (CHANGES.md)
 
 def _variates(draw, size: int):
     """Endless iterator over the variates of draw(size), one block at a time."""
-    while True:
-        yield from draw(size).tolist()
+    return itertools.chain.from_iterable(
+        map(np.ndarray.tolist, map(draw, itertools.repeat(size))))
 
 
 @dataclass
@@ -126,7 +127,7 @@ class EpidemicState:
         rec, time = self.total_recovery_rate, self.time
         exponential = _variates(rng.standard_exponential, _BLOCK).__next__
         uniform = _variates(rng.random, _BLOCK).__next__
-        rho_at, rho_const, rho_max = env.rho_at, env.rho_const, env.rho_max
+        rho, rho_const, rho_max = None, env.rho_const, env.rho_max
         envelope = self.lam / self.n * rho_max
         events = 0
         while i_count and events < max_events:
@@ -137,12 +138,14 @@ class EpidemicState:
                 elapsed += exponential() / total
                 if uniform() * total < rec:
                     break
-                if rho_const is not None:
-                    v = s_list[int(uniform() * s_count)]
-                    break
+                if rho is None:
+                    if rho_const is not None:
+                        v = s_list[int(uniform() * s_count)]
+                        break
+                    rho = env.rho_lookup()  # once, at the run's first proposal
                 # one uniform picks the proposed pair (i, j) in S x I
                 k, m = divmod(int(uniform() * (s_count * i_count)), i_count)
-                if uniform() * rho_max < rho_at(s_list[k], i_list[m]):
+                if uniform() * rho_max < rho(s_list[k], i_list[m]):
                     v = s_list[k]
                     break
                 # rejected proposal: time already advanced, redraw

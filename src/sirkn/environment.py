@@ -25,13 +25,13 @@ class Environment:
 
     Safe for any number of concurrent readers; every query is a pure function
     of its arguments.  The key material that queries cache (`_salt`,
-    `_pair_lo_keys`, rho_at's `_lo_keys`) and the tuple of `xi_values` change
-    no value.
+    `_pair_lo_keys` and the `rho_lookup` built on it) and the tuple of
+    `xi_values` change no value.
     """
 
     __slots__ = ("n", "seed", "xi_spec", "rho_spec", "_xi_key", "_rho_key",
                  "xi_const", "rho_const", "xi_max", "rho_max", "_salt",
-                 "_pair_lo_keys", "_lo_keys", "_xi_values")
+                 "_pair_lo_keys", "_rho_lookup", "_xi_values")
 
     def __init__(self, n: int, seed: int, xi_spec: DistSpec, rho_spec: DistSpec):
         if n < 1:
@@ -56,7 +56,7 @@ class Environment:
                          if self.rho_const is None else 0)
         self._salt = None
         self._pair_lo_keys = None
-        self._lo_keys = {}  # rho_at's memo of child_key(rho_key, lo) by lo
+        self._rho_lookup = None
         self._xi_values = None
 
     def _child_keys(self, key: int, js=slice(None)) -> np.ndarray:
@@ -69,9 +69,8 @@ class Environment:
     def _pair_keys(self) -> tuple:
         """child_key(rho_key, j) of every vertex, and the salt.
 
-        O(n) memory, computed on the first vectorized edge query.  rho_at
-        derives the same key for the lower endpoint, so every query path
-        gives the same weights.
+        O(n) memory, computed on the first edge query.  Every query path
+        keys rho(i, j) by these keys, so they all give the same weights.
         """
         if self._pair_lo_keys is None:
             self._pair_lo_keys = self._child_keys(self._rho_key)
@@ -94,12 +93,20 @@ class Environment:
                                if self.xi_const is None else (float(self.xi_const),) * self.n)
         return self._xi_values
 
-    def rho_at(self, i: int, j: int) -> float:
-        """Edge weight on {i, j}; symmetric and in [0, 1].
+    def rho_lookup(self):
+        """The unchecked scalar rho(i, j), i != j, in one Python call; built
+        on first use from the list form of `_pair_keys`."""
+        if self._rho_lookup is None:
+            p = self.rho_spec.params  # v1 if u < p1 else v2; a + (b - a) u; v
+            form = ((p[1], p[0], p[2], 0.0) if self.rho_spec.kind == "two_point"
+                    else (0.0, 0.0, p[0], p[-1] - p[0]))
+            self._rho_lookup = seeding.pair_quantile(
+                self._pair_keys()[0].tolist(), *map(float, form))
+        return self._rho_lookup
 
-        The engine's per-proposal lookup: the key of the lower endpoint is
-        memoized, so a lookup costs one mix beyond the first for that vertex.
-        """
+    def rho_at(self, i: int, j: int) -> float:
+        """Edge weight on {i, j}; symmetric and in [0, 1].  The checked form
+        of `rho_lookup`."""
         n = self.n
         if not 0 <= i < n:
             raise IndexOutOfRange(f"vertex {i} outside [0, {n})")
@@ -107,11 +114,7 @@ class Environment:
             raise IndexOutOfRange(f"vertex {j} outside [0, {n})")
         if i == j:
             raise SelfLoop(f"edge weight undefined for i == j == {i}")
-        lo, hi = (i, j) if i < j else (j, i)
-        key = self._lo_keys.get(lo)
-        if key is None:
-            key = self._lo_keys[lo] = seeding.child_key(self._rho_key, lo)
-        return float(quantile(self.rho_spec, seeding.uniform01(key, hi)))
+        return self.rho_lookup()(int(i), int(j))
 
     def rho_pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Vectorized elementwise rho over index arrays (i[k] != j[k] assumed)."""

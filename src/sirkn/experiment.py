@@ -155,10 +155,13 @@ def read_config_fields(text: str) -> dict:
 
 def _number(key: str, kind: type, val):
     try:
-        return kind(val)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ParamViolation(f"config field {key} must be {what} (got {val!r})") from None
+        out = kind(val)
+        if kind is float or isinstance(val, str) or out == val:  # int(2.5) is 2
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if kind is int else "a number"
+    raise ParamViolation(f"config field {key} must be {what} (got {val!r})")
 
 
 def config_from_dict(values: dict) -> ExperimentConfig:
@@ -167,9 +170,9 @@ def config_from_dict(values: dict) -> ExperimentConfig:
 
     This is the one place where config values are converted: laws are
     parsed, a grid given as text is split at commas (empty items skipped),
-    and a number that does not convert raises ParamViolation naming its
-    field.  `ExperimentConfig` checks the result, the choice fields
-    included; fields not given keep their defaults.
+    and a number that does not convert (or is not integral, for an integer
+    field) raises ParamViolation naming its field.  `ExperimentConfig`
+    checks the result, choice fields included; absent fields default.
     """
     missing = [f.name for f in fields(ExperimentConfig)
                if f.default is MISSING and f.name not in values]

@@ -5,8 +5,8 @@ integer key, computed by the splitmix-style mixer below, or (b) drawn from a
 Philox stream whose key is derived the same way, one generator per stream.
 Both give reproducible results independent of scheduling or worker count.
 
-There is one key derivation, `child_key`: `derive_key` folds it over its
-parts, and array callers mix `uint64(key) ^ pair_salt(n)[js]`.
+There is one key derivation, `child_key`: `derive_key` folds it, array
+callers mix `uint64(key) ^ pair_salt(n)[js]` and `pair_quantile` inlines it.
 """
 
 from __future__ import annotations
@@ -71,6 +71,21 @@ def derive_key(*parts: int) -> int:
 def child_key(key: int, index: int) -> int:
     """The key of child `index` of `key`: mix64(key ^ (index + 1) * CHAIN)."""
     return mix64(key ^ (((int(index) & MASK64) + 1) * _CHAIN & MASK64))
+
+
+def pair_quantile(lo_keys: list, cut: float, below: float, a: float, w: float):
+    """The unchecked scalar f(i, j) = below if u < cut else a + w * u, i != j,
+    where u is uniform01(lo_keys[min(i, j)], max(i, j)): one Python call, the
+    mixer inlined.  Every law of the menu has a quantile of this form."""
+    def f(i: int, j: int) -> float:
+        if i > j:
+            i, j = j, i
+        x = lo_keys[i] ^ ((j + 1) * _CHAIN & MASK64)
+        x = (x ^ x >> 30) * _M1 & MASK64
+        x = (x ^ x >> 27) * _M2 & MASK64
+        u = ((x ^ x >> 31) >> 11) * _INV53
+        return below if u < cut else a + w * u
+    return f
 
 
 def pair_salt(n: int) -> np.ndarray:

@@ -281,8 +281,8 @@ def test_dynamic_matches_percolation_distribution(rho_text):
 
 
 def test_engine_makes_no_row_queries(monkeypatch):
-    # Every weight law thins, with one rho_at lookup per proposal, so even a
-    # sparse law at large n makes no vectorized edge query.
+    # Every weight law thins, with one scalar weight lookup per proposal, so
+    # even a sparse law at large n makes no vectorized edge query.
     def no_rows(*args):
         raise AssertionError("the engine queried a row of weights")
 
@@ -306,6 +306,19 @@ def test_envelope_ignores_atoms_without_mass():
         parse_dist("two_point:0.5:1:2", ROLE_WEIGHT)
 
 
+def test_run_without_a_proposal_builds_no_weight_lookup(monkeypatch):
+    # The lookup and its O(n) key list are fetched at a run's first
+    # proposal, so a run whose only event is the first recovery builds none.
+    def no_lookup(*args):
+        raise AssertionError("a run without proposals built the weight lookup")
+
+    monkeypatch.setattr(Environment, "rho_lookup", no_lookup)
+    rho = parse_dist(RHO_THINNING, ROLE_WEIGHT)
+    for seed in range(20):
+        res = gillespie_run(Environment(1000, seed, XI1, rho), 1e-12, seed)
+        assert (res.r_infinity, res.events_executed) == (1, 1)
+
+
 def test_constant_weight_scales_out_of_thinning(monkeypatch):
     # At the tight envelope rho_max = rho, a constant law accepts every
     # proposal without a weight lookup or an acceptance draw, so halving rho
@@ -313,7 +326,7 @@ def test_constant_weight_scales_out_of_thinning(monkeypatch):
     def no_lookup(*args):
         raise AssertionError("constant law looked up a weight")
 
-    monkeypatch.setattr(Environment, "rho_at", no_lookup)
+    monkeypatch.setattr(Environment, "rho_lookup", no_lookup)
     half = parse_dist("constant:0.5", ROLE_WEIGHT)
     for seed in range(20):
         a = gillespie_run(Environment(30, 1, XI1, RHO1), 3.0, seed, record_trajectory=True)

@@ -74,28 +74,35 @@ def test_scalar_matches_vector_paths():
         assert env.rho_at(int(i[k]), int(j[k])) == rp[k]
 
 
-@pytest.mark.parametrize("rho_text", ["uniform:0:1", "two_point:0.2:0.3:0.9"])
+@pytest.mark.parametrize("rho_text", ["uniform:0:1", "two_point:0.2:0.3:0.9",
+                                      "constant:0.4", "two_point:0.2:0:0.9",
+                                      "two_point:0.2:1:0.9", "uniform:0.25:0.5"])
 def test_rho_at_memo_agrees_with_vector_paths(rho_text):
-    # rho_at memoizes the key of the lower endpoint; lookups that share it,
-    # in either argument order, match rho_pairs and rho_full_row on a fresh
-    # environment and on one that a dynamic run has already used.
+    # The engine's unchecked rho_lookup and the checked rho_at, in either
+    # argument order, match rho_pairs and rho_full_row on a fresh environment
+    # and on one that a dynamic run has already used.
     n = 30
     rho = parse_dist(rho_text, ROLE_WEIGHT)
     reused = Environment(n, 78, XI1, rho)
-    gillespie_run(reused, 20.0, 1)
-    assert reused._lo_keys  # the run filled the memo
+    assert gillespie_run(reused, 20.0, 1).r_infinity > 1  # the run infected
     for env in (Environment(n, 77, XI1, rho), reused):
-        for _ in range(2):  # second pass: every key comes from the memo
-            for lo in (0, 4, 17):
+        lookup = env.rho_lookup()
+        for _ in range(2):  # second pass: the lookup and its keys are cached
+            for lo in (0, 4, 17, n - 1):
                 rows = np.array([env.rho_at(lo, j) if j != lo else 0.0
                                  for j in range(n)])
-                swapped = np.array([env.rho_at(j, lo) if j != lo else 0.0
+                swapped = np.array([env.rho_at(np.int64(j), lo) if j != lo else 0.0
                                     for j in range(n)])
+                direct = np.array([lookup(j, lo) if j != lo else 0.0
+                                   for j in range(n)])
                 np.testing.assert_array_equal(rows, swapped)
+                np.testing.assert_array_equal(rows, direct)
                 np.testing.assert_array_equal(rows, env.rho_full_row(lo))
                 others = np.delete(np.arange(n), lo)
                 np.testing.assert_array_equal(
                     rows[others], env.rho_pairs(np.full(n - 1, lo), others))
+            assert env.rho_lookup() is lookup
+            assert type(env.rho_at(3, 5)) is float
             with pytest.raises(SelfLoop):
                 env.rho_at(4, 4)
             for i, j in ((4, n), (n, 4), (-1, 4), (4, -1)):

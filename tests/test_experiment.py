@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import itertools
 import json
 import re
@@ -559,6 +560,22 @@ def test_parse_config_requires_fields():
         config_from_dict(read_config_fields("xi_spec = constant:1\n"))
 
 
+@pytest.mark.parametrize("key,val", [("n_grid", [10.7]), ("replications", 2.9),
+                                     ("master_seed", 3.5), ("n_grid", [float("inf")])])
+def test_config_rejects_non_integral_integer_fields(key, val):
+    values = {**read_config_fields(CONFIG_TEXT), key: val}
+    with pytest.raises(ParamViolation, match=f"config field {key} must be an integer"):
+        config_from_dict(values)
+
+
+def test_config_accepts_integral_numbers_for_integer_fields():
+    values = {**read_config_fields(CONFIG_TEXT), "n_grid": [10.0, 20],
+              "replications": 3.0, "master_seed": 4}
+    config = config_from_dict(values)
+    assert (config.n_grid, config.replications, config.master_seed) == ((10, 20), 3, 4)
+    assert all(type(n) is int for n in config.n_grid + (config.replications,))
+
+
 def test_config_roundtrip_and_hash_stability():
     config = config_from_dict(read_config_fields(CONFIG_TEXT))
     again = config_from_dict(config_to_dict(config))
@@ -624,6 +641,25 @@ def test_sweep_only_subcritical_has_no_witnesses():
     config = make_config(n_grid=(20,), lambda_grid=(0.3, 0.6), replications=100)
     result = sweep(config)
     assert result.supercritical_witnesses == []
+
+
+# sha256 of sweep_csv_text for annealed dynamic sweeps, one per weight law
+# family that looks up weights; a change to any draw, its order or a float
+# expression of the dynamic engine or the sweep statistics shows here.
+_GOLDEN_DYNAMIC_SWEEPS = {
+    "uniform:0:1": "86c117cb99f7004ca6a2d6aa078a89cf6f81bed23fc96477ed00936edc7b6faf",
+    "two_point:0.01:0.99:1":
+        "e874bada4b372fb5fa4d806cbee6446e98f2b41ac759d3a5a81b403c392b62c8",
+}
+
+
+@pytest.mark.parametrize("rho_text", sorted(_GOLDEN_DYNAMIC_SWEEPS))
+def test_dynamic_sweep_csv_is_byte_identical(rho_text):
+    config = make_config(xi_spec=XI2, rho_spec=parse_dist(rho_text, ROLE_WEIGHT),
+                         n_grid=(20, 150), lambda_grid=(0.5, 2.0), replications=40,
+                         engine="dynamic", lambda_units="lambda_c", master_seed=21)
+    text = sweep_csv_text(sweep(config))
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_DYNAMIC_SWEEPS[rho_text]
 
 
 def test_sweep_deterministic_output(tmp_path):

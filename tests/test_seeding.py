@@ -38,3 +38,16 @@ def test_derive_key_values_are_pinned():
     assert seeding.derive_key(31, 0x454E56, 2, 5) == 0x9B3381DBFA5B534C
     assert seeding.derive_key(-1) == 0xE220A8397B1DCDAF
     assert seeding.derive_key(seeding.MASK64, 1 << 70) == 0x5908D5698A8F5AA3
+
+
+def test_pair_quantile_inlines_uniform01_of_the_lower_key():
+    # The engine's scalar weight: uniform01 of the lower index's key at the
+    # higher index, in either argument order, through the law's quantile.
+    keys = [0, 7, (1 << 63) + 5, seeding.MASK64, seeding.derive_key(9)]
+    u = seeding.pair_quantile(keys, 0.0, 0.0, 0.0, 1.0)
+    cut = seeding.pair_quantile(keys, 0.5, 0.25, 0.75, 0.0)
+    for lo in range(len(keys)):
+        for hi in range(lo + 1, len(keys)):
+            want = seeding.uniform01(keys[lo], hi)
+            assert u(lo, hi) == u(hi, lo) == want
+            assert cut(hi, lo) == (0.25 if want < 0.5 else 0.75)
