@@ -56,7 +56,12 @@ def _require(cond: bool, message: str) -> None:
 
 def _jobs(args) -> int:
     _require(args.jobs >= 0, f"jobs >= 0 is required (got {args.jobs})")
-    return args.jobs or (os.cpu_count() or 1)
+    if args.jobs:
+        return args.jobs
+    # the CPUs this process may run on, which a cpuset or taskset can limit
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

@@ -271,9 +271,12 @@ def log_laplace(spec: DistSpec, s):
     Below 1/2 the components are summed in log space, so the value stays
     finite where exp(-s X) underflows.  A Uniform(a, b) component has
     E e^{-sX} = e^{-sa} h(z) with h(z) = (1 - e^-z) / z, z = s (b - a), and
-    e^{-sa} h(z) - 1 = (e^{-sa} - 1) h(z) - (e^-z - 1 + z) / z.
+    e^{-sa} h(z) - 1 = (e^{-sa} - 1) h(z) - (e^-z - 1 + z) / z.  A constant
+    law v is exactly -s v.
     """
     s = np.asarray(s, dtype=float)
+    if spec.kind == "constant":
+        return np.asarray(s * -spec.params[0])
     mixture = as_mixture(spec)
     with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 is set below
         below_one = _below_one(mixture, s)
@@ -361,8 +364,13 @@ def psi(xi_spec: DistSpec, rho_spec: DistSpec, s: float, theta: float) -> float:
     whose factors have closed forms for every law in the menu, so the value
     is exact to quadrature tolerance for atomic and uniform laws alike.  The
     integrand is formed in log space, on all nodes of a subinterval at once;
-    phi^theta underflows otherwise.
+    phi^theta underflows otherwise.  A constant weight law v has
+    phi(s t)^theta = e^{-s v theta t}, so psi(theta) = E[xi / (xi + s v theta)]
+    in closed form, with no quadrature.
     """
+    if rho_spec.kind == "constant":
+        return expect_self_over_self_plus(xi_spec, s * rho_spec.params[0] * theta)
+
     def integrand(t):
         return np.exp(log_laplace_deriv(xi_spec, t) + theta * log_laplace(rho_spec, s * t))
 

@@ -106,7 +106,8 @@ class Environment:
 
     def rho_at(self, i: int, j: int) -> float:
         """Edge weight on {i, j}; symmetric and in [0, 1].  The checked form
-        of `rho_lookup`."""
+        of `rho_lookup`; a constant law returns its value without building
+        the lookup."""
         n = self.n
         if not 0 <= i < n:
             raise IndexOutOfRange(f"vertex {i} outside [0, {n})")
@@ -114,6 +115,8 @@ class Environment:
             raise IndexOutOfRange(f"vertex {j} outside [0, {n})")
         if i == j:
             raise SelfLoop(f"edge weight undefined for i == j == {i}")
+        if self.rho_const is not None:
+            return float(self.rho_const)
         return self.rho_lookup()(int(i), int(j))
 
     def rho_pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:

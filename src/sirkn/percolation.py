@@ -14,8 +14,11 @@ everything else.  That is Sellke's threshold epidemic (Sellke 1983): each
 susceptible holds a threshold Q ~ Exp(1), the k-th infective adds pressure
 X_k = -log phi(lam T_k / n), and r = 1 + min{k : Q_(k+1) > X_0 + ... + X_k},
 with the order statistics Q_(k) of the n - 1 thresholds drawn by Renyi's
-representation.  A run costs O(r).  Sweeps with measure "annealed" and
-engine "percolation" (the `no-spread` batch included) use it.
+representation.  A run costs O(r).  Runs are drawn in lockstep blocks whose
+steps come in chunks: 16 steps first, then twice the steps of the chunk
+before, at most _SELLKE_CHUNK draws of each kind per chunk.  Sweeps with
+measure "annealed" and engine "percolation" (the `no-spread` batch
+included) use it.
 
 Quenched sweeps, which fix one environment, and `sirkn percolate` walk the
 environment with one BFS: given T(v), the arc (v, u) opens with probability
@@ -54,6 +57,15 @@ _SLICE_HITS = 1 << 21
 SELLKE_BLOCK = 256
 # Draws of one lockstep chunk (live runs x steps); bounds its memory.
 _SELLKE_CHUNK = 1 << 14
+# Steps of a block's first chunk; later chunks double it.  Each chunk costs
+# about 25 numpy calls whether 256 runs are live or 3, and most subcritical
+# runs stop within a few steps, so timing chose it: on the perc-subcritical
+# benchmark grid (classic law, n = 1e3 and 1e5, 0.5 and 0.9 lambda_c, 1500
+# replications) `collect_final_sizes` took 11.4 / 9.7 / 9.5 / 10.5 / 13.2 /
+# 20.2 ms CPU at first chunks of 1 / 4 / 8 / 16 / 32 / 64 steps (median of
+# 15 runs on a 2-core host; 8 and 16 are within 7% of each other), and the
+# perc-random-env grid varied by under 5% from 1 to 16 steps.
+_SELLKE_FIRST_STEPS = 16
 
 
 @dataclass
@@ -175,11 +187,13 @@ def sellke_final_sizes(xi_spec: DistSpec, rho_spec: DistSpec, n: int, lam: float
     Every live run takes the same steps: step k draws the spacing E of the
     threshold Q_(k+1) = Q_(k) + E / (n - 1 - k), the clock T_k ~ Exp(xi) and
     so the pressure X_k, and the run stops at the first step where
-    Q_(k+1) exceeds X_0 + ... + X_k.  Steps are drawn in chunks that double
-    in length but hold at most _SELLKE_CHUNK draws of each kind, or one step
-    of every live run if there are more; per chunk the draws are the
-    spacings, then the clocks, then (unless xi is constant) the uniforms
-    that give xi.
+    Q_(k+1) exceeds X_0 + ... + X_k.  Steps are drawn in chunks: the first
+    has _SELLKE_FIRST_STEPS = 16 steps and each later one twice the steps of
+    the one before, but a chunk holds at most _SELLKE_CHUNK draws of each
+    kind (or one step of every live run if there are more) and never runs
+    past step n - 2.  A run that stops inside a chunk leaves the rest of its
+    draws unused.  Per chunk the draws are the spacings, then the clocks,
+    then (unless xi is constant) the uniforms that give xi.
     """
     check_lambda(lam)
     rng = seeding.stream(seed)
@@ -190,7 +204,7 @@ def sellke_final_sizes(xi_spec: DistSpec, rho_spec: DistSpec, n: int, lam: float
     s = lam / n
     xi_const = xi_spec.params[0] if xi_spec.kind == "constant" else None
     k = 0
-    length = 1
+    length = _SELLKE_FIRST_STEPS
     while live.size and k < n - 1:
         steps = min(length, max(1, _SELLKE_CHUNK // live.size), n - 1 - k)
         shape = (live.size, steps)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -267,6 +268,17 @@ def test_negative_jobs_names_constraint(tmp_path, capsys, args):
     assert run_cli(args, tmp_path) == 1
     assert "jobs >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_jobs_zero_counts_usable_cpus(monkeypatch):
+    # a process limited to one CPU (cpuset, taskset) starts one worker
+    from sirkn import cli
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._jobs(argparse.Namespace(jobs=0)) == 1
+    assert cli._jobs(argparse.Namespace(jobs=3)) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._jobs(argparse.Namespace(jobs=0)) == 64
 
 
 def test_module_entrypoint_subprocess(tmp_path):

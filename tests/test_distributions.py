@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import functools
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -13,8 +14,9 @@ from sirkn.distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT, _exp_tail
                                  as_mixture, critical_lambda,
                                  expect_self_over_self_plus, format_dist,
                                  gamma_p2, log_laplace, log_laplace_deriv, mean,
-                                 mean_inverse, parse_dist, quantile, support)
+                                 mean_inverse, parse_dist, psi, quantile, support)
 from sirkn.errors import ParamViolation, SupportViolation
+from sirkn.quadrature import quad
 
 from reference_stats import cdf
 
@@ -361,3 +363,35 @@ def test_laplace_helpers_are_elementwise(fn, text, role):
     assert got.shape == grid.shape
     want = [[float(f(float(s))) for s in row] for row in grid]
     np.testing.assert_allclose(got, want, rtol=2 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.parametrize("v", [1.0, 0.3, 1e-3])
+def test_log_laplace_of_a_constant_is_minus_s_v(v):
+    # the closed form, and the atom-only mixture path it replaces
+    spec = parse_dist(f"constant:{v}", ROLE_WEIGHT)
+    atom = parse_dist(f"two_point:{v}:1:0.5", ROLE_WEIGHT)
+    grid = np.append(0.0, np.logspace(-12, 3, 47)).reshape(3, 16)
+    got = log_laplace(spec, grid)
+    assert got.shape == grid.shape
+    assert got.tobytes() == (-grid * v).tobytes()
+    assert log_laplace(spec, 0.25).shape == ()
+    np.testing.assert_allclose(got, log_laplace(atom, grid), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("xi_text", ["constant:1", "two_point:1:0.5:2", "uniform:1:3"])
+@pytest.mark.parametrize("rho_text,lam", [("constant:1", 0.5), ("constant:0.3", 2.0)])
+@pytest.mark.parametrize("n", [2, 1000, 100_000])
+def test_psi_with_constant_weights_matches_quadrature(xi_text, rho_text, lam, n):
+    # psi's closed form E[xi / (xi + s v theta)] against the integral it
+    # replaces, with phi taken through the general mixture path
+    xi = parse_dist(xi_text, ROLE_RECOVERY)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
+    atom = parse_dist(f"two_point:{rho.params[0]}:1:0.5", ROLE_WEIGHT)
+    s, theta = lam / n, n - 1
+
+    def integrand(t):
+        return np.exp(log_laplace_deriv(xi, t) + theta * log_laplace(atom, s * t))
+
+    want, err = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-14, limit=400)
+    assert err <= 1e-13 * want
+    assert psi(xi, rho, s, theta) == pytest.approx(want, rel=1e-12, abs=0)

@@ -207,6 +207,23 @@ def test_constant_family_exact():
     assert env.rho_at(0, 99) == 0.25
 
 
+def test_constant_rho_at_builds_no_lookup(monkeypatch):
+    # a constant law answers rho_at after its checks, without the O(n) keys
+    def no_lookup(*args):
+        raise AssertionError("constant law built a weight lookup")
+
+    monkeypatch.setattr(seeding, "pair_quantile", no_lookup)
+    env = Environment(100_000, 3, XI1, parse_dist("constant:0.25", ROLE_WEIGHT))
+    assert env.rho_at(0, 99_999) == 0.25
+    assert type(env.rho_at(np.int64(7), 3)) is float
+    assert env._pair_lo_keys is None
+    with pytest.raises(SelfLoop):
+        env.rho_at(4, 4)
+    for i, j in ((4, 100_000), (-1, 4)):
+        with pytest.raises(IndexOutOfRange):
+            env.rho_at(i, j)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 63), st.integers(min_value=2, max_value=300))
 def test_symmetry_property(seed, n):

@@ -102,18 +102,18 @@ _SELLKE_LAWS = {
 # sha256 of sellke_final_sizes(xi, rho, n, mult * lambda_c, 256, 17).tobytes():
 # any change to the sampler's arithmetic or draw order shows here.
 _GOLDEN_SELLKE = {
-    ("classic", 100, 0.5): "7ad90c084e9d3ad3685b9c68a893e605f30c3cc5749e4520d2516769d1d36e0b",
-    ("classic", 100, 2.0): "68877dbca0006c2687ed9a7d7ef77dddc9d7b0f5953e6958c22af6c0a44c06c9",
-    ("classic", 10000, 0.5): "d80e62b67efd323c84eac1a9e461336def0b6e730d22bcdea55aa7f8b7a803c1",
-    ("classic", 10000, 2.0): "fdf499ced413428831582ca06a7f532b547a5f2b4936d250d37baf6f6ac62253",
-    ("uniform", 100, 0.5): "82637acb34d9d07fe164b425ce5ef458588af0e2e2354a6b70312ddafce9bac4",
-    ("uniform", 100, 2.0): "7d56bb964ba63c5f1c9a88086204819e567cf1079772bc46f6b06fcc080fc840",
-    ("uniform", 10000, 0.5): "12c362101ca1cb2e451d48629924f630c3e9fae69b7dda18ef60708dece9071f",
-    ("uniform", 10000, 2.0): "7f6568bf1900e272910d371668ce0da9c3337631c8df5f0df9ca92447ebdae0d",
-    ("sparse", 100, 0.5): "6e1aa0010b6fb8260f81da6b842210d2f3063af7e8560425bd0d885bf7775133",
-    ("sparse", 100, 2.0): "88dca584c1d0ce04870028a3c25a01ef714a8a8c95453cc600de2a18ead6328f",
-    ("sparse", 10000, 0.5): "2a4ed1a911ce4864cfa1a1d69a14f680d2d697113df21731655f2f3b9d398152",
-    ("sparse", 10000, 2.0): "05c1c18defca1c765baabfcac82bb446b50189337f930b4648355fdb94993310",
+    ("classic", 100, 0.5): "ddbc75164eab5c106dd197e9f6a909fd5d47fd7612adb6d06483ff1880e6b1a5",
+    ("classic", 100, 2.0): "8aafbe84e80782cbf502f4dc560b693c67394cb8a43f74ae16f332dc64284e35",
+    ("classic", 10000, 0.5): "2caab40a8b5b930061a0f4dfce660e64c7ccef3e918dc3487b2fcfa69566ebc6",
+    ("classic", 10000, 2.0): "3ef2d143e07804bbe7491aa8374039a67218c7873e16622d0a061768e39f0aed",
+    ("uniform", 100, 0.5): "26bbc99c7a360b73c1b3c7f5d77beffd57d265b0f7ebf0649c1944912651818c",
+    ("uniform", 100, 2.0): "e6544120ddd37d3f0e601208219e5f0c543c40153f47cfc26d586bc0a0b031a2",
+    ("uniform", 10000, 0.5): "0d69276ec957eb4093a61aae32c2a2bc5b5c0123dd8dcee6dfd79d186fd638e2",
+    ("uniform", 10000, 2.0): "5742e76aea2308e9d678a0b6f855c0a0da141eaf1fcd63f530691e4d1abf5d5e",
+    ("sparse", 100, 0.5): "d1ac0d8609d899d317710b2b10210a8063ff59d633e6c0a48eaa59bb14ce552c",
+    ("sparse", 100, 2.0): "80a6853b2ef28e6f91f5b6bd1ad126bb7a1466b2bf7a76c90daa33d7fd477fcc",
+    ("sparse", 10000, 0.5): "3cfbd3b2e550124b40ad54e61f85fc1363987aebe2498e39d552d5161b02d780",
+    ("sparse", 10000, 2.0): "c5835e6249c48253ab16ca55d925878c310ec9a6636c8afd2ae7364cf19374ac",
 }
 
 
