@@ -128,18 +128,9 @@ class Environment:
     def rho_full_row(self, i: int) -> np.ndarray:
         """rho(i, j) for every j, with a zero placeholder at position i.
 
-        Uses contiguous slices of the precomputed key material.  No engine
-        calls it: it stays as the row form of `rho_pairs`, which the tests
-        compare it with and the benchmark's tracer wraps by name.
+        No engine calls it: it is the row form of `rho_pairs`, whose name
+        the benchmark's tracer wraps.
         """
-        n = self.n
-        lo_keys, salt = self._pair_keys()
-        out = np.empty(n, dtype=float)
-        if i + 1 < n:
-            h = seeding.mix64_array(lo_keys[i] ^ salt[i + 1:])
-            out[i + 1:] = quantile(self.rho_spec, seeding.to_uniform01(h))
-        if i > 0:
-            h = seeding.mix64_array(lo_keys[:i] ^ salt[i])
-            out[:i] = quantile(self.rho_spec, seeding.to_uniform01(h))
+        out = self.rho_pairs(np.full(self.n, i), np.arange(self.n))
         out[i] = 0.0
         return out

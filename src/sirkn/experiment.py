@@ -9,7 +9,8 @@ Every stream is a generator of its own, so results are independent of
 worker count and scheduling.  The layer also computes the order-parameter
 estimators with confidence intervals and attaches the analytic references
 (the critical rate, the subcritical mean bound, the exact and limiting
-no-spread probabilities) that the tests check the simulations against.
+no-spread probabilities, the major-outbreak final fraction) that the tests
+check the simulations against.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
@@ -35,7 +36,7 @@ from .distributions import quantile  # noqa: F401
 from .dynamics import gillespie_run
 from .environment import Environment
 from .errors import ParamViolation, SirknError, check_lambda
-from .meanfield import classic_specs, final_size_fixed_point
+from .meanfield import final_size_fixed_point
 from .percolation import SELLKE_BLOCK, percolation_final_size, sellke_final_sizes
 
 ENGINE_DYNAMIC = "dynamic"
@@ -389,7 +390,21 @@ class BatchStats:
 
 def batch_stats_from_samples(config: ExperimentConfig, n: int, lam: float,
                              samples: np.ndarray, failures: int) -> BatchStats:
+    """Estimators of one grid point, with references.  A quenched point's
+    no-spread references condition on the one environment its master seed
+    fixes: xi(0) / (xi(0) + (lam/n) sum_u rho(0, u)) at n and
+    xi(0) / (xi(0) + lam E[rho]) as n grows; annealed points average over
+    environments.  `subcritical_mean_bound` is the annealed bound in both."""
     lc = config_lambda_c(config)
+    if config.measure == MEASURE_QUENCHED:
+        env = Environment(n, _env_seed(config.master_seed, 0, 0, config.measure),
+                          config.xi_spec, config.rho_spec)
+        xi0 = float(env.xi_block([0])[0])
+        finite = xi0 / (xi0 + lam / n * float(env.rho_full_row(0).sum()))
+        limit = xi0 / (xi0 + lam * mean(config.rho_spec))
+    else:
+        finite = no_spread_finite_n(config.xi_spec, config.rho_spec, lam, n)
+        limit = no_spread_limit(config.xi_spec, config.rho_spec, lam)
     level = config.confidence
     mean_r, lo, hi = mean_interval(samples, level)
     exceed_hits = int((samples >= config.epsilon * n).sum())
@@ -410,8 +425,8 @@ def batch_stats_from_samples(config: ExperimentConfig, n: int, lam: float,
         p_no_spread_ci=wilson_interval(no_spread_hits, len(samples), level),
         lambda_c=lc,
         subcritical_mean_bound=(lc / (lc - lam)) if lam < lc else None,
-        no_spread_finite_n=no_spread_finite_n(config.xi_spec, config.rho_spec, lam, n),
-        no_spread_limit=no_spread_limit(config.xi_spec, config.rho_spec, lam),
+        no_spread_finite_n=finite,
+        no_spread_limit=limit,
     )
 
 
@@ -429,16 +444,18 @@ def run_batch(config: ExperimentConfig, n: int, lam: float,
 
 @dataclass
 class SweepResult:
+    """`mean_field_reference` holds, per lambda and for every law, the root z
+    of z = 1 - exp(-(lambda/lambda_c) z), the large-n final fraction of a
+    major outbreak; `bracketed` is false (z = 0) for lambda <= lambda_c."""
+
     config: ExperimentConfig
     lambda_c: float
     resolved_lambdas: Tuple[float, ...]
     rows: List[BatchStats]
     supercritical_witnesses: List[dict]
     subcritical_checks: List[dict]
-    # large-n final-size reference per lambda; only the classic constant
-    # unit-rate model has one
-    mean_field_reference: List[dict] = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
+    mean_field_reference: List[dict]
+    provenance: dict
 
 
 def sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
@@ -458,7 +475,11 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
             in zip(points, collect_final_sizes(config, points, jobs))]
     witnesses = []
     subchecks = []
+    mean_field = []
     for lam in sorted(set(lambdas)):
+        fp = final_size_fixed_point(lam / lc, 1.0, 0.0)
+        mean_field.append({"lambda": lam, "final_size_fraction": fp.value,
+                           "bracketed": fp.bracketed})
         lam_rows = sorted((r for r in rows if r.lam == lam), key=lambda r: r.n)
         if lam > lc:
             witnesses.append({
@@ -472,12 +493,6 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
                 "lambda": lam,
                 "exceed_nonincreasing": all(q <= p for p, q in zip(probs, probs[1:])),
             })
-    mean_field = []
-    if classic_specs(config.xi_spec, config.rho_spec):
-        for lam in sorted(set(lambdas)):
-            fp = final_size_fixed_point(lam, 1.0, 0.0)
-            mean_field.append({"lambda": lam, "final_size_fraction": fp.value,
-                               "bracketed": fp.bracketed})
     return SweepResult(
         config=config,
         lambda_c=lc,

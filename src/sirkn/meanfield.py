@@ -5,10 +5,10 @@ fractions (|S_t|/n, |I_t|/n, |R_t|/n) converge to the solution of
 
     ds/dt = -lam * i * s,   di/dt = i * (lam * s - 1),   dr/dt = i.
 
-This module integrates that system with a classical fixed-step 4th-order
-scheme and solves the final-size fixed point r = 1 - s0 * exp(-lam * r),
-which serves as the reference value for supercritical sweeps.  No mean-field
-limit is provided for non-constant rate laws.
+This module integrates that system (classic model only) with a fixed-step
+RK4 scheme and solves the final-size fixed point r = 1 - s0 * exp(-lam * r).
+At s0 = 1 and lam = lambda / lambda_c its root is the large-n final fraction
+of a major outbreak for every pair of laws (Sellke 1983), as sweeps write it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple
 
-from .distributions import DistSpec
 from .errors import ParamViolation, StepTooLarge, check_lambda
 
 I_EXTINCT = 1e-12
@@ -125,9 +124,3 @@ def final_size_fixed_point(lam: float, s0: float, i0: float) -> FixedPointResult
         if hi - lo <= 1e-12:
             break
     return FixedPointResult(0.5 * (lo + hi), True)
-
-
-def classic_specs(xi_spec: DistSpec, rho_spec: DistSpec) -> bool:
-    """True iff both laws are the constant 1, the only case the ODE covers."""
-    return (xi_spec.kind == "constant" and xi_spec.params[0] == 1.0
-            and rho_spec.kind == "constant" and rho_spec.params[0] == 1.0)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, as_mixture, parse_di
 from sirkn.dynamics import EpidemicState, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import ParamViolation, QuadratureFailure, SirknError
-from sirkn.experiment import (ExperimentConfig, batch_stats_from_samples,
+from sirkn.experiment import (ExperimentConfig, _env_seed, batch_stats_from_samples,
                               collect_final_sizes,
                               config_from_dict, config_hash, config_lambda_c,
                               config_to_dict, mean_interval,
@@ -327,6 +328,35 @@ def test_annealed_equals_average_of_quenched():
     assert abs(q_mean - a_stats.exceed_probability) < 3 * np.hypot(q_se, a_se)
 
 
+def test_quenched_no_spread_references_condition_on_the_environment():
+    # One fixed environment: P(r = 1) = xi(0) / (xi(0) + (lam/n) sum_u rho(0, u)),
+    # not the annealed average.  Seeds 1 and 2 give xi(0) = 1, 4 and 5 give 2.
+    n, reps = 100, 2000
+    lam = config_lambda_c(make_config(xi_spec=XI2, rho_spec=RHOU))
+    xi0s = set()
+    for seed in (1, 2, 4, 5):
+        config = make_config(xi_spec=XI2, rho_spec=RHOU, n_grid=(n,), lambda_grid=(lam,),
+                             replications=reps, measure="quenched", master_seed=seed)
+        env = Environment(n, _env_seed(seed, 0, 0, "quenched"), XI2, RHOU)
+        xi0 = float(env.xi_block([0])[0])
+        xi0s.add(xi0)
+        est = run_batch(config, n, lam)
+        q = est.no_spread_finite_n
+        assert q == pytest.approx(xi0 / (xi0 + lam / n * env.rho_full_row(0).sum()),
+                                  rel=1e-12)
+        assert est.no_spread_limit == pytest.approx(xi0 / (xi0 + lam * 0.5), rel=1e-12)
+        z = (est.p_no_spread - q) / np.sqrt(q * (1 - q) / reps)
+        assert abs(z) <= 3.5, (seed, xi0, est.p_no_spread, q, z)
+    assert xi0s == {1.0, 2.0}
+    # constant laws: the one environment is every environment
+    classic = make_config(n_grid=(n,), lambda_grid=(2.0,), replications=10)
+    quenched = run_batch(make_config(n_grid=(n,), lambda_grid=(2.0,), replications=10,
+                                     measure="quenched"), n, 2.0)
+    assert quenched.no_spread_finite_n == pytest.approx(
+        run_batch(classic, n, 2.0).no_spread_finite_n, rel=1e-12)
+    assert quenched.no_spread_limit == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
 # -- determinism and parallelism ---------------------------------------------------
 
 def test_jobs_do_not_change_results():
@@ -509,7 +539,6 @@ def test_quenched_shares_one_environment():
     config = make_config(measure="quenched", xi_spec=XI2, rho_spec=RHOU,
                          replications=64)
     # all replications must query the same environment seed
-    from sirkn.experiment import _env_seed
     seeds = {_env_seed(config.master_seed, 0, rep, "quenched") for rep in range(64)}
     assert len(seeds) == 1
     annealed = {_env_seed(config.master_seed, 0, rep, "annealed") for rep in range(64)}
@@ -624,17 +653,44 @@ def test_sweep_structure_and_witnesses(tmp_path):
     assert payload["provenance"]["config_hash"] == config_hash(config)
     assert payload["provenance"]["version"] == sirkn.__version__ == "0.1.0"
     assert len(payload["rows"]) == 4
-    # classic specs carry the mean-field final size as a reference field
+    # the large-n final fraction of a major outbreak, per lambda
     mf = {entry["lambda"]: entry["final_size_fraction"]
           for entry in payload["mean_field_reference"]}
     assert mf[0.5] == 0.0
     assert mf[2.0] == pytest.approx(0.7968, abs=1e-4)
 
 
-def test_sweep_mean_field_reference_absent_for_random_env():
-    config = make_config(xi_spec=XI2, rho_spec=RHOU, n_grid=(15,),
-                         lambda_grid=(1.0,), replications=50)
-    assert sweep(config).mean_field_reference == []
+def test_sweep_mean_field_reference_depends_only_on_lambda_over_lambda_c():
+    multiples = (0.5, 1.0, 1.5, 2.0, 3.0)
+    refs = []
+    for xi, rho in ((XI1, RHO1), (XI2, RHOU)):
+        config = make_config(xi_spec=xi, rho_spec=rho, n_grid=(15,), lambda_grid=multiples,
+                             lambda_units="lambda_c", replications=20)
+        result = sweep(config)
+        entries = result.mean_field_reference
+        assert [e["lambda"] for e in entries] == sorted(set(result.resolved_lambdas))
+        refs.append(entries)
+    classic, random_env = refs
+    for m, a, b in zip(multiples, classic, random_env):
+        assert b["final_size_fraction"] == pytest.approx(a["final_size_fraction"], abs=1e-12)
+        assert b["bracketed"] == a["bracketed"] == (m > 1.0)
+        assert (b["final_size_fraction"] > 0.0) == (m > 1.0)
+
+
+def test_sweep_mean_field_reference_matches_random_law_major_outbreaks():
+    # Sellke: majors end near z*, the root of z = 1 - exp(-(lambda/lambda_c) z).
+    # A reference computed at lambda itself (lambda_c = 8/3) would read 0.995.
+    n = 10_000
+    config = make_config(xi_spec=XI2, rho_spec=RHOU, n_grid=(n,), lambda_grid=(2.0,),
+                         lambda_units="lambda_c", replications=2048, master_seed=3)
+    [lam] = resolved_lambda_grid(config)
+    [ref] = sweep(replace(config, replications=1)).mean_field_reference
+    assert ref["bracketed"] and ref["lambda"] == lam
+    z_star = ref["final_size_fraction"]
+    [(samples, _)] = collect_final_sizes(config, [(0, n, lam)])
+    majors = samples[samples > z_star * n / 2] / n
+    assert majors.size > 500
+    assert abs(majors.mean() - z_star) < 0.005, (majors.mean(), z_star)
 
 
 def test_sweep_only_subcritical_has_no_witnesses():

@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, parse_dist
 from sirkn.errors import ParamViolation
-from sirkn.meanfield import (MeanFieldState, classic_specs, final_size_fixed_point,
-                             ode_solve)
+from sirkn.meanfield import MeanFieldState, final_size_fixed_point, ode_solve
 
 
 def test_equilibrium_when_no_infectives():
@@ -91,13 +89,3 @@ def test_validation_errors():
         ode_solve(1.0, MeanFieldState(0.9, 0.5, 0.3))  # sums to 1.7
     with pytest.raises(ParamViolation):
         final_size_fixed_point(1.0, 0.8, 0.4)
-
-
-def test_classic_spec_gate():
-    xi1 = parse_dist("constant:1", ROLE_RECOVERY)
-    rho1 = parse_dist("constant:1", ROLE_WEIGHT)
-    assert classic_specs(xi1, rho1)
-    xi2 = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
-    assert not classic_specs(xi2, rho1)
-    rho_half = parse_dist("constant:0.5", ROLE_WEIGHT)
-    assert not classic_specs(xi1, rho_half)
