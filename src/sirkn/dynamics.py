@@ -3,8 +3,9 @@
 The process starts from one infective at vertex 0.  An infective i recovers
 at rate xi(i); a susceptible i is infected at rate (lam/n) * sum of rho(i, j)
 over infective j.  `EpidemicState.run` is the one event loop: it holds the
-state in local variables (Python lists for the packed vertex sets) and
-executes events until absorption or a cap.  `gillespie_run(env, lam,
+state in local variables and executes events until absorption or a cap.
+Each event picks its vertex by a position in the list of S or of I and
+moves the list's last entry into that place.  `gillespie_run(env, lam,
 run_seed)`, called like `percolation.percolation_final_size`, runs it once;
 tests step it one event at a time.
 
@@ -74,15 +75,14 @@ class RunResult:
 class EpidemicState:
     """State (S_t, I_t, R_t) of one run plus its total recovery rate.
 
-    A vertex is susceptible iff s_pos >= 0, infective iff i_pos >= 0 and
-    removed otherwise; removed vertices never leave.  The packed lists and
-    positions are Python lists; xi is the environment's read-only tuple of
-    recovery rates.  The incrementally maintained total recovery rate must
-    agree with a from-scratch sum to relative 1e-9.
+    S and I are the first s_count entries of s_list and the first i_count
+    entries of i_list; R is every other vertex, and removed vertices never
+    leave.  The lists are Python lists; xi is the environment's read-only
+    tuple of recovery rates.  The incrementally maintained total recovery
+    rate must agree with a from-scratch sum to relative 1e-9.
     """
 
-    __slots__ = ("env", "lam", "n", "xi",
-                 "s_list", "s_pos", "s_count", "i_list", "i_pos", "i_count",
+    __slots__ = ("env", "lam", "n", "xi", "s_list", "s_count", "i_list", "i_count",
                  "total_recovery_rate", "time")
 
     def __init__(self, env: Environment, lam: float):
@@ -91,15 +91,9 @@ class EpidemicState:
         self.env = env
         self.lam = float(lam)
         self.n = n
-        # Packed vertex lists with positional index for O(1) swap-removal;
-        # both share one set of int objects.
-        ids = list(range(n))
-        self.s_list = ids[1:]
-        self.s_pos = [-1] + ids[:-1]  # s_pos[v] = v - 1, vertex 0 is infective
+        self.s_list = list(range(1, n))
         self.s_count = n - 1
         self.i_list = [0] * n
-        self.i_pos = [-1] * n
-        self.i_pos[0] = 0
         self.i_count = 1
         self.xi = env.xi_values()
         self.total_recovery_rate = self.xi[0]
@@ -122,8 +116,8 @@ class EpidemicState:
             raise DeadState("no infectives: total rate is zero")
         env = self.env
         xi, xi_max, xi_varies = self.xi, env.xi_max, env.xi_const is None
-        s_list, s_pos, s_count = self.s_list, self.s_pos, self.s_count
-        i_list, i_pos, i_count = self.i_list, self.i_pos, self.i_count
+        s_list, s_count = self.s_list, self.s_count
+        i_list, i_count = self.i_list, self.i_count
         rec, time = self.total_recovery_rate, self.time
         exponential = _variates(rng.standard_exponential, _BLOCK).__next__
         uniform = _variates(rng.random, _BLOCK).__next__
@@ -131,51 +125,42 @@ class EpidemicState:
         envelope = self.lam / self.n * rho_max
         events = 0
         while i_count and events < max_events:
-            v = -1  # the infected susceptible, if the event is an infection
             elapsed = 0.0
             while True:
                 total = rec + envelope * s_count * i_count
                 elapsed += exponential() / total
                 if uniform() * total < rec:
+                    k = -1  # a recovery; else k is the infected one's place in s_list
                     break
                 if rho is None:
                     if rho_const is not None:
-                        v = s_list[int(uniform() * s_count)]
+                        k = int(uniform() * s_count)
                         break
                     rho = env.rho_lookup()  # once, at the run's first proposal
                 # one uniform picks the proposed pair (i, j) in S x I
                 k, m = divmod(int(uniform() * (s_count * i_count)), i_count)
                 if uniform() * rho_max < rho(s_list[k], i_list[m]):
-                    v = s_list[k]
                     break
                 # rejected proposal: time already advanced, redraw
             time += elapsed
-            if v >= 0:
-                pos = s_pos[v]
+            if k >= 0:
+                v = s_list[k]
                 s_count -= 1
-                moved = s_list[s_count]
-                s_list[pos] = moved
-                s_pos[moved] = pos
-                s_pos[v] = -1
+                s_list[k] = s_list[s_count]
                 i_list[i_count] = v
-                i_pos[v] = i_count
                 i_count += 1
                 rec += xi[v]
                 kind = INFECTION
             else:
-                if i_count == 1:
-                    v = i_list[0]
-                else:
+                k = 0
+                if i_count > 1:
                     # a uniform infective, kept with probability xi(v) / xi_max
-                    v = i_list[int(uniform() * i_count)]
-                    while xi_varies and uniform() * xi_max >= xi[v]:
-                        v = i_list[int(uniform() * i_count)]
-                pos = i_pos[v]
+                    k = int(uniform() * i_count)
+                    while xi_varies and uniform() * xi_max >= xi[i_list[k]]:
+                        k = int(uniform() * i_count)
+                v = i_list[k]
                 i_count -= 1
-                moved = i_list[i_count]
-                i_list[pos] = moved
-                i_pos[moved] = pos
-                i_pos[v] = -1
+                i_list[k] = i_list[i_count]
                 rec -= xi[v]
                 if i_count == 0:
                     rec = 0.0

@@ -75,10 +75,12 @@ class ExperimentConfig:
 
 def validate_config(config: ExperimentConfig) -> None:
     check_roles(config.xi_spec, config.rho_spec)
-    if not config.n_grid:
-        raise ParamViolation("n_grid must be non-empty")
-    if not config.lambda_grid:
-        raise ParamViolation("lambda_grid must be non-empty")
+    for key in ("n_grid", "lambda_grid"):
+        grid = getattr(config, key)
+        if not grid:
+            raise ParamViolation(f"{key} must be non-empty")
+        if len(set(grid)) < len(grid):
+            raise ParamViolation(f"{key} must not repeat a value (got {list(grid)})")
     for n in config.n_grid:
         if n < 1:
             raise ParamViolation(f"n must satisfy n >= 1 (got {n})")
@@ -378,6 +380,7 @@ class BatchStats:
     p_no_spread_ci: Tuple[float, float]
     lambda_c: float
     subcritical_mean_bound: Optional[float]
+    mean_limit: Optional[float]
     no_spread_finite_n: float
     no_spread_limit: float
 
@@ -390,18 +393,28 @@ class BatchStats:
 
 def batch_stats_from_samples(config: ExperimentConfig, n: int, lam: float,
                              samples: np.ndarray, failures: int) -> BatchStats:
-    """Estimators of one grid point, with references.  A quenched point's
-    no-spread references condition on the one environment its master seed
-    fixes: xi(0) / (xi(0) + (lam/n) sum_u rho(0, u)) at n and
-    xi(0) / (xi(0) + lam E[rho]) as n grows; annealed points average over
-    environments.  `subcritical_mean_bound` is the annealed bound in both."""
+    """Estimators of one grid point, with references.
+
+    `subcritical_mean_bound` is the paper's annealed bound lc / (lc - lam),
+    and `mean_limit` the large-n limit of E[r] under the point's measure;
+    both are None at and above lc.  An annealed point averages over
+    environments, so its mean limit is the bound.  A quenched point
+    conditions on the one environment its master seed fixes.  With
+    w = (lam/n) sum_u rho(0, u), vertex 0 infects about w / xi(0) others,
+    each starting an annealed cluster, so the mean limit is
+    1 + (w / xi(0)) lc / (lc - lam); P(r = 1) is xi(0) / (xi(0) + w) at n
+    and xi(0) / (xi(0) + lam E[rho]) as n grows."""
     lc = config_lambda_c(config)
+    bound = mean_limit = lc / (lc - lam) if lam < lc else None
     if config.measure == MEASURE_QUENCHED:
         env = Environment(n, _env_seed(config.master_seed, 0, 0, config.measure),
                           config.xi_spec, config.rho_spec)
         xi0 = float(env.xi_block([0])[0])
-        finite = xi0 / (xi0 + lam / n * float(env.rho_full_row(0).sum()))
+        w = lam / n * float(env.rho_full_row(0).sum())
+        finite = xi0 / (xi0 + w)
         limit = xi0 / (xi0 + lam * mean(config.rho_spec))
+        if bound is not None:
+            mean_limit = 1.0 + w / xi0 * bound
     else:
         finite = no_spread_finite_n(config.xi_spec, config.rho_spec, lam, n)
         limit = no_spread_limit(config.xi_spec, config.rho_spec, lam)
@@ -424,7 +437,8 @@ def batch_stats_from_samples(config: ExperimentConfig, n: int, lam: float,
         p_no_spread=no_spread_hits / len(samples),
         p_no_spread_ci=wilson_interval(no_spread_hits, len(samples), level),
         lambda_c=lc,
-        subcritical_mean_bound=(lc / (lc - lam)) if lam < lc else None,
+        subcritical_mean_bound=bound,
+        mean_limit=mean_limit,
         no_spread_finite_n=finite,
         no_spread_limit=limit,
     )

@@ -103,7 +103,8 @@ def test_sweep_flag_overrides_config(tmp_path):
     ("", ["--reps", "abc"], "replications"),
     ("replications = 50\n", ["--epsilon", "x"], "epsilon"),
     ("replications = 50\n", ["--engine", "magic"], "engine"),
-], ids=["file", "flag", "flag-reps", "flag-epsilon", "flag-engine"])
+    ("replications = 50\n", ["--n-grid", "10,10"], "n_grid"),
+], ids=["file", "flag", "flag-reps", "flag-epsilon", "flag-engine", "flag-repeated-grid"])
 def test_sweep_malformed_number_names_field(tmp_path, capsys, text, flags, field):
     # flags are converted and checked as config-file fields are
     (tmp_path / "phase.cfg").write_text(

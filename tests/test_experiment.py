@@ -357,6 +357,36 @@ def test_quenched_no_spread_references_condition_on_the_environment():
     assert quenched.no_spread_limit == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
+def test_quenched_mean_limit_conditions_on_the_environment():
+    # Vertex 0 directly infects about m0 = (lam/n) sum_u rho(0, u) / xi(0) others,
+    # each starting an annealed cluster: E[r] -> 1 + m0 lc / (lc - lam).  The
+    # annealed bound lc / (lc - lam) = 2 sits 6 to 12 SE away in these cells.
+    n, reps = 1000, 4000
+    config = make_config(xi_spec=XI2, rho_spec=RHOU, n_grid=(n,), lambda_grid=(0.5,),
+                         lambda_units="lambda_c", replications=reps,
+                         measure="quenched")
+    [lam] = resolved_lambda_grid(config)
+    lc = config_lambda_c(config)
+    xi0s = set()
+    for seed in (1, 2, 4, 5):
+        env = Environment(n, _env_seed(seed, 0, 0, "quenched"), XI2, RHOU)
+        xi0 = float(env.xi_block([0])[0])
+        xi0s.add(xi0)
+        cell = replace(config, master_seed=seed)
+        [(samples, failures)] = collect_final_sizes(cell, [(0, n, lam)])
+        est = batch_stats_from_samples(cell, n, lam, samples, failures)
+        m0 = lam / n * env.rho_full_row(0).sum() / xi0
+        assert est.mean_limit == pytest.approx(1 + m0 * lc / (lc - lam), rel=1e-12)
+        assert est.subcritical_mean_bound == pytest.approx(2.0, rel=1e-12)
+        se = samples.std(ddof=1) / np.sqrt(samples.size)
+        z = (samples.mean() - est.mean_limit) / se
+        assert abs(z) <= 3.5, (seed, xi0, est.mean_r_inf, est.mean_limit, z)
+    assert xi0s == {1.0, 2.0}
+    # no finite mean limit at and above lambda_c
+    at_lc = run_batch(replace(config, replications=10), n, lc)
+    assert at_lc.mean_limit is None and at_lc.subcritical_mean_bound is None
+
+
 # -- determinism and parallelism ---------------------------------------------------
 
 def test_jobs_do_not_change_results():
@@ -625,6 +655,18 @@ def test_config_validation():
         make_config(lambda_grid=(-0.5,))
 
 
+@pytest.mark.parametrize("key,text,grid", [("n_grid", "100, 100", (100, 100)),
+                                           ("lambda_grid", "2, 2.0", (2.0, 2.0))])
+def test_config_rejects_repeated_grid_values(key, text, grid):
+    # sweep orders rows by n within each lambda: a repeat would pass two
+    # replicates off as two grid points of the monotonicity check
+    doc = re.sub(rf"^{key} = .*$", f"{key} = {text}", CONFIG_TEXT, flags=re.M)
+    with pytest.raises(ParamViolation, match=f"{key} must not repeat a value"):
+        config_from_dict(read_config_fields(doc))
+    with pytest.raises(ParamViolation, match=f"{key} must not repeat a value"):
+        make_config(**{key: grid})
+
+
 def test_version_matches_pyproject():
     # a regex, not tomllib: the package supports Python 3.10
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
@@ -653,6 +695,9 @@ def test_sweep_structure_and_witnesses(tmp_path):
     assert payload["provenance"]["config_hash"] == config_hash(config)
     assert payload["provenance"]["version"] == sirkn.__version__ == "0.1.0"
     assert len(payload["rows"]) == 4
+    # annealed rows: the mean limit is the paper's bound, None above lambda_c
+    assert all(row["mean_limit"] == row["subcritical_mean_bound"] for row in payload["rows"])
+    assert [row["mean_limit"] for row in payload["rows"]] == [2.0, 2.0, None, None]
     # the large-n final fraction of a major outbreak, per lambda
     mf = {entry["lambda"]: entry["final_size_fraction"]
           for entry in payload["mean_field_reference"]}
