@@ -55,7 +55,8 @@ def main() -> int:
             print(f"{row.lam_over_lambda_c:>10.2f} {row.n:>7d} {row.mean_r_inf:>9.2f} "
                   f"{row.exceed_probability:>12.4f} {row.p_no_spread:>8.4f}")
         for w in result.supercritical_witnesses:
-            print(f"witness: lambda={w['lambda']:.4g} c={w['c']} b={w['b']:.4f}")
+            print(f"witness: lambda={w['lambda']:.4g} c={w['c']} b={w['b']:.4f} "
+                  f"epsilon_below_z_star={w['epsilon_below_z_star']}")
     return 0
 
 

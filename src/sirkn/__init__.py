@@ -15,13 +15,13 @@ from .dynamics import EpidemicState, RunResult, gillespie_run
 from .environment import Environment
 from .experiment import ExperimentConfig, run_batch, sweep, wilson_interval
 from .meanfield import MeanFieldState, final_size_fixed_point, ode_solve
-from .percolation import ReachResult, er_giant_component, percolation_final_size
+from .percolation import er_giant_component, percolation_final_size
 
 __all__ = [
     "DistSpec", "parse_dist", "critical_lambda",
     "Environment",
     "EpidemicState", "RunResult", "gillespie_run",
-    "ReachResult", "percolation_final_size", "er_giant_component",
+    "percolation_final_size", "er_giant_component",
     "MeanFieldState", "ode_solve", "final_size_fixed_point",
     "ExperimentConfig", "run_batch", "sweep", "wilson_interval",
     "__version__",

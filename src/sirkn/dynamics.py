@@ -49,27 +49,26 @@ def _variates(draw, size: int):
 
 @dataclass
 class RunResult:
-    """Summary of one run; trajectory rows are (time, event, vertex)."""
+    """Summary of one run of either engine; trajectory rows are (time, event,
+    vertex).  A percolation run has no clock and no events (None) and counts
+    its clock and arc draws instead."""
 
     r_infinity: int
-    extinction_time: float
-    events_executed: int
+    extinction_time: Optional[float]
+    events_executed: Optional[int]
     engine: str
     env_seed: int
     run_seed: int
     truncated: bool = False
     trajectory: Optional[List[Tuple[float, str, int]]] = None
+    t_draws: Optional[int] = None
+    u_draws: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "r_infinity": int(self.r_infinity),
-            "extinction_time": float(self.extinction_time),
-            "events_executed": int(self.events_executed),
-            "engine": self.engine,
-            "env_seed": int(self.env_seed),
-            "run_seed": int(self.run_seed),
-            "truncated": bool(self.truncated),
-        }
+        """The seven keys of run.json."""
+        return {key: getattr(self, key) for key in (
+            "r_infinity", "extinction_time", "events_executed", "engine",
+            "env_seed", "run_seed", "truncated")}
 
 
 class EpidemicState:

@@ -24,14 +24,14 @@ class Environment:
     """Immutable view of one environment realization for a given (n, seed).
 
     Safe for any number of concurrent readers; every query is a pure function
-    of its arguments.  The key material that queries cache (`_salt`,
-    `_pair_lo_keys` and the `rho_lookup` built on it) and the tuple of
-    `xi_values` change no value.
+    of its arguments.  The key material that queries cache (`_pair_lo_keys`
+    and the `rho_lookup` built on it) and the tuple of `xi_values` change no
+    value.
     """
 
     __slots__ = ("n", "seed", "xi_spec", "rho_spec", "_xi_key", "_rho_key",
-                 "xi_const", "rho_const", "xi_max", "rho_max", "_salt",
-                 "_pair_lo_keys", "_rho_lookup", "_xi_values")
+                 "xi_const", "rho_const", "xi_max", "rho_max", "_pair_lo_keys",
+                 "_rho_lookup", "_xi_values")
 
     def __init__(self, n: int, seed: int, xi_spec: DistSpec, rho_spec: DistSpec):
         if n < 1:
@@ -54,32 +54,25 @@ class Environment:
                         if self.xi_const is None else 0)
         self._rho_key = (seeding.derive_key(self.seed, _TAG_RHO)
                          if self.rho_const is None else 0)
-        self._salt = None
         self._pair_lo_keys = None
         self._rho_lookup = None
         self._xi_values = None
 
-    def _child_keys(self, key: int, js=slice(None)) -> np.ndarray:
-        """child_key(key, j) for the vertices js (default all); the salt
-        (j + 1) * CHAIN of every vertex is built on first use."""
-        if self._salt is None:
-            self._salt = seeding.pair_salt(self.n)
-        return seeding.mix64_array(np.uint64(key) ^ self._salt[js])
-
-    def _pair_keys(self) -> tuple:
-        """child_key(rho_key, j) of every vertex, and the salt.
+    def _pair_keys(self) -> np.ndarray:
+        """child_key(rho_key, j) of every vertex j: the key of the pairs
+        whose lower endpoint is j.
 
         O(n) memory, computed on the first edge query.  Every query path
         keys rho(i, j) by these keys, so they all give the same weights.
         """
         if self._pair_lo_keys is None:
-            self._pair_lo_keys = self._child_keys(self._rho_key)
-        return self._pair_lo_keys, self._salt
+            self._pair_lo_keys = seeding.child_keys(self._rho_key, np.arange(self.n))
+        return self._pair_lo_keys
 
-    def xi_block(self, js=slice(None)) -> np.ndarray:
+    def xi_block(self, js=None) -> np.ndarray:
         """Vectorized xi over an index array, by default every vertex (no
-        bounds checks: engine path)."""
-        h = self._child_keys(self._xi_key, js)
+        bounds checks: engine path); the work is that of the indices."""
+        h = seeding.child_keys(self._xi_key, np.arange(self.n) if js is None else js)
         return np.asarray(quantile(self.xi_spec, seeding.to_uniform01(h)), dtype=float)
 
     def xi_values(self) -> tuple:
@@ -101,7 +94,7 @@ class Environment:
             form = ((p[1], p[0], p[2], 0.0) if self.rho_spec.kind == "two_point"
                     else (0.0, 0.0, p[0], p[-1] - p[0]))
             self._rho_lookup = seeding.pair_quantile(
-                self._pair_keys()[0].tolist(), *map(float, form))
+                self._pair_keys().tolist(), *map(float, form))
         return self._rho_lookup
 
     def rho_at(self, i: int, j: int) -> float:
@@ -121,8 +114,7 @@ class Environment:
 
     def rho_pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Vectorized elementwise rho over index arrays (i[k] != j[k] assumed)."""
-        lo_keys, salt = self._pair_keys()
-        h = seeding.mix64_array(lo_keys[np.minimum(i, j)] ^ salt[np.maximum(i, j)])
+        h = seeding.child_keys(self._pair_keys()[np.minimum(i, j)], np.maximum(i, j))
         return np.asarray(quantile(self.rho_spec, seeding.to_uniform01(h)), dtype=float)
 
     def rho_full_row(self, i: int) -> np.ndarray:

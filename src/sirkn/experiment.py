@@ -103,15 +103,11 @@ def validate_config(config: ExperimentConfig) -> None:
             f"lambda_units must be absolute|lambda_c (got {config.lambda_units!r})")
 
 
-def config_lambda_c(config: ExperimentConfig) -> float:
-    return critical_lambda(config.xi_spec, config.rho_spec)
-
-
 def resolved_lambda_grid(config: ExperimentConfig) -> Tuple[float, ...]:
     """Absolute infection rates; multiples of lambda_c are resolved here."""
     if config.lambda_units == UNITS_ABSOLUTE:
         return tuple(float(l) for l in config.lambda_grid)
-    lc = config_lambda_c(config)
+    lc = critical_lambda(config.xi_spec, config.rho_spec)
     return tuple(float(l) * lc for l in config.lambda_grid)
 
 
@@ -404,7 +400,7 @@ def batch_stats_from_samples(config: ExperimentConfig, n: int, lam: float,
     each starting an annealed cluster, so the mean limit is
     1 + (w / xi(0)) lc / (lc - lam); P(r = 1) is xi(0) / (xi(0) + w) at n
     and xi(0) / (xi(0) + lam E[rho]) as n grows."""
-    lc = config_lambda_c(config)
+    lc = critical_lambda(config.xi_spec, config.rho_spec)
     bound = mean_limit = lc / (lc - lam) if lam < lc else None
     if config.measure == MEASURE_QUENCHED:
         env = Environment(n, _env_seed(config.master_seed, 0, 0, config.measure),
@@ -476,11 +472,14 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
     """Full (lambda, n) grid of batches plus the theorem-shaped summaries.
 
     For each supercritical lambda the witnessed pair is (c, b) =
-    (epsilon, min over the n grid of the exceedance probability); for each
-    subcritical lambda the exceedance probabilities are checked to be
-    nonincreasing along the sorted n grid.
+    (epsilon, min over the n grid of the exceedance probability), and
+    `epsilon_below_z_star` says whether epsilon lies below the major-outbreak
+    fraction z*(lambda / lambda_c); if not, P(r >= epsilon n) decays with n
+    and the pair cannot show supercriticality.  For each subcritical lambda
+    the exceedance probabilities are checked to be nonincreasing along the
+    sorted n grid.
     """
-    lc = config_lambda_c(config)
+    lc = critical_lambda(config.xi_spec, config.rho_spec)
     lambdas = resolved_lambda_grid(config)
     points = [(g, n, lam) for g, (lam, n)
               in enumerate(itertools.product(lambdas, config.n_grid))]
@@ -500,6 +499,7 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
                 "lambda": lam,
                 "c": config.epsilon,
                 "b": min(r.exceed_probability for r in lam_rows),
+                "epsilon_below_z_star": config.epsilon < fp.value,
             })
         elif lam < lc:
             probs = [r.exceed_probability for r in lam_rows]

@@ -36,12 +36,12 @@ O(lam * r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeding
 from .distributions import DistSpec, log_laplace, quantile
+from .dynamics import RunResult
 from .environment import Environment
 from .errors import ParamViolation, check_lambda
 
@@ -68,28 +68,7 @@ _SELLKE_CHUNK = 1 << 14
 _SELLKE_FIRST_STEPS = 16
 
 
-@dataclass
-class ReachResult:
-    r_infinity: int
-    t_draws: int
-    u_draws: int
-    engine: str
-    env_seed: int
-    run_seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "r_infinity": int(self.r_infinity),
-            "extinction_time": None,
-            "events_executed": None,
-            "engine": self.engine,
-            "env_seed": int(self.env_seed),
-            "run_seed": int(self.run_seed),
-            "truncated": False,
-        }
-
-
-def percolation_final_size(env: Environment, lam: float, run_seed: int) -> ReachResult:
+def percolation_final_size(env: Environment, lam: float, run_seed: int) -> RunResult:
     """BFS from vertex 0 over arcs open iff U(i, j) <= T(i), by thinned
     Poisson hits (see the module docstring).
 
@@ -127,13 +106,15 @@ def percolation_final_size(env: Environment, lam: float, run_seed: int) -> Reach
             u_draws += draws
             found.append(new)
         frontier = found[0] if len(found) == 1 else np.concatenate(found)
-    return ReachResult(
+    return RunResult(
         r_infinity=reached_count,
-        t_draws=t_draws,
-        u_draws=u_draws,
+        extinction_time=None,
+        events_executed=None,
         engine="percolation",
         env_seed=env.seed,
         run_seed=run_seed,
+        t_draws=t_draws,
+        u_draws=u_draws,
     )
 
 

@@ -5,8 +5,8 @@ integer key, computed by the splitmix-style mixer below, or (b) drawn from a
 Philox stream whose key is derived the same way, one generator per stream.
 Both give reproducible results independent of scheduling or worker count.
 
-There is one key derivation, `child_key`: `derive_key` folds it, array
-callers mix `uint64(key) ^ pair_salt(n)[js]` and `pair_quantile` inlines it.
+There is one key derivation, `child_key`: `derive_key` folds it, `child_keys`
+is its array form and `pair_quantile` inlines it.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def child_key(key: int, index: int) -> int:
 
 def pair_quantile(lo_keys: list, cut: float, below: float, a: float, w: float):
     """The unchecked scalar f(i, j) = below if u < cut else a + w * u, i != j,
-    where u is uniform01(lo_keys[min(i, j)], max(i, j)): one Python call, the
-    mixer inlined.  Every law of the menu has a quantile of this form."""
+    u the uniform (h >> 11) 2**-53 of h = child_key(lo_keys[min(i, j)],
+    max(i, j)): one Python call.  Every law of the menu has such a quantile."""
     def f(i: int, j: int) -> float:
         if i > j:
             i, j = j, i
@@ -88,18 +88,15 @@ def pair_quantile(lo_keys: list, cut: float, below: float, a: float, w: float):
     return f
 
 
-def pair_salt(n: int) -> np.ndarray:
-    """The xor salt (index + 1) * CHAIN of `child_key` for indices 0..n-1."""
-    return (np.arange(n, dtype=np.uint64) + _ONE) * _U_CHAIN
+def child_keys(keys, js) -> np.ndarray:
+    """child_key(keys, js) elementwise over broadcast arrays of keys and
+    indices; the work is that of the indices given."""
+    salt = (np.asarray(js, dtype=np.uint64) + _ONE) * _U_CHAIN
+    return mix64_array(np.asarray(keys, dtype=np.uint64) ^ salt)
 
 
 def to_uniform01(h: np.ndarray) -> np.ndarray:
     return (h >> _U11).astype(np.float64) * _INV53
-
-
-def uniform01(key: int, index: int) -> float:
-    """Uniform in [0, 1), a pure function of (key, index)."""
-    return (child_key(key, index) >> 11) * _INV53
 
 
 def stream(key: int) -> np.random.Generator:

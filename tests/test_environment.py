@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ RHO1 = parse_dist("constant:1", ROLE_WEIGHT)
 
 def xi_reference(env, j):
     """xi(j) from its definition: the quantile of the uniform of child j."""
-    return float(quantile(env.xi_spec, seeding.uniform01(env._xi_key, j)))
+    return float(quantile(env.xi_spec, (seeding.child_key(env._xi_key, j) >> 11) * 2**-53))
 
 
 def test_constant_rho_value():
@@ -129,6 +131,20 @@ def test_xi_values_computed_once_and_runs_on_reused_environment_agree(xi_text):
         a = gillespie_run(reused, 4.0, run_seed, record_trajectory=True)
         b = gillespie_run(Environment(n, 5, xi, rho), 4.0, run_seed, record_trajectory=True)
         assert a.trajectory == b.trajectory and a.r_infinity == b.r_infinity
+
+
+def test_xi_block_keys_only_the_vertices_asked_for():
+    # Key work scales with the indices given, not with n: two recovery rates
+    # of a 1e7-vertex environment allocate no n-long key array.
+    env = Environment(10 ** 7, 5, parse_dist("two_point:1:0.5:2", ROLE_RECOVERY), RHO1)
+    tracemalloc.start()
+    try:
+        values = env.xi_block(np.array([0, 5]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert values.tolist() == [xi_reference(env, 0), xi_reference(env, 5)]
 
 
 @pytest.mark.parametrize("xi_text,xi_max", [

@@ -16,13 +16,14 @@ import sirkn
 import sirkn.distributions
 import sirkn.experiment
 from sirkn import seeding
-from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, as_mixture, parse_dist
+from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, as_mixture, critical_lambda,
+                                 parse_dist)
 from sirkn.dynamics import EpidemicState, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import ParamViolation, QuadratureFailure, SirknError
 from sirkn.experiment import (ExperimentConfig, _env_seed, batch_stats_from_samples,
                               collect_final_sizes,
-                              config_from_dict, config_hash, config_lambda_c,
+                              config_from_dict, config_hash,
                               config_to_dict, mean_interval,
                               no_spread_finite_n, no_spread_limit,
                               read_config_fields, resolved_lambda_grid, run_batch,
@@ -332,7 +333,7 @@ def test_quenched_no_spread_references_condition_on_the_environment():
     # One fixed environment: P(r = 1) = xi(0) / (xi(0) + (lam/n) sum_u rho(0, u)),
     # not the annealed average.  Seeds 1 and 2 give xi(0) = 1, 4 and 5 give 2.
     n, reps = 100, 2000
-    lam = config_lambda_c(make_config(xi_spec=XI2, rho_spec=RHOU))
+    lam = critical_lambda(XI2, RHOU)
     xi0s = set()
     for seed in (1, 2, 4, 5):
         config = make_config(xi_spec=XI2, rho_spec=RHOU, n_grid=(n,), lambda_grid=(lam,),
@@ -366,7 +367,7 @@ def test_quenched_mean_limit_conditions_on_the_environment():
                          lambda_units="lambda_c", replications=reps,
                          measure="quenched")
     [lam] = resolved_lambda_grid(config)
-    lc = config_lambda_c(config)
+    lc = critical_lambda(config.xi_spec, config.rho_spec)
     xi0s = set()
     for seed in (1, 2, 4, 5):
         env = Environment(n, _env_seed(seed, 0, 0, "quenched"), XI2, RHOU)
@@ -596,7 +597,7 @@ def test_parse_config_text():
     config = config_from_dict(read_config_fields(CONFIG_TEXT))
     assert config.n_grid == (100, 1000)
     assert config.lambda_units == "lambda_c"
-    lc = config_lambda_c(config)
+    lc = critical_lambda(config.xi_spec, config.rho_spec)
     assert lc == pytest.approx(8.0 / 3.0, rel=1e-12)
     lams = resolved_lambda_grid(config)
     assert lams[0] == pytest.approx(0.5 * lc)
@@ -742,6 +743,15 @@ def test_sweep_only_subcritical_has_no_witnesses():
     config = make_config(n_grid=(20,), lambda_grid=(0.3, 0.6), replications=100)
     result = sweep(config)
     assert result.supercritical_witnesses == []
+
+
+def test_witness_flags_epsilon_at_or_above_z_star():
+    # Classic law, epsilon = 0.05: z* = 0.039 at 1.02 lambda_c, so the
+    # epsilon-witness decays with n there; z* = 0.094 at 1.05 lambda_c.
+    config = make_config(n_grid=(100,), lambda_grid=(1.02, 1.05, 1.5),
+                         lambda_units="lambda_c", replications=20)
+    flags = [w["epsilon_below_z_star"] for w in sweep(config).supercritical_witnesses]
+    assert flags == [False, True, True]
 
 
 # sha256 of sweep_csv_text for annealed dynamic sweeps, one per weight law

@@ -24,7 +24,7 @@ def test_stream_is_philox_keyed_by_the_key():
 @pytest.mark.parametrize("key", [0, 7, (1 << 63) + 5, seeding.MASK64])
 def test_child_key_is_the_salted_mix_of_array_callers(key):
     n = 50
-    salted = seeding.mix64_array(np.uint64(key) ^ seeding.pair_salt(n))
+    salted = seeding.child_keys(key, np.arange(n))
     assert [seeding.child_key(key, j) for j in range(n)] == [int(h) for h in salted]
 
 
@@ -41,13 +41,13 @@ def test_derive_key_values_are_pinned():
 
 
 def test_pair_quantile_inlines_uniform01_of_the_lower_key():
-    # The engine's scalar weight: uniform01 of the lower index's key at the
+    # The engine's scalar weight: the uniform of the lower index's key at the
     # higher index, in either argument order, through the law's quantile.
     keys = [0, 7, (1 << 63) + 5, seeding.MASK64, seeding.derive_key(9)]
     u = seeding.pair_quantile(keys, 0.0, 0.0, 0.0, 1.0)
     cut = seeding.pair_quantile(keys, 0.5, 0.25, 0.75, 0.0)
     for lo in range(len(keys)):
         for hi in range(lo + 1, len(keys)):
-            want = seeding.uniform01(keys[lo], hi)
+            want = (seeding.child_key(keys[lo], hi) >> 11) * 2**-53
             assert u(lo, hi) == u(hi, lo) == want
             assert cut(hi, lo) == (0.25 if want < 0.5 else 0.75)
