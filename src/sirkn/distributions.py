@@ -175,6 +175,17 @@ def quantile(spec: DistSpec, u: Union[float, np.ndarray]):
     return np.where(u < p1, v1, v2)
 
 
+def quantile_form(spec: DistSpec) -> tuple:
+    """(cut, below, a, w) such that the quantile of u is below if u < cut
+    else a + w * u: the scalar form every law of the menu has (two-point
+    v1, p1, v2: p1, v1, v2, 0; uniform a, b: 0, 0, a, b - a; constant v:
+    0, 0, v, 0)."""
+    p = spec.params
+    if spec.kind == "two_point":
+        return float(p[1]), float(p[0]), float(p[2]), 0.0
+    return 0.0, 0.0, float(p[0]), float(p[-1] - p[0])
+
+
 def as_mixture(spec: DistSpec) -> list:
     """Normalize a spec to mixture components for closed-form expectations.
 

@@ -21,6 +21,19 @@ xi(v) / xi_max (`Environment.xi_max`); constant xi laws keep the first one
 without an acceptance draw.  Exponentials and uniforms come from the run's
 stream in blocks of _BLOCK, each used once: the block size changes the
 samples, not their law.
+
+On the annealed environment (built with seed None) xi and rho are i.i.d.,
+so a run reveals each value from its own `uniform` iterator the first time
+it needs it, through the law's quantile form `below if u < cut else
+a + w * u` (`distributions.quantile_form`), and keeps it for the rest of the
+run.  The draw order: xi(0) is the first uniform of the state's first `run`;
+xi(v) is the uniform right after v's infection is selected; rho(i, j), with
+i susceptible and j infective, is the uniform between the proposal of the
+pair and its acceptance test, at the pair's first proposal only, and is
+stored under the key i * n + j.  An edge is only ever proposed in that one
+orientation, since its infective end was infected first, so a re-proposal
+reads the stored weight.  Constant laws reveal nothing, so their samples
+are those of any seeded environment.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import seeding
+from .distributions import quantile_form
 from .environment import Environment
 from .errors import DeadState, ParamViolation, check_lambda
 
@@ -57,7 +71,7 @@ class RunResult:
     extinction_time: Optional[float]
     events_executed: Optional[int]
     engine: str
-    env_seed: int
+    env_seed: Optional[int]  # None on the annealed environment
     run_seed: int
     truncated: bool = False
     trajectory: Optional[List[Tuple[float, str, int]]] = None
@@ -77,12 +91,15 @@ class EpidemicState:
     S and I are the first s_count entries of s_list and the first i_count
     entries of i_list; R is every other vertex, and removed vertices never
     leave.  The lists are Python lists; xi is the environment's read-only
-    tuple of recovery rates.  The incrementally maintained total recovery
-    rate must agree with a from-scratch sum to relative 1e-9.
+    tuple of recovery rates, or on the annealed environment the dict of the
+    rates revealed so far, with rho_seen the dict of revealed weights (None
+    when nothing is revealed).  The annealed state's total recovery rate is
+    0 until its first `run` reveals xi(0).  The incrementally maintained
+    total recovery rate must agree with a from-scratch sum to relative 1e-9.
     """
 
-    __slots__ = ("env", "lam", "n", "xi", "s_list", "s_count", "i_list", "i_count",
-                 "total_recovery_rate", "time")
+    __slots__ = ("env", "lam", "n", "xi", "rho_seen", "s_list", "s_count", "i_list",
+                 "i_count", "total_recovery_rate", "time")
 
     def __init__(self, env: Environment, lam: float):
         check_lambda(lam)
@@ -94,8 +111,10 @@ class EpidemicState:
         self.s_count = n - 1
         self.i_list = [0] * n
         self.i_count = 1
-        self.xi = env.xi_values()
-        self.total_recovery_rate = self.xi[0]
+        annealed = env.seed is None
+        self.xi = {} if annealed and env.xi_const is None else env.xi_values()
+        self.rho_seen = {} if annealed and env.rho_const is None else None
+        self.total_recovery_rate = self.xi[0] if self.xi else 0.0
         self.time = 0.0
 
     def run(self, rng: np.random.Generator, max_events: int,
@@ -113,7 +132,7 @@ class EpidemicState:
         """
         if self.i_count == 0:
             raise DeadState("no infectives: total rate is zero")
-        env = self.env
+        env, n = self.env, self.n
         xi, xi_max, xi_varies = self.xi, env.xi_max, env.xi_const is None
         s_list, s_count = self.s_list, self.s_count
         i_list, i_count = self.i_list, self.i_count
@@ -121,7 +140,14 @@ class EpidemicState:
         exponential = _variates(rng.standard_exponential, _BLOCK).__next__
         uniform = _variates(rng.random, _BLOCK).__next__
         rho, rho_const, rho_max = None, env.rho_const, env.rho_max
-        envelope = self.lam / self.n * rho_max
+        seen, reveal_xi = self.rho_seen, type(xi) is dict
+        if reveal_xi or seen is not None:  # the annealed environment's quantile forms
+            xi_cut, xi_below, xi_a, xi_w = quantile_form(env.xi_spec)
+            cut, below, a, w = quantile_form(env.rho_spec)
+        if reveal_xi and not xi:  # vertex 0, infective from the start
+            u = uniform()
+            xi[0] = rec = xi_below if u < xi_cut else xi_a + xi_w * u
+        envelope = self.lam / n * rho_max
         events = 0
         while i_count and events < max_events:
             elapsed = 0.0
@@ -135,10 +161,19 @@ class EpidemicState:
                     if rho_const is not None:
                         k = int(uniform() * s_count)
                         break
-                    rho = env.rho_lookup()  # once, at the run's first proposal
+                    # once, at the run's first proposal
+                    rho = env.rho_lookup() if seen is None else seen.get
                 # one uniform picks the proposed pair (i, j) in S x I
                 k, m = divmod(int(uniform() * (s_count * i_count)), i_count)
-                if uniform() * rho_max < rho(s_list[k], i_list[m]):
+                if seen is None:
+                    weight = rho(s_list[k], i_list[m])
+                else:
+                    key = s_list[k] * n + i_list[m]
+                    weight = rho(key)
+                    if weight is None:  # the pair's first proposal reveals its weight
+                        u = uniform()
+                        weight = seen[key] = below if u < cut else a + w * u
+                if uniform() * rho_max < weight:
                     break
                 # rejected proposal: time already advanced, redraw
             time += elapsed
@@ -148,6 +183,9 @@ class EpidemicState:
                 s_list[k] = s_list[s_count]
                 i_list[i_count] = v
                 i_count += 1
+                if reveal_xi:
+                    u = uniform()
+                    xi[v] = xi_below if u < xi_cut else xi_a + xi_w * u
                 rec += xi[v]
                 kind = INFECTION
             else:

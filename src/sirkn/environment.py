@@ -6,14 +6,20 @@ never stored: each is the law's quantile of a uniform keyed by
 by child j of child i of the rho key.  Keying rho by the unordered pair makes
 rho(i,j) == rho(j,i) structural and keeps n = 1e5 sweeps in O(n) memory.
 Constant laws need no query: the engines test `xi_const` and `rho_const`.
+
+An environment built with seed None is the annealed one, never revealed:
+it has no keys, its hashed queries raise ParamViolation, and the dynamic
+engine draws each value it needs from the run's own stream (`dynamics`).
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from . import seeding
-from .distributions import DistSpec, as_mixture, check_roles, quantile
+from .distributions import DistSpec, as_mixture, check_roles, quantile, quantile_form
 from .errors import IndexOutOfRange, ParamViolation, SelfLoop
 
 _TAG_XI = 0x5849
@@ -21,7 +27,8 @@ _TAG_RHO = 0x52484F
 
 
 class Environment:
-    """Immutable view of one environment realization for a given (n, seed).
+    """Immutable view of one environment realization for a given (n, seed),
+    or of the annealed environment for seed None.
 
     Safe for any number of concurrent readers; every query is a pure function
     of its arguments.  The key material that queries cache (`_pair_lo_keys`
@@ -33,12 +40,12 @@ class Environment:
                  "xi_const", "rho_const", "xi_max", "rho_max", "_pair_lo_keys",
                  "_rho_lookup", "_xi_values")
 
-    def __init__(self, n: int, seed: int, xi_spec: DistSpec, rho_spec: DistSpec):
+    def __init__(self, n: int, seed: Optional[int], xi_spec: DistSpec, rho_spec: DistSpec):
         if n < 1:
             raise ParamViolation(f"environment requires n >= 1 (got {n})")
         check_roles(xi_spec, rho_spec)
         self.n = int(n)
-        self.seed = int(seed)
+        self.seed = None if seed is None else int(seed)
         self.xi_spec = xi_spec
         self.rho_spec = rho_spec
         # Constant laws are the classic xi = rho = 1 model's fast path: the
@@ -50,10 +57,11 @@ class Environment:
         # and the dynamic engine picks recoveries by rejection at xi_max.
         self.rho_max = max(comp[-1] for _, comp in as_mixture(rho_spec))
         self.xi_max = max(comp[-1] for _, comp in as_mixture(xi_spec))
+        keyed = self.seed is not None
         self._xi_key = (seeding.derive_key(self.seed, _TAG_XI)
-                        if self.xi_const is None else 0)
+                        if keyed and self.xi_const is None else 0)
         self._rho_key = (seeding.derive_key(self.seed, _TAG_RHO)
-                         if self.rho_const is None else 0)
+                         if keyed and self.rho_const is None else 0)
         self._pair_lo_keys = None
         self._rho_lookup = None
         self._xi_values = None
@@ -66,12 +74,19 @@ class Environment:
         keys rho(i, j) by these keys, so they all give the same weights.
         """
         if self._pair_lo_keys is None:
+            self._check_keyed()
             self._pair_lo_keys = seeding.child_keys(self._rho_key, np.arange(self.n))
         return self._pair_lo_keys
+
+    def _check_keyed(self) -> None:
+        if self.seed is None:
+            raise ParamViolation("the annealed environment (seed None) has no hashed "
+                                 "values; build one with a seed to query it")
 
     def xi_block(self, js=None) -> np.ndarray:
         """Vectorized xi over an index array, by default every vertex (no
         bounds checks: engine path); the work is that of the indices."""
+        self._check_keyed()
         h = seeding.child_keys(self._xi_key, np.arange(self.n) if js is None else js)
         return np.asarray(quantile(self.xi_spec, seeding.to_uniform01(h)), dtype=float)
 
@@ -90,11 +105,8 @@ class Environment:
         """The unchecked scalar rho(i, j), i != j, in one Python call; built
         on first use from the list form of `_pair_keys`."""
         if self._rho_lookup is None:
-            p = self.rho_spec.params  # v1 if u < p1 else v2; a + (b - a) u; v
-            form = ((p[1], p[0], p[2], 0.0) if self.rho_spec.kind == "two_point"
-                    else (0.0, 0.0, p[0], p[-1] - p[0]))
             self._rho_lookup = seeding.pair_quantile(
-                self._pair_keys().tolist(), *map(float, form))
+                self._pair_keys().tolist(), *quantile_form(self.rho_spec))
         return self._rho_lookup
 
     def rho_at(self, i: int, j: int) -> float:

@@ -3,14 +3,16 @@
 This layer turns the two engines into reproducible phase-transition
 evidence.  It keys one RNG stream per (grid point, replication) from the
 master seed, or per (grid point, block of replications) for annealed
-percolation points, which `percolation.sellke_final_sizes` draws without an
-environment; quenched percolation points run the BFS on one environment.
-Every stream is a generator of its own, so results are independent of
-worker count and scheduling.  The layer also computes the order-parameter
-estimators with confidence intervals and attaches the analytic references
-(the critical rate, the subcritical mean bound, the exact and limiting
-no-spread probabilities, the major-outbreak final fraction) that the tests
-check the simulations against.
+percolation points, which `percolation.sellke_final_sizes` draws.  No
+annealed point hashes an environment: annealed dynamic runs reveal theirs
+from their own streams, on the unseeded `Environment`.  Quenched points run
+either engine on the one environment the master seed keys.  Every stream is
+a generator of its own, so results are independent of worker count and
+scheduling.  The layer also computes the order-parameter estimators with
+confidence intervals and attaches the analytic references (the critical
+rate, the subcritical mean bound, the exact and limiting no-spread
+probabilities, the major-outbreak final fraction) that the tests check the
+simulations against.
 """
 
 from __future__ import annotations
@@ -230,10 +232,9 @@ def mean_interval(samples: np.ndarray, level: float) -> Tuple[float, float, floa
 # Replication streams and batch collection
 
 
-def _env_seed(master_seed: int, grid_index: int, rep: int, measure: str) -> int:
-    if measure == MEASURE_QUENCHED:
-        return seeding.derive_key(master_seed, _TAG_ENV)
-    return seeding.derive_key(master_seed, _TAG_ENV, grid_index, rep)
+def _env_seed(master_seed: int) -> int:
+    """Seed of the one environment of a quenched sweep."""
+    return seeding.derive_key(master_seed, _TAG_ENV)
 
 
 def _run_seed(master_seed: int, grid_index: int, rep: int) -> int:
@@ -262,13 +263,13 @@ def _collect_range(task):
             except SirknError:
                 failed += size
         return np.concatenate(parts), failed
+    # annealed points left here are dynamic ones, on the unseeded environment
+    env = Environment(n, _env_seed(config.master_seed)
+                      if config.measure == MEASURE_QUENCHED else None,
+                      config.xi_spec, config.rho_spec)
     out = np.zeros(stop - start, dtype=np.uint32)
     done = 0
-    env = None
     for rep in range(start, stop):
-        env_seed = _env_seed(config.master_seed, grid_index, rep, config.measure)
-        if env is None or env.seed != env_seed:
-            env = Environment(n, env_seed, config.xi_spec, config.rho_spec)
         run_seed = _run_seed(config.master_seed, grid_index, rep)
         try:
             if config.engine == ENGINE_PERCOLATION:
@@ -291,7 +292,9 @@ def collect_final_sizes(config: ExperimentConfig,
     SELLKE_BLOCK by `sellke_final_sizes`, one stream per (master_seed,
     grid_index, block); a block that raises counts all its replications as
     failed.  Every other point runs one engine call per replication, on a
-    stream keyed by (master_seed, grid_index, replication).  Each point's
+    stream keyed by (master_seed, grid_index, replication): annealed dynamic
+    runs on the unseeded environment, quenched runs on the master seed's
+    one environment, each chunk building its environment once.  Each point's
     replications are cut into `jobs` contiguous chunks and every chunk of
     every point goes through one map: the builtin one at jobs <= 1 or for a
     single chunk, else one process pool of at most one worker per chunk,
@@ -403,8 +406,7 @@ def batch_stats_from_samples(config: ExperimentConfig, n: int, lam: float,
     lc = critical_lambda(config.xi_spec, config.rho_spec)
     bound = mean_limit = lc / (lc - lam) if lam < lc else None
     if config.measure == MEASURE_QUENCHED:
-        env = Environment(n, _env_seed(config.master_seed, 0, 0, config.measure),
-                          config.xi_spec, config.rho_spec)
+        env = Environment(n, _env_seed(config.master_seed), config.xi_spec, config.rho_spec)
         xi0 = float(env.xi_block([0])[0])
         w = lam / n * float(env.rho_full_row(0).sum())
         finite = xi0 / (xi0 + w)
@@ -444,9 +446,10 @@ def run_batch(config: ExperimentConfig, n: int, lam: float,
               jobs: int = 1) -> BatchStats:
     """All estimators for one (n, lambda) grid point.
 
-    Annealed mode draws a fresh environment per replication (for the
-    percolation engine, implicitly through the Sellke sampler); quenched mode
-    fixes one environment from the master seed and varies only run seeds.
+    Annealed mode averages over environments: the Sellke sampler and the
+    dynamic engine each reveal a replication's values from its own stream,
+    without hashing any.  Quenched mode fixes one environment from the
+    master seed and varies only run seeds.
     """
     [(samples, failures)] = collect_final_sizes(config, [(0, n, lam)], jobs)
     return batch_stats_from_samples(config, n, lam, samples, failures)

@@ -48,8 +48,8 @@ def mix64(x: int) -> int:
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; `x` must be uint64."""
-    x = x.astype(np.uint64, copy=True)
+    """Vectorized splitmix64 finalizer, in place on the uint64 array `x`,
+    which it returns; callers pass an array no one else holds."""
     x ^= x >> _U30
     x *= _U_M1
     x ^= x >> _U27
@@ -91,8 +91,9 @@ def pair_quantile(lo_keys: list, cut: float, below: float, a: float, w: float):
 def child_keys(keys, js) -> np.ndarray:
     """child_key(keys, js) elementwise over broadcast arrays of keys and
     indices; the work is that of the indices given."""
-    salt = (np.asarray(js, dtype=np.uint64) + _ONE) * _U_CHAIN
-    return mix64_array(np.asarray(keys, dtype=np.uint64) ^ salt)
+    # one fresh array, mixed in place: the caller's arrays are never written
+    return mix64_array(np.asarray(keys, dtype=np.uint64)
+                       ^ (np.asarray(js, dtype=np.uint64) + _ONE) * _U_CHAIN)
 
 
 def to_uniform01(h: np.ndarray) -> np.ndarray:

@@ -264,6 +264,40 @@ def test_rate_consistency_along_trajectory(xi_text, rho_text):
     assert peak > 1
 
 
+def test_annealed_state_keeps_what_it_reveals():
+    # Runs stepped one event at a time on the unseeded environment, until
+    # one infects more than 5: xi(0) is revealed once, every infective's
+    # rate is revealed and they sum to the total, and each stored weight
+    # belongs to a pair whose infective end j was infected before its
+    # susceptible end i.
+    xi = parse_dist("shifted:uniform:0:1:+1", ROLE_RECOVERY)
+    rho = parse_dist(RHO_THINNING, ROLE_WEIGHT)
+    env = Environment(200, None, xi, rho)
+    rng = seeding.stream(314)
+    order = []
+    while len(order) <= 5:
+        state = EpidemicState(env, lam=2.0 * critical_lambda(xi, rho))
+        assert state.xi == {} and state.total_recovery_rate == 0.0
+        order, xi0 = [0], None
+        while state.i_count:
+            trajectory = []
+            state.run(rng, 1, trajectory)
+            (_, kind, v), = trajectory
+            if kind == INFECTION:
+                order.append(v)
+            xi0 = state.xi[0] if xi0 is None else xi0
+            assert state.xi[0] == xi0
+            infectives = state.i_list[: state.i_count]
+            assert state.total_recovery_rate == pytest.approx(
+                sum(state.xi[u] for u in infectives), rel=1e-9, abs=1e-12)
+            assert set(state.xi) == set(order)
+            assert all(1 <= x < 2 for x in state.xi.values())
+            rank = {u: k for k, u in enumerate(order)}
+            for key, weight in state.rho_seen.items():
+                i, j = divmod(key, env.n)
+                assert rank.get(i, len(order)) > rank[j] and 0 <= weight < 1
+
+
 @pytest.mark.parametrize("rho_text", [RHO_THINNING, RHO_SPARSE], ids=LAW_IDS)
 def test_dynamic_matches_percolation_distribution(rho_text):
     # the percolation engine is the exact static representation of the law

@@ -28,6 +28,21 @@ def test_constant_rho_value():
     assert env.rho_at(3, 7) == 1.0
 
 
+def test_annealed_environment_hashes_nothing():
+    # seed None: the dynamic engine reveals values from its runs' streams,
+    # so every hashed query raises instead of reading a key that is not there
+    env = Environment(10, None, parse_dist("two_point:1:0.5:2", ROLE_RECOVERY),
+                      parse_dist("uniform:0:1", ROLE_WEIGHT))
+    assert env.seed is None and (env.xi_max, env.rho_max) == (2.0, 1.0)
+    for query in (env.xi_values, env.xi_block, env.rho_lookup, lambda: env.rho_at(1, 2),
+                  lambda: env.rho_pairs(np.array([1]), np.array([2]))):
+        with pytest.raises(ParamViolation):
+            query()
+    classic = Environment(3, None, XI1, RHO1)
+    assert classic.xi_values() == (1.0, 1.0, 1.0) and classic.rho_at(0, 1) == 1.0
+    assert gillespie_run(classic, 2.0, 1).env_seed is None
+
+
 def test_symmetry_and_determinism_scalar():
     env = Environment(50, 9, XI1, parse_dist("uniform:0:1", ROLE_WEIGHT))
     assert env.rho_at(3, 7) == env.rho_at(7, 3)

@@ -338,7 +338,7 @@ def test_quenched_no_spread_references_condition_on_the_environment():
     for seed in (1, 2, 4, 5):
         config = make_config(xi_spec=XI2, rho_spec=RHOU, n_grid=(n,), lambda_grid=(lam,),
                              replications=reps, measure="quenched", master_seed=seed)
-        env = Environment(n, _env_seed(seed, 0, 0, "quenched"), XI2, RHOU)
+        env = Environment(n, _env_seed(seed), XI2, RHOU)
         xi0 = float(env.xi_block([0])[0])
         xi0s.add(xi0)
         est = run_batch(config, n, lam)
@@ -370,7 +370,7 @@ def test_quenched_mean_limit_conditions_on_the_environment():
     lc = critical_lambda(config.xi_spec, config.rho_spec)
     xi0s = set()
     for seed in (1, 2, 4, 5):
-        env = Environment(n, _env_seed(seed, 0, 0, "quenched"), XI2, RHOU)
+        env = Environment(n, _env_seed(seed), XI2, RHOU)
         xi0 = float(env.xi_block([0])[0])
         xi0s.add(xi0)
         cell = replace(config, master_seed=seed)
@@ -566,14 +566,51 @@ def test_pool_gets_costliest_points_first(monkeypatch, engine, reps):
         assert failures == alone_failures == 0
 
 
-def test_quenched_shares_one_environment():
-    config = make_config(measure="quenched", xi_spec=XI2, rho_spec=RHOU,
-                         replications=64)
-    # all replications must query the same environment seed
-    seeds = {_env_seed(config.master_seed, 0, rep, "quenched") for rep in range(64)}
-    assert len(seeds) == 1
-    annealed = {_env_seed(config.master_seed, 0, rep, "annealed") for rep in range(64)}
-    assert len(annealed) == 64
+def _record_builds(monkeypatch):
+    """Seeds of the environments a collection builds, and the keys of its streams."""
+    seeds, keys = [], []
+    build, stream = sirkn.experiment.Environment, seeding.stream
+    monkeypatch.setattr(sirkn.experiment, "Environment",
+                        lambda n, seed, *laws: seeds.append(seed) or build(n, seed, *laws))
+    monkeypatch.setattr(seeding, "stream", lambda key: keys.append(key) or stream(key))
+    return seeds, keys
+
+
+def test_quenched_shares_one_environment(monkeypatch):
+    # all replications of a chunk run on the one environment of the master seed
+    seeds, _ = _record_builds(monkeypatch)
+    for engine in ("dynamic", "percolation"):
+        config = make_config(measure="quenched", engine=engine, xi_spec=XI2, rho_spec=RHOU,
+                             replications=64)
+        seeds.clear()
+        collect_final_sizes(config, [(0, 20, 1.0)])
+        assert seeds == [_env_seed(config.master_seed)], engine
+
+
+def test_annealed_dynamic_chunk_hashes_no_environment(monkeypatch):
+    # only the unseeded environment, and one stream per replication
+    config = make_config(engine="dynamic", xi_spec=XI2, rho_spec=RHOU, replications=64)
+    seeds, keys = _record_builds(monkeypatch)
+    [(samples, failures)] = collect_final_sizes(config, [(0, 20, 1.0)])
+    assert seeds == [None]
+    assert keys == [seeding.derive_key(config.master_seed, sirkn.experiment._TAG_RUN, 0, rep)
+                    for rep in range(64)]
+    assert samples.size == 64 and failures == 0
+
+
+def test_annealed_weights_stay_consistent_within_a_run():
+    # n = 2, lam = 50: the one pair is proposed at the envelope rate 25
+    # until vertex 0 recovers.  A weight kept for the run gives P(r = 1) =
+    # E[1 / (1 + 25 rho)] = 0.7924; a weight redrawn at each proposal would
+    # give 1 / (1 + 25 E[rho]) = 0.6678, over 15 SE away.
+    rho = parse_dist("two_point:0.01:0.99:1", ROLE_WEIGHT)
+    config = make_config(rho_spec=rho, n_grid=(2,), lambda_grid=(50.0,),
+                         replications=4000, engine="dynamic")
+    [(samples, failures)] = collect_final_sizes(config, [(0, 2, 50.0)])
+    q = no_spread_finite_n(XI1, rho, 50.0, 2)
+    assert q == pytest.approx(0.7924, abs=1e-4)
+    lo, hi = wilson_interval(int((samples == 1).sum()), samples.size, 0.99)
+    assert failures == 0 and lo <= q <= hi, (lo, hi)
 
 
 # -- config handling -----------------------------------------------------------
@@ -758,9 +795,9 @@ def test_witness_flags_epsilon_at_or_above_z_star():
 # family that looks up weights; a change to any draw, its order or a float
 # expression of the dynamic engine or the sweep statistics shows here.
 _GOLDEN_DYNAMIC_SWEEPS = {
-    "uniform:0:1": "86c117cb99f7004ca6a2d6aa078a89cf6f81bed23fc96477ed00936edc7b6faf",
+    "uniform:0:1": "69e71f01e24ce616935cd762a51cdc304ed7db7de94d469952cdb0f3e391a85e",
     "two_point:0.01:0.99:1":
-        "e874bada4b372fb5fa4d806cbee6446e98f2b41ac759d3a5a81b403c392b62c8",
+        "0fac1f392da896a43e898ee3aa225325f466b67c8d625d587df0153815fd0b51",
 }
 
 

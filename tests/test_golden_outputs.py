@@ -42,6 +42,9 @@ _CLI_CASES = {
                              "--seed 12" + _RANDOM,
     "sweep-dyn-uniform": "sweep --n-grid 100,300 --lambda-grid 0.5,2 --lambda-units lambda_c "
                          "--reps 20 --engine dynamic --seed 13" + _RANDOM,
+    # classic laws reveal nothing: the same samples as on seeded environments
+    "sweep-dyn-classic": "sweep --n-grid 100,300 --lambda-grid 0.5,2 --lambda-units lambda_c "
+                         "--reps 20 --engine dynamic --seed 16" + _CLASSIC,
     "sweep-quenched-percolation": "sweep --n-grid 200,1000 --lambda-grid 0.5,2 "
                                   "--lambda-units lambda_c --reps 40 --engine percolation "
                                   "--measure quenched --seed 14" + _RANDOM,
@@ -60,7 +63,7 @@ _GOLDEN_CLI = {
         "meanfield.json": "8fae78a3651858c65de665a9b5046397af1d416387729d8410049e69743eff64",
     },
     "no-spread-dynamic": {
-        "no_spread.json": "d0d20159eaf8f1f682eb66713fe191aa3edf9a687f8ce203dec33c985286fa0e",
+        "no_spread.json": "db4f94056935fa88d48f57b9b050f9e7fbc56cea6d4451fa8f3f95161a1b20ae",
     },
     "no-spread-percolation": {
         "no_spread.json": "15485461cd8eccc3776d0efa64fe8a22607d58f096ebda0ab9fcbda133227ac1",
@@ -82,9 +85,13 @@ _GOLDEN_CLI = {
         "run.json": "35ac3c8006cdf129c997f0be1ba07d6f055bec445c7856e2f0471f7f0bc95f4e",
         "trajectory.csv": "69d34a1ad6c233074d290a08aafd2151d02b929d3e9509d21a48fae89d89c2f2",
     },
+    "sweep-dyn-classic": {
+        "sweep.csv": "535d0e072ced8bf02850ecfdad87f3c3851a57fd508c90da1b0a47ea54094724",
+        "sweep.json": "218f9fd78c18d5f9812aed1f388fcd3e3922e583ac585f116cd5fe6ab1452b33",
+    },
     "sweep-dyn-uniform": {
-        "sweep.csv": "f2b06364d0da75028bb8ea96c166567a676fd322664709588302b2c86c9c8984",
-        "sweep.json": "472c502c955d8cd23843c491ac50e3bbcdfdeb8a77ad7b3bd7583c9c641db147",
+        "sweep.csv": "b361784315b7c9f08036138099fe34d1d823edc722066bf8073161537f732df8",
+        "sweep.json": "65fa26fb1abbdda2de4b0567ed318f3c6bc81e987c542f37d68360543c25f8e2",
     },
     "sweep-perc-random-env": {
         "sweep.csv": "e75b85129dcc3bc0fb9e8839f78122268945c1035c087af8c83ebca612bc07e9",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,24 @@ def test_child_key_is_the_salted_mix_of_array_callers(key):
     n = 50
     salted = seeding.child_keys(key, np.arange(n))
     assert [seeding.child_key(key, j) for j in range(n)] == [int(h) for h in salted]
+
+
+def test_child_keys_makes_one_array_and_writes_no_input():
+    # The result (8 MB), the caller's indices (8 MB) and one temporary of
+    # the in-place mix: a copy of the result would add 8 MB.
+    tracemalloc.start()
+    try:
+        js = np.arange(10**6)
+        seeding.child_keys(7, js)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24.5e6
+    keys = np.arange(5, dtype=np.uint64)
+    idx = np.arange(5, dtype=np.uint64)
+    seeding.child_keys(keys, idx)
+    np.testing.assert_array_equal(keys, np.arange(5))
+    np.testing.assert_array_equal(idx, np.arange(5))
 
 
 def test_derive_key_values_are_pinned():
