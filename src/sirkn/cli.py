@@ -70,8 +70,9 @@ def _jobs(args) -> int:
 
 def _cmd_run(args, engine, options=()) -> int:
     """One run of `simulate` or `percolate`: the engine call is
-    engine(env, lambda, run_seed, *options), where options name the
-    subcommand's own flags, passed on in order and recorded by name."""
+    engine(env, lambda, rng, *options).  rng is the stream keyed by the
+    run_seed that run.json records; options name the subcommand's own
+    flags, passed on in order and recorded by name."""
     xi = parse_dist(args.xi, ROLE_RECOVERY)
     rho = parse_dist(args.rho, ROLE_WEIGHT)
     resolved = {
@@ -85,9 +86,11 @@ def _cmd_run(args, engine, options=()) -> int:
     resolved.update((name, getattr(args, name)) for name in options)
     out = _outdir(args, resolved)
     env = Environment(args.n, seeding.derive_key(args.seed, _TAG_CLI_ENV), xi, rho)
-    result = engine(env, args.lam, seeding.derive_key(args.seed, _TAG_CLI_RUN),
+    run_seed = seeding.derive_key(args.seed, _TAG_CLI_RUN)
+    result = engine(env, args.lam, seeding.stream(run_seed),
                     *(resolved[name] for name in options))
-    _write_json(out / "run.json", {"config": resolved, "result": result.to_dict()})
+    _write_json(out / "run.json", {"config": resolved,
+                                   "result": dict(result.to_dict(), run_seed=run_seed)})
     if resolved.get("trajectory"):
         rows = trajectory_rows(result, args.n)
         lines = ["time,event,vertex,s_count,i_count,r_count"]

@@ -6,8 +6,10 @@ over infective j.  `EpidemicState.run` is the one event loop: it holds the
 state in local variables and executes events until absorption or a cap.
 Each event picks its vertex by a position in the list of S or of I and
 moves the list's last entry into that place.  `gillespie_run(env, lam,
-run_seed)`, called like `percolation.percolation_final_size`, runs it once;
-tests step it one event at a time.
+rng)`, called like `percolation.percolation_final_size`, runs it once on the
+generator it is handed, deriving no key; runs handed one generator in turn
+draw successive stretches of its stream.  Tests step the loop one event at
+a time.
 
 Infections are selected by thinning (Lewis & Shedler) for every weight law:
 a uniform pair (i, j) in S x I is proposed at the envelope rate
@@ -19,8 +21,8 @@ accept every proposal and never look up a weight.
 A recovery draws uniform infectives until one, v, is kept with probability
 xi(v) / xi_max (`Environment.xi_max`); constant xi laws keep the first one
 without an acceptance draw.  Exponentials and uniforms come from the run's
-stream in blocks of _BLOCK, each used once: the block size changes the
-samples, not their law.
+generator in blocks of _BLOCK, each used once, and a run leaves the rest of
+its last blocks unused: the block size changes the samples, not their law.
 
 On the annealed environment (built with seed None) xi and rho are i.i.d.,
 so a run reveals each value from its own `uniform` iterator the first time
@@ -44,7 +46,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import seeding
 from .distributions import quantile_form
 from .environment import Environment
 from .errors import DeadState, ParamViolation, check_lambda
@@ -72,17 +73,17 @@ class RunResult:
     events_executed: Optional[int]
     engine: str
     env_seed: Optional[int]  # None on the annealed environment
-    run_seed: int
     truncated: bool = False
     trajectory: Optional[List[Tuple[float, str, int]]] = None
     t_draws: Optional[int] = None
     u_draws: Optional[int] = None
 
     def to_dict(self) -> dict:
-        """The seven keys of run.json."""
+        """The keys of run.json but `run_seed`, which the CLI adds: a run
+        keeps no record of the generator it drew from."""
         return {key: getattr(self, key) for key in (
             "r_infinity", "extinction_time", "events_executed", "engine",
-            "env_seed", "run_seed", "truncated")}
+            "env_seed", "truncated")}
 
 
 class EpidemicState:
@@ -210,11 +211,11 @@ class EpidemicState:
         return events
 
 
-def gillespie_run(env: Environment, lam: float, run_seed: int,
+def gillespie_run(env: Environment, lam: float, rng: np.random.Generator,
                   max_events: Optional[int] = None,
                   record_trajectory: bool = False) -> RunResult:
-    """Simulate from the stream keyed by run_seed to absorption (I empty) or
-    the event cap, max_events (default 50 n).
+    """Simulate with the draws of rng to absorption (I empty) or the event
+    cap, max_events (default 50 n).
 
     r_infinity counts ever-infected vertices, which equals n - |S_final|
     because S only shrinks and R_0 is empty.  Truncated runs therefore report
@@ -228,14 +229,13 @@ def gillespie_run(env: Environment, lam: float, run_seed: int,
 
     state = EpidemicState(env, lam)
     trajectory = [] if record_trajectory else None
-    events = state.run(seeding.stream(run_seed), max_events, trajectory)
+    events = state.run(rng, max_events, trajectory)
     return RunResult(
         r_infinity=state.n - state.s_count,
         extinction_time=state.time,
         events_executed=events,
         engine="dynamic",
         env_seed=env.seed,
-        run_seed=run_seed,
         truncated=state.i_count > 0,
         trajectory=trajectory,
     )

@@ -9,7 +9,7 @@ Constant laws need no query: the engines test `xi_const` and `rho_const`.
 
 An environment built with seed None is the annealed one, never revealed:
 it has no keys, its hashed queries raise ParamViolation, and the dynamic
-engine draws each value it needs from the run's own stream (`dynamics`).
+engine draws each value it needs from the run's generator (`dynamics`).
 """
 
 from __future__ import annotations

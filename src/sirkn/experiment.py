@@ -1,13 +1,15 @@
 """Monte Carlo batches, lambda sweeps, estimators and persistence.
 
 This layer turns the two engines into reproducible phase-transition
-evidence.  It keys one RNG stream per (grid point, replication) from the
-master seed, or per (grid point, block of replications) for annealed
-percolation points, which `percolation.sellke_final_sizes` draws.  No
+evidence.  It is the one layer that keys streams: one per (grid point,
+block of STREAM_BLOCK replications) from the master seed, for every engine
+and measure.  Annealed percolation points hand a block's stream to
+`percolation.sellke_final_sizes`; every other point hands it to one engine
+call after another, so a block's runs draw successive stretches of it.  No
 annealed point hashes an environment: annealed dynamic runs reveal theirs
-from their own streams, on the unseeded `Environment`.  Quenched points run
-either engine on the one environment the master seed keys.  Every stream is
-a generator of its own, so results are independent of worker count and
+from the stream, on the unseeded `Environment`.  Quenched points run either
+engine on the one environment the master seed keys.  Every block is a
+generator of its own, so results are independent of worker count and
 scheduling.  The layer also computes the order-parameter estimators with
 confidence intervals and attaches the analytic references (the critical
 rate, the subcritical mean bound, the exact and limiting no-spread
@@ -39,7 +41,7 @@ from .dynamics import gillespie_run
 from .environment import Environment
 from .errors import ParamViolation, SirknError, check_lambda
 from .meanfield import final_size_fixed_point
-from .percolation import SELLKE_BLOCK, percolation_final_size, sellke_final_sizes
+from .percolation import percolation_final_size, sellke_final_sizes
 
 ENGINE_DYNAMIC = "dynamic"
 ENGINE_PERCOLATION = "percolation"
@@ -49,8 +51,12 @@ UNITS_ABSOLUTE = "absolute"
 UNITS_LAMBDA_C = "lambda_c"
 
 _TAG_ENV = 0x454E56
-_TAG_RUN = 0x52554E
 _TAG_BLOCK = 0x424C4B
+
+# Replications that draw from one stream; every point keys and cuts its
+# replications in blocks of this size, and `sellke_final_sizes` draws a
+# block in lockstep.
+STREAM_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -237,49 +243,38 @@ def _env_seed(master_seed: int) -> int:
     return seeding.derive_key(master_seed, _TAG_ENV)
 
 
-def _run_seed(master_seed: int, grid_index: int, rep: int) -> int:
-    return seeding.derive_key(master_seed, _TAG_RUN, grid_index, rep)
-
-
 def _block_seed(master_seed: int, grid_index: int, block: int) -> int:
     return seeding.derive_key(master_seed, _TAG_BLOCK, grid_index, block)
 
 
-def _per_block(config: ExperimentConfig) -> bool:
-    """Whether the config's points key one stream per block of replications."""
-    return config.engine == ENGINE_PERCOLATION and config.measure == MEASURE_ANNEALED
-
-
 def _collect_range(task):
     config, grid_index, n, lam, start, stop = task
-    if _per_block(config):
-        parts, failed = [np.zeros(0, dtype=np.uint32)], 0
-        for first in range(start, stop, SELLKE_BLOCK):
-            size = min(SELLKE_BLOCK, stop - first)
-            seed = _block_seed(config.master_seed, grid_index, first // SELLKE_BLOCK)
+    sellke = config.engine == ENGINE_PERCOLATION and config.measure == MEASURE_ANNEALED
+    if not sellke:  # annealed dynamic runs use the unseeded environment
+        env = Environment(n, _env_seed(config.master_seed)
+                          if config.measure == MEASURE_QUENCHED else None,
+                          config.xi_spec, config.rho_spec)
+        engine = gillespie_run if config.engine == ENGINE_DYNAMIC else percolation_final_size
+    parts, failed = [], 0
+    for first in range(start, stop, STREAM_BLOCK):
+        size = min(STREAM_BLOCK, stop - first)
+        rng = seeding.stream(_block_seed(config.master_seed, grid_index,
+                                         first // STREAM_BLOCK))
+        if sellke:
             try:
-                parts.append(sellke_final_sizes(config.xi_spec, config.rho_spec, n, lam,
-                                                size, seed).astype(np.uint32))
-            except SirknError:
-                failed += size
-        return np.concatenate(parts), failed
-    # annealed points left here are dynamic ones, on the unseeded environment
-    env = Environment(n, _env_seed(config.master_seed)
-                      if config.measure == MEASURE_QUENCHED else None,
-                      config.xi_spec, config.rho_spec)
-    out = np.zeros(stop - start, dtype=np.uint32)
-    done = 0
-    for rep in range(start, stop):
-        run_seed = _run_seed(config.master_seed, grid_index, rep)
-        try:
-            if config.engine == ENGINE_PERCOLATION:
-                out[done] = percolation_final_size(env, lam, run_seed).r_infinity
-            else:
-                out[done] = gillespie_run(env, lam, run_seed).r_infinity
-        except SirknError:
-            continue
-        done += 1
-    return out[:done], stop - start - done
+                part = sellke_final_sizes(config.xi_spec, config.rho_spec, n, lam, size, rng)
+            except SirknError:  # the whole block fails
+                part = ()
+        else:
+            part = []
+            for _ in range(size):
+                try:
+                    part.append(engine(env, lam, rng).r_infinity)
+                except SirknError:  # one run fails; the next draws on
+                    pass
+        failed += size - len(part)
+        parts.append(np.asarray(part, dtype=np.uint32))
+    return np.concatenate(parts), failed
 
 
 def collect_final_sizes(config: ExperimentConfig,
@@ -288,25 +283,25 @@ def collect_final_sizes(config: ExperimentConfig,
     """Final sizes of the completed replications at each (grid_index, n,
     lambda) point, in replication order, and the number of failed ones.
 
-    Annealed percolation points draw their replications in blocks of
-    SELLKE_BLOCK by `sellke_final_sizes`, one stream per (master_seed,
-    grid_index, block); a block that raises counts all its replications as
-    failed.  Every other point runs one engine call per replication, on a
-    stream keyed by (master_seed, grid_index, replication): annealed dynamic
-    runs on the unseeded environment, quenched runs on the master seed's
-    one environment, each chunk building its environment once.  Each point's
-    replications are cut into `jobs` contiguous chunks and every chunk of
-    every point goes through one map: the builtin one at jobs <= 1 or for a
-    single chunk, else one process pool of at most one worker per chunk,
-    which is handed the chunks in descending (lambda, n) order, costliest
-    first for both engines, so the largest point does not start last;
-    results go back in point order.  Chunks end on the boundaries of
-    what a stream is keyed by, blocks or replications, so the output is
-    byte-identical for every `jobs` value.
+    Every point draws its replications in blocks of STREAM_BLOCK, one
+    stream per (master_seed, grid_index, block).  Annealed percolation
+    points hand a block's stream to `sellke_final_sizes`, and a block that
+    raises counts all its replications as failed.  Every other point hands
+    it to one engine call per replication in turn: annealed dynamic runs on
+    the unseeded environment, quenched runs on the master seed's one
+    environment, each chunk building its environment once.  A call that
+    raises counts one failed replication, and the block's later runs go on
+    drawing from the same stream.  Each point's blocks are cut into `jobs`
+    contiguous chunks and every chunk of every point goes through one map:
+    the builtin one at jobs <= 1 or for a single chunk, else one process
+    pool of at most one worker per chunk, which is handed the chunks in
+    descending (lambda, n) order, costliest first for both engines, so the
+    largest point does not start last; results go back in point order.
+    Chunks end on block boundaries, so the output is byte-identical for
+    every `jobs` value.
     """
-    unit = SELLKE_BLOCK if _per_block(config) else 1
-    units = -(-config.replications // unit)
-    bounds = np.linspace(0, units, max(jobs, 1) + 1, dtype=int) * unit
+    blocks = -(-config.replications // STREAM_BLOCK)
+    bounds = np.linspace(0, blocks, max(jobs, 1) + 1, dtype=int) * STREAM_BLOCK
     bounds = np.minimum(bounds, config.replications)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     tasks = [(config, g, n, lam, a, b) for g, n, lam in points for a, b in spans]
@@ -447,9 +442,9 @@ def run_batch(config: ExperimentConfig, n: int, lam: float,
     """All estimators for one (n, lambda) grid point.
 
     Annealed mode averages over environments: the Sellke sampler and the
-    dynamic engine each reveal a replication's values from its own stream,
-    without hashing any.  Quenched mode fixes one environment from the
-    master seed and varies only run seeds.
+    dynamic engine each reveal a replication's values from its block's
+    stream, without hashing any.  Quenched mode fixes one environment from
+    the master seed and varies only the runs' draws.
     """
     [(samples, failures)] = collect_final_sizes(config, [(0, n, lam)], jobs)
     return batch_stats_from_samples(config, n, lam, samples, failures)

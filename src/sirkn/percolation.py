@@ -14,14 +14,15 @@ everything else.  That is Sellke's threshold epidemic (Sellke 1983): each
 susceptible holds a threshold Q ~ Exp(1), the k-th infective adds pressure
 X_k = -log phi(lam T_k / n), and r = 1 + min{k : Q_(k+1) > X_0 + ... + X_k},
 with the order statistics Q_(k) of the n - 1 thresholds drawn by Renyi's
-representation.  A run costs O(r).  Runs are drawn in lockstep blocks whose
-steps come in chunks: 16 steps first, then twice the steps of the chunk
-before, at most _SELLKE_CHUNK draws of each kind per chunk.  Sweeps with
-measure "annealed" and engine "percolation" (the `no-spread` batch
-included) use it.
+representation.  A run costs O(r).  Runs are drawn in lockstep blocks from
+one generator per block, and a block's steps come in chunks: 16 steps
+first, then twice the steps of the chunk before, at most _SELLKE_CHUNK
+draws of each kind per chunk.  Sweeps with measure "annealed" and engine
+"percolation" (the `no-spread` batch included) use it.
 
 Quenched sweeps, which fix one environment, and `sirkn percolate` walk the
-environment with one BFS: given T(v), the arc (v, u) opens with probability
+environment with one BFS, `percolation_final_size(env, lam, rng)`: given
+T(v), the arc (v, u) opens with probability
 1 - exp(-(lam/n) rho(v, u) T(v)).  Each frontier vertex v throws
 Poisson(lam rho_max T(v)) hits on uniform targets in [0, n) and keeps each
 with probability rho(v, u) / rho_max (Lewis & Shedler thinning at
@@ -31,6 +32,9 @@ on visited vertices (v itself included) are dropped, and constant laws keep
 every hit without a weight lookup.  A vertex expecting more hits than there
 are unvisited vertices draws those arcs directly.  Expected work
 O(lam * r).
+
+Both final-size engines draw from the generator their caller hands them and
+derive no key; only `er_giant_component` keys a stream of its own.
 """
 
 from __future__ import annotations
@@ -45,16 +49,12 @@ from .dynamics import RunResult
 from .environment import Environment
 from .errors import ParamViolation, check_lambda
 
-_TAG_PERC = 0x504552
 _TAG_ER = 0x4552
 
 # Expected arc draws of one BFS generation handled at once; a larger
 # generation is processed in frontier slices so memory stays bounded.
 _SLICE_HITS = 1 << 21
 
-# Replications that `sellke_final_sizes` draws in lockstep from one stream;
-# sweeps key and cut their annealed replications in blocks of this size.
-SELLKE_BLOCK = 256
 # Draws of one lockstep chunk (live runs x steps); bounds its memory.
 _SELLKE_CHUNK = 1 << 14
 # Steps of a block's first chunk; later chunks double it.  Each chunk costs
@@ -68,9 +68,10 @@ _SELLKE_CHUNK = 1 << 14
 _SELLKE_FIRST_STEPS = 16
 
 
-def percolation_final_size(env: Environment, lam: float, run_seed: int) -> RunResult:
+def percolation_final_size(env: Environment, lam: float,
+                           rng: np.random.Generator) -> RunResult:
     """BFS from vertex 0 over arcs open iff U(i, j) <= T(i), by thinned
-    Poisson hits (see the module docstring).
+    Poisson hits (see the module docstring), with the draws of rng.
 
     The resulting r_infinity has exactly the law of the dynamic engine's
     final size under the annealed measure (and under the quenched measure
@@ -80,7 +81,6 @@ def percolation_final_size(env: Environment, lam: float, run_seed: int) -> RunRe
     n = env.n
     lam_n = lam / n
     hit_rate = lam * env.rho_max  # envelope hits on [0, n) per unit of T
-    rng = seeding.stream(seeding.derive_key(run_seed, _TAG_PERC))
     visited = np.zeros(n, dtype=bool)
     visited[0] = True
     frontier = np.array([0], dtype=np.int64)
@@ -112,7 +112,6 @@ def percolation_final_size(env: Environment, lam: float, run_seed: int) -> RunRe
         events_executed=None,
         engine="percolation",
         env_seed=env.seed,
-        run_seed=run_seed,
         t_draws=t_draws,
         u_draws=u_draws,
     )
@@ -161,9 +160,9 @@ def _open_targets(env, rng, visited, m, lam_n, src, t_clock, mu):
 
 
 def sellke_final_sizes(xi_spec: DistSpec, rho_spec: DistSpec, n: int, lam: float,
-                       reps: int, seed: int) -> np.ndarray:
-    """Final sizes of `reps` independent annealed runs, drawn from the stream
-    keyed by `seed` in lockstep (see the module docstring).
+                       reps: int, rng: np.random.Generator) -> np.ndarray:
+    """Final sizes of `reps` independent annealed runs, drawn from rng in
+    lockstep (see the module docstring).
 
     Every live run takes the same steps: step k draws the spacing E of the
     threshold Q_(k+1) = Q_(k) + E / (n - 1 - k), the clock T_k ~ Exp(xi) and
@@ -177,7 +176,6 @@ def sellke_final_sizes(xi_spec: DistSpec, rho_spec: DistSpec, n: int, lam: float
     then (unless xi is constant) the uniforms that give xi.
     """
     check_lambda(lam)
-    rng = seeding.stream(seed)
     sizes = np.full(reps, n, dtype=np.int64)
     live = np.arange(reps)
     q = np.zeros(reps)  # Q_(k) of each live run

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from sirkn import seeding
 from sirkn.cli import main as cli_main
 from sirkn.distributions import ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda, parse_dist
 from sirkn.dynamics import gillespie_run, trajectory_rows
@@ -187,7 +188,7 @@ def test_criterion_6_no_spread_formulas():
 def _aligned_sup_distance(n: int, run_seed: int, lam=2.0, threshold=0.05,
                           step=2e-3, horizon=30.0):
     env = Environment(n, 1000 + n, XI1, RHO1)
-    res = gillespie_run(env, lam, run_seed, record_trajectory=True)
+    res = gillespie_run(env, lam, seeding.stream(run_seed), record_trajectory=True)
     rows = trajectory_rows(res, n)
     times = np.array([r[0] for r in rows])
     i_frac = np.array([r[4] for r in rows]) / n

@@ -28,3 +28,5 @@ def test_traced_sweep_reports_layers(tmp_path):
     layers = json.loads(result.read_text())["layers"]
     assert layers["dynamics.runs"] == 16
     assert layers["experiment.no_spread_calls"] == 2
+    # one stream per block of replications: one block at each of the two points
+    assert layers["seeding.stream_calls"] == 2

@@ -62,7 +62,7 @@ def test_oracle_is_a_distribution():
 
 def test_lambda_zero_single_recovery():
     env = Environment(100, 5, XI1, RHO1)
-    res = gillespie_run(env, 0.0, 1)
+    res = gillespie_run(env, 0.0, seeding.stream(1))
     assert res.r_infinity == 1
     assert res.events_executed == 1
     assert not res.truncated
@@ -70,7 +70,7 @@ def test_lambda_zero_single_recovery():
 
 def test_n1_instant_absorption():
     env = Environment(1, 5, XI1, RHO1)
-    res = gillespie_run(env, 2.0, 3)
+    res = gillespie_run(env, 2.0, seeding.stream(3))
     assert res.r_infinity == 1
     assert res.events_executed == 1
 
@@ -79,7 +79,7 @@ def test_two_vertex_race_probability():
     # P(r = 2) = (lam/n) / ((lam/n) + 1) = 1/2 at lam = 2, n = 2
     env = Environment(2, 17, XI1, RHO1)
     reps = 20_000
-    hits = sum(gillespie_run(env, 2.0, r).r_infinity == 2
+    hits = sum(gillespie_run(env, 2.0, seeding.stream(r)).r_infinity == 2
                for r in range(reps))
     lo, hi = wilson_interval(hits, reps, 0.99)
     assert lo <= 0.5 <= hi
@@ -89,7 +89,7 @@ def test_three_vertex_distribution_matches_enumeration():
     env = Environment(3, 8, XI1, RHO1)
     reps = 100_000
     samples = np.fromiter(
-        (gillespie_run(env, 2.0, r).r_infinity
+        (gillespie_run(env, 2.0, seeding.stream(r)).r_infinity
          for r in range(reps)), dtype=np.int64, count=reps)
     dist = final_size_distribution_symmetric(3, 2.0)
     observed = np.array([(samples == k).sum() for k in (1, 2, 3)], dtype=float)
@@ -102,7 +102,7 @@ def test_three_vertex_distribution_matches_enumeration():
 def test_final_state_absorbed_and_r_equals_removed():
     env = Environment(60, 4, parse_dist("two_point:1:0.5:2", ROLE_RECOVERY),
                       parse_dist("uniform:0:1", ROLE_WEIGHT))
-    res = gillespie_run(env, 4.0, 2, record_trajectory=True)
+    res = gillespie_run(env, 4.0, seeding.stream(2), record_trajectory=True)
     assert not res.truncated
     rows = trajectory_rows(res, 60)
     # absorbing state: no infectives left, removed count equals r_infinity
@@ -114,7 +114,7 @@ def test_final_state_absorbed_and_r_equals_removed():
 
 def test_monotone_removal_and_unit_steps():
     env = Environment(50, 12, XI1, RHO1)
-    res = gillespie_run(env, 3.0, 9, record_trajectory=True)
+    res = gillespie_run(env, 3.0, seeding.stream(9), record_trajectory=True)
     r_prev, i_prev = 0, 1
     for _, kind, _vertex in res.trajectory:
         if kind == RECOVERY:
@@ -129,8 +129,8 @@ def test_monotone_removal_and_unit_steps():
 def test_seed_determinism_bit_identical():
     env = Environment(40, 3, parse_dist("two_point:1:0.25:3", ROLE_RECOVERY),
                       parse_dist("uniform:0.2:0.9", ROLE_WEIGHT))
-    a = gillespie_run(env, 2.5, 77, record_trajectory=True)
-    b = gillespie_run(env, 2.5, 77, record_trajectory=True)
+    a = gillespie_run(env, 2.5, seeding.stream(77), record_trajectory=True)
+    b = gillespie_run(env, 2.5, seeding.stream(77), record_trajectory=True)
     assert a.r_infinity == b.r_infinity
     assert a.extinction_time == b.extinction_time
     assert a.trajectory == b.trajectory
@@ -138,7 +138,7 @@ def test_seed_determinism_bit_identical():
 
 def test_event_cap_flags_truncated():
     env = Environment(200, 6, XI1, RHO1)
-    res = gillespie_run(env, 5.0, 1, max_events=3)
+    res = gillespie_run(env, 5.0, seeding.stream(1), max_events=3)
     assert res.truncated
     assert res.events_executed == 3
     assert res.r_infinity >= 1  # lower bound on ever-infected
@@ -310,9 +310,9 @@ def test_dynamic_matches_percolation_distribution(rho_text):
     perc = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         env = Environment(10, seeding.derive_key(env_seed, 0, r), xi, rho)
-        dyn[r] = gillespie_run(env, lam, r).r_infinity
+        dyn[r] = gillespie_run(env, lam, seeding.stream(r)).r_infinity
         env = Environment(10, seeding.derive_key(env_seed, 1, r), xi, rho)
-        perc[r] = percolation_final_size(env, lam, r).r_infinity
+        perc[r] = percolation_final_size(env, lam, seeding.stream(r)).r_infinity
     _, _, p = chi_square_two_sample(dyn, perc)
     assert p > 0.01
 
@@ -328,7 +328,8 @@ def test_engine_makes_no_row_queries(monkeypatch):
     xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
     rho = parse_dist(RHO_SPARSE, ROLE_WEIGHT)
     lam = 2.0 * critical_lambda(xi, rho)
-    res = gillespie_run(Environment(3000, 14, xi, rho), lam, 7, max_events=50)
+    res = gillespie_run(Environment(3000, 14, xi, rho), lam, seeding.stream(7),
+                        max_events=50)
     assert res.truncated and res.events_executed == 50
 
 
@@ -352,7 +353,7 @@ def test_run_without_a_proposal_builds_no_weight_lookup(monkeypatch):
     monkeypatch.setattr(Environment, "rho_lookup", no_lookup)
     rho = parse_dist(RHO_THINNING, ROLE_WEIGHT)
     for seed in range(20):
-        res = gillespie_run(Environment(1000, seed, XI1, rho), 1e-12, seed)
+        res = gillespie_run(Environment(1000, seed, XI1, rho), 1e-12, seeding.stream(seed))
         assert (res.r_infinity, res.events_executed) == (1, 1)
 
 
@@ -366,8 +367,10 @@ def test_constant_weight_scales_out_of_thinning(monkeypatch):
     monkeypatch.setattr(Environment, "rho_lookup", no_lookup)
     half = parse_dist("constant:0.5", ROLE_WEIGHT)
     for seed in range(20):
-        a = gillespie_run(Environment(30, 1, XI1, RHO1), 3.0, seed, record_trajectory=True)
-        b = gillespie_run(Environment(30, 1, XI1, half), 6.0, seed, record_trajectory=True)
+        a = gillespie_run(Environment(30, 1, XI1, RHO1), 3.0, seeding.stream(seed),
+                          record_trajectory=True)
+        b = gillespie_run(Environment(30, 1, XI1, half), 6.0, seeding.stream(seed),
+                          record_trajectory=True)
         assert a.trajectory == b.trajectory
 
 
@@ -401,7 +404,8 @@ def test_golden_runs_are_byte_identical(case):
     rho = parse_dist(rho_text, ROLE_WEIGHT)
     lam = lam_units * critical_lambda(xi, rho)
     res = gillespie_run(Environment(n, env_seed, xi, rho),
-                        lam, run_seed, max_events=cap, record_trajectory=True)
+                        lam, seeding.stream(run_seed), max_events=cap,
+                        record_trajectory=True)
     text = "\n".join(f"{t.hex()} {kind} {v}" for t, kind, v in res.trajectory)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (res.r_infinity, res.events_executed, res.extinction_time.hex(),
@@ -412,9 +416,9 @@ def test_golden_runs_are_byte_identical(case):
 def test_invalid_params_rejected():
     env = Environment(5, 0, XI1, RHO1)
     with pytest.raises(ParamViolation):
-        gillespie_run(env, -1.0, 0)
+        gillespie_run(env, -1.0, seeding.stream(0))
     with pytest.raises(ParamViolation):
-        gillespie_run(env, 1.0, 0, max_events=0)
+        gillespie_run(env, 1.0, seeding.stream(0), max_events=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -423,7 +427,7 @@ def test_invalid_params_rejected():
        st.floats(min_value=0.0, max_value=6.0))
 def test_run_invariants_property(seed, n, lam):
     env = Environment(n, seed, XI1, parse_dist("uniform:0:1", ROLE_WEIGHT))
-    res = gillespie_run(env, lam, seed ^ 1)
+    res = gillespie_run(env, lam, seeding.stream(seed ^ 1))
     assert 1 <= res.r_infinity <= n
     assert res.extinction_time > 0
     assert res.events_executed == 2 * res.r_infinity - 1  # r recoveries + r-1 infections

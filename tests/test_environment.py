@@ -40,7 +40,7 @@ def test_annealed_environment_hashes_nothing():
             query()
     classic = Environment(3, None, XI1, RHO1)
     assert classic.xi_values() == (1.0, 1.0, 1.0) and classic.rho_at(0, 1) == 1.0
-    assert gillespie_run(classic, 2.0, 1).env_seed is None
+    assert gillespie_run(classic, 2.0, seeding.stream(1)).env_seed is None
 
 
 def test_symmetry_and_determinism_scalar():
@@ -101,7 +101,7 @@ def test_rho_at_memo_agrees_with_vector_paths(rho_text):
     n = 30
     rho = parse_dist(rho_text, ROLE_WEIGHT)
     reused = Environment(n, 78, XI1, rho)
-    assert gillespie_run(reused, 20.0, 1).r_infinity > 1  # the run infected
+    assert gillespie_run(reused, 20.0, seeding.stream(1)).r_infinity > 1  # the run infected
     for env in (Environment(n, 77, XI1, rho), reused):
         lookup = env.rho_lookup()
         for _ in range(2):  # second pass: the lookup and its keys are cached
@@ -143,8 +143,9 @@ def test_xi_values_computed_once_and_runs_on_reused_environment_agree(xi_text):
     assert values == tuple(xi_reference(reused, j) for j in range(n))
     assert max(values) <= reused.xi_max
     for run_seed in range(8):
-        a = gillespie_run(reused, 4.0, run_seed, record_trajectory=True)
-        b = gillespie_run(Environment(n, 5, xi, rho), 4.0, run_seed, record_trajectory=True)
+        a = gillespie_run(reused, 4.0, seeding.stream(run_seed), record_trajectory=True)
+        b = gillespie_run(Environment(n, 5, xi, rho), 4.0, seeding.stream(run_seed),
+                          record_trajectory=True)
         assert a.trajectory == b.trajectory and a.r_infinity == b.r_infinity
 
 

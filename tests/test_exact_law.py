@@ -169,7 +169,8 @@ def test_skip_bfs_on_fresh_environments_fits_exact_law(law, n, mult):
     xi, rho, lam, p = cell_law(law, n, mult)
     reps = 4_000
     samples = [percolation_final_size(Environment(n, seeding.derive_key(7003, r), xi, rho),
-                                      lam, r).r_infinity for r in range(reps)]
+                                      lam, seeding.stream(r)).r_infinity
+               for r in range(reps)]
     assert gof_p_value(samples, p) > FAMILY_ALPHA / CELLS
 
 
@@ -182,6 +183,7 @@ def test_skip_bfs_branches_fit_exact_law(monkeypatch, branch):
     rho = parse_dist(rho_text, ROLE_WEIGHT)
     reps = 10_000
     samples = [percolation_final_size(Environment(n, seeding.derive_key(4, r), xi, rho),
-                                      lam, r).r_infinity for r in range(reps)]
+                                      lam, seeding.stream(r)).r_infinity
+               for r in range(reps)]
     p = exact_final_size_law(xi, rho, lam, n)
     assert gof_p_value(samples, p) > FAMILY_ALPHA / len(SKIP_BRANCHES)

@@ -21,8 +21,8 @@ from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, as_mixture, critica
 from sirkn.dynamics import EpidemicState, gillespie_run
 from sirkn.environment import Environment
 from sirkn.errors import ParamViolation, QuadratureFailure, SirknError
-from sirkn.experiment import (ExperimentConfig, _env_seed, batch_stats_from_samples,
-                              collect_final_sizes,
+from sirkn.experiment import (STREAM_BLOCK, ExperimentConfig, _block_seed, _env_seed,
+                              batch_stats_from_samples, collect_final_sizes,
                               config_from_dict, config_hash,
                               config_to_dict, mean_interval,
                               no_spread_finite_n, no_spread_limit,
@@ -30,7 +30,7 @@ from sirkn.experiment import (ExperimentConfig, _env_seed, batch_stats_from_samp
                               sweep, sweep_csv_text, SWEEP_CSV_COLUMNS,
                               wilson_interval, write_sweep)
 from sirkn.meanfield import MeanFieldState, final_size_fixed_point, ode_solve
-from sirkn.percolation import SELLKE_BLOCK, percolation_final_size, sellke_final_sizes
+from sirkn.percolation import percolation_final_size, sellke_final_sizes
 
 from reference_stats import chi_square_two_sample
 
@@ -270,10 +270,12 @@ def test_no_spread_references_reject_invalid_lambda(lam):
 _LAMBDA_ENTRIES = {
     "EpidemicState": lambda lam: EpidemicState(Environment(10, 1, XI1, RHOU), lam).run(
         seeding.stream(0), 1),
-    "gillespie_run": lambda lam: gillespie_run(Environment(10, 1, XI1, RHO1), lam, 0),
+    "gillespie_run": lambda lam: gillespie_run(Environment(10, 1, XI1, RHO1), lam,
+                                               seeding.stream(0)),
     "percolation_final_size": lambda lam: percolation_final_size(
-        Environment(10, 1, XI1, RHO1), lam, 0),
-    "sellke_final_sizes": lambda lam: sellke_final_sizes(XI1, RHO1, 10, lam, 4, 0),
+        Environment(10, 1, XI1, RHO1), lam, seeding.stream(0)),
+    "sellke_final_sizes": lambda lam: sellke_final_sizes(XI1, RHO1, 10, lam, 4,
+                                                         seeding.stream(0)),
     "validate_config": lambda lam: make_config(lambda_grid=(lam,)),
     "ode_solve": lambda lam: ode_solve(lam, MeanFieldState(s=0.99, i=0.01, r=0.0)),
     "final_size_fixed_point": lambda lam: final_size_fixed_point(lam, 0.99, 0.01),
@@ -427,10 +429,10 @@ def test_sweep_starts_one_process_pool(monkeypatch):
 
 
 def test_single_task_point_runs_without_a_pool(monkeypatch):
-    # An annealed percolation point of at most SELLKE_BLOCK replications is
-    # one task; a pool for it costs more than it saves.
+    # A point of at most STREAM_BLOCK replications is one task; a pool for
+    # it costs more than it saves.
     config = make_config(xi_spec=XI2, rho_spec=RHOU, n_grid=(30,), lambda_grid=(2.0,),
-                         replications=SELLKE_BLOCK)
+                         replications=STREAM_BLOCK)
     [(ref, _)] = collect_final_sizes(config, [(0, 30, 2.0)], jobs=1)
     starts = []
 
@@ -452,23 +454,27 @@ def test_failed_replications_are_dropped_not_counted_as_zero(monkeypatch):
     config = make_config(n_grid=(25,), lambda_grid=(1.5,), replications=100,
                          measure="quenched")
     real = sirkn.experiment.percolation_final_size
-    bad_seed = sirkn.experiment._run_seed(config.master_seed, 0, 37)
+    calls = itertools.count()
 
-    def flaky(env, lam, run_seed):
-        if run_seed == bad_seed:
+    def flaky(env, lam, rng):
+        # the 38th run draws its values, then fails
+        result = real(env, lam, rng)
+        if next(calls) == 37:
             raise QuadratureFailure("injected")
-        return real(env, lam, run_seed)
+        return result
 
+    [(whole, _)] = collect_final_sizes(config, [(0, 25, 1.5)], jobs=1)
     monkeypatch.setattr(sirkn.experiment, "percolation_final_size", flaky)
     [(samples, failures)] = collect_final_sizes(config, [(0, 25, 1.5)], jobs=1)
     stats = batch_stats_from_samples(config, 25, 1.5, samples, failures)
     assert stats.failures == 1
     assert stats.replications == len(samples) == 99
-    assert samples.min() >= 1
+    # the later runs of the block go on drawing from the same stream
+    np.testing.assert_array_equal(samples, np.concatenate((whole[:37], whole[38:])))
 
 
 def test_all_replications_failing_raises(monkeypatch):
-    def broken(env, lam, run_seed):
+    def broken(env, lam, rng):
         raise QuadratureFailure("injected")
 
     monkeypatch.setattr(sirkn.experiment, "percolation_final_size", broken)
@@ -478,15 +484,15 @@ def test_all_replications_failing_raises(monkeypatch):
 
 
 def test_failed_sellke_block_drops_all_its_replications(monkeypatch):
-    block = SELLKE_BLOCK
+    block = STREAM_BLOCK
     config = make_config(n_grid=(25,), lambda_grid=(1.5,), replications=2 * block + 9)
     real = sirkn.experiment.sellke_final_sizes
-    bad_seed = sirkn.experiment._block_seed(config.master_seed, 0, 1)
+    calls = itertools.count()
 
-    def flaky(xi, rho, n, lam, reps, seed):
-        if seed == bad_seed:
+    def flaky(xi, rho, n, lam, reps, rng):
+        if next(calls) == 1:  # the second block
             raise QuadratureFailure("injected")
-        return real(xi, rho, n, lam, reps, seed)
+        return real(xi, rho, n, lam, reps, rng)
 
     [(whole, _)] = collect_final_sizes(config, [(0, 25, 1.5)])
     monkeypatch.setattr(sirkn.experiment, "sellke_final_sizes", flaky)
@@ -503,11 +509,12 @@ def test_failed_sellke_block_drops_all_its_replications(monkeypatch):
         collect_final_sizes(config, [(0, 25, 1.5)])
 
 
-@pytest.mark.parametrize("reps", [1, SELLKE_BLOCK - 1, SELLKE_BLOCK, SELLKE_BLOCK + 1,
-                                  3 * SELLKE_BLOCK + 7])
-def test_annealed_percolation_blocks_are_jobs_invariant(reps):
-    config = make_config(xi_spec=XI2, rho_spec=RHOU, n_grid=(30,), lambda_grid=(2.0,),
-                         replications=reps)
+_BLOCK_REPS = [1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 3 * STREAM_BLOCK + 7]
+
+
+def _check_blocks_are_jobs_invariant(engine, measure, reps):
+    config = make_config(engine=engine, measure=measure, xi_spec=XI2, rho_spec=RHOU,
+                         n_grid=(30,), lambda_grid=(2.0,), replications=reps)
     [(ref, failures)] = collect_final_sizes(config, [(0, 30, 2.0)], jobs=1)
     assert len(ref) == reps and failures == 0
     for jobs in (2, 3):
@@ -516,31 +523,22 @@ def test_annealed_percolation_blocks_are_jobs_invariant(reps):
         assert samples.tobytes() == ref.tobytes(), jobs
 
 
-@pytest.mark.parametrize("measure", ["annealed", "quenched"])
-def test_dynamic_point_splits_on_replications(monkeypatch, measure):
-    # Dynamic points key one stream per replication, so a point of fewer
-    # than SELLKE_BLOCK replications still splits across workers.
-    spans = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            spans.extend(task[-2:] for task in tasks)
-            return super().map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    config = make_config(engine="dynamic", measure=measure, xi_spec=XI2,
-                         rho_spec=RHOU, n_grid=(30,), lambda_grid=(4.0,),
-                         replications=8)
-    [(ref, failures)] = collect_final_sizes(config, [(0, 30, 4.0)], jobs=1)
-    assert len(ref) == 8 and failures == 0
-    [(samples, _)] = collect_final_sizes(config, [(0, 30, 4.0)], jobs=2)
-    assert spans == [(0, 4), (4, 8)]
-    assert samples.tobytes() == ref.tobytes()
+@pytest.mark.parametrize("reps", _BLOCK_REPS)
+def test_annealed_percolation_blocks_are_jobs_invariant(reps):
+    # one sellke_final_sizes call per block
+    _check_blocks_are_jobs_invariant("percolation", "annealed", reps)
 
 
-@pytest.mark.parametrize("engine,reps", [("percolation", SELLKE_BLOCK + 44),
-                                         ("dynamic", 4)])
+@pytest.mark.parametrize("reps", _BLOCK_REPS)
+@pytest.mark.parametrize("engine,measure", [("percolation", "quenched"),
+                                            ("dynamic", "annealed"), ("dynamic", "quenched")])
+def test_engine_call_blocks_are_jobs_invariant(engine, measure, reps):
+    # one engine call after another per block, on the block's one stream
+    _check_blocks_are_jobs_invariant(engine, measure, reps)
+
+
+@pytest.mark.parametrize("engine,reps", [("percolation", STREAM_BLOCK + 44),
+                                         ("dynamic", STREAM_BLOCK + 44)])
 def test_pool_gets_costliest_points_first(monkeypatch, engine, reps):
     # The pool is handed the tasks in descending (lambda, n) order; the
     # results still come back per point, equal to point-by-point calls.
@@ -588,14 +586,14 @@ def test_quenched_shares_one_environment(monkeypatch):
 
 
 def test_annealed_dynamic_chunk_hashes_no_environment(monkeypatch):
-    # only the unseeded environment, and one stream per replication
-    config = make_config(engine="dynamic", xi_spec=XI2, rho_spec=RHOU, replications=64)
+    # only the unseeded environment, and one stream per block of replications
+    config = make_config(engine="dynamic", xi_spec=XI2, rho_spec=RHOU,
+                         replications=STREAM_BLOCK + 8)
     seeds, keys = _record_builds(monkeypatch)
     [(samples, failures)] = collect_final_sizes(config, [(0, 20, 1.0)])
     assert seeds == [None]
-    assert keys == [seeding.derive_key(config.master_seed, sirkn.experiment._TAG_RUN, 0, rep)
-                    for rep in range(64)]
-    assert samples.size == 64 and failures == 0
+    assert keys == [_block_seed(config.master_seed, 0, block) for block in (0, 1)]
+    assert samples.size == STREAM_BLOCK + 8 and failures == 0
 
 
 def test_annealed_weights_stay_consistent_within_a_run():
@@ -795,9 +793,9 @@ def test_witness_flags_epsilon_at_or_above_z_star():
 # family that looks up weights; a change to any draw, its order or a float
 # expression of the dynamic engine or the sweep statistics shows here.
 _GOLDEN_DYNAMIC_SWEEPS = {
-    "uniform:0:1": "69e71f01e24ce616935cd762a51cdc304ed7db7de94d469952cdb0f3e391a85e",
+    "uniform:0:1": "401e813f5f829dc37935006df73d3dd238733ceadaf8b2365ab0c75a7466f9c7",
     "two_point:0.01:0.99:1":
-        "0fac1f392da896a43e898ee3aa225325f466b67c8d625d587df0153815fd0b51",
+        "ea31c34bd1c888f219a091c981c29f9937ff5b998c49b41fe66338406989427c",
 }
 
 

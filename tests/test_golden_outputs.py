@@ -63,19 +63,19 @@ _GOLDEN_CLI = {
         "meanfield.json": "8fae78a3651858c65de665a9b5046397af1d416387729d8410049e69743eff64",
     },
     "no-spread-dynamic": {
-        "no_spread.json": "db4f94056935fa88d48f57b9b050f9e7fbc56cea6d4451fa8f3f95161a1b20ae",
+        "no_spread.json": "454b1ef3bcf7dd03e32575e9a82418d8d3e6157d75953395de0b2e0c70fd605b",
     },
     "no-spread-percolation": {
         "no_spread.json": "15485461cd8eccc3776d0efa64fe8a22607d58f096ebda0ab9fcbda133227ac1",
     },
     "percolate-classic": {
-        "run.json": "614991dbe3fc0edfbf9703eb2d337d435676f892b04e8af0a0d969b2e6230963",
+        "run.json": "e06685832696ff4e0acf837dcb03ff9680ebc9d1647a3ee9377025b36ddcd444",
     },
     "percolate-dense": {
-        "run.json": "84a6e4f86d5745e7686f7e19c3ce7efaa9d5c2115bae42430f4c7a4c50891545",
+        "run.json": "a8ef64a2ed56bad6300d0f24ad6294f704ca5161c8624bc7b112591b87b3f193",
     },
     "percolate-random": {
-        "run.json": "03ba2655305ba73137705ed7fafdfedb3adaa2b1d047c5878af89e370e8fbc73",
+        "run.json": "64fa01aa5281f8ea91b5ace21e9f3810bf98ac676d5272a02523be2452358ee6",
     },
     "simulate-classic": {
         "run.json": "12f5532c8e261694489a21f4bdf8cfdee7805df8c3e4cddeb0112e0c65e77a7d",
@@ -86,12 +86,12 @@ _GOLDEN_CLI = {
         "trajectory.csv": "69d34a1ad6c233074d290a08aafd2151d02b929d3e9509d21a48fae89d89c2f2",
     },
     "sweep-dyn-classic": {
-        "sweep.csv": "535d0e072ced8bf02850ecfdad87f3c3851a57fd508c90da1b0a47ea54094724",
-        "sweep.json": "218f9fd78c18d5f9812aed1f388fcd3e3922e583ac585f116cd5fe6ab1452b33",
+        "sweep.csv": "bdd6ac918d22c16b8678103b9f2a1516b082f0d3df0166c3311aee826b7e653a",
+        "sweep.json": "2a9a717d89759be7c58c4c30f7ffc3c8e9e050a4b56b0189dd30ba7bd2a53e30",
     },
     "sweep-dyn-uniform": {
-        "sweep.csv": "b361784315b7c9f08036138099fe34d1d823edc722066bf8073161537f732df8",
-        "sweep.json": "65fa26fb1abbdda2de4b0567ed318f3c6bc81e987c542f37d68360543c25f8e2",
+        "sweep.csv": "ae9dde998ab2d203c4b15c3897355c26dc3c64b8c4db1eb7cb81bd6f097ae442",
+        "sweep.json": "3d690fdb8d27fe422737d39e68a86efe4238955b940e3d356e2a36493cb4d788",
     },
     "sweep-perc-random-env": {
         "sweep.csv": "e75b85129dcc3bc0fb9e8839f78122268945c1035c087af8c83ebca612bc07e9",
@@ -102,12 +102,12 @@ _GOLDEN_CLI = {
         "sweep.json": "2964049952ad3750bed39803449f8f337e6cbfd9a8cc4fcaee23ca7f144d4ff9",
     },
     "sweep-quenched-dynamic": {
-        "sweep.csv": "d63ef3db83d5f206b3f72bc94d922e55644c820ed9f91a56ffc6b211c699ba4f",
-        "sweep.json": "f1d4412763380365853aca813a5569121ae854f28faa1834ef17bfc6cabd5a81",
+        "sweep.csv": "1d99cc702191daab56baedf887c32768caf2bbca6b3f5a994a5ecd37c2e25075",
+        "sweep.json": "409259b84ad74a628371e728850bd59eaee9749062a4d247b17b8917a50a3ed3",
     },
     "sweep-quenched-percolation": {
-        "sweep.csv": "2130c32ce7de50e178d14193243c5af95682b7a95628d2fd2f862e70b01e7a06",
-        "sweep.json": "f042f4037d28df3b0f27f4336a85567e5435952def4d8e81de08240e31a7acf8",
+        "sweep.csv": "ff371a4e91765828677e3147afafc97cd46a9eaa3a64aaff03b7932647d5aead",
+        "sweep.json": "ad3bd8ccd9d2db0d21475e1ddb96829a9196daaafc2c4bb6a9db3a4172657948",
     },
 }
 

@@ -23,14 +23,14 @@ RHOU = parse_dist("uniform:0:1", ROLE_WEIGHT)
 
 def test_lambda_zero_reaches_only_origin():
     env = Environment(50, 3, XI1, RHO1)
-    res = percolation_final_size(env, 0.0, 7)
+    res = percolation_final_size(env, 0.0, seeding.stream(7))
     assert res.r_infinity == 1
 
 
 def test_two_vertex_race():
     env = Environment(2, 17, XI1, RHO1)
     reps = 20_000
-    hits = sum(percolation_final_size(env, 2.0, r).r_infinity == 2
+    hits = sum(percolation_final_size(env, 2.0, seeding.stream(r)).r_infinity == 2
                for r in range(reps))
     lo, hi = wilson_interval(hits, reps, 0.99)
     assert lo <= 0.5 <= hi
@@ -43,15 +43,15 @@ def test_matches_dynamic_engine_small_n():
     dyn = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         env = Environment(10, seeding.derive_key(9, r), XI2, RHOU)
-        perc[r] = percolation_final_size(env, lam, r).r_infinity
-        dyn[r] = gillespie_run(env, lam, r ^ 5).r_infinity
+        perc[r] = percolation_final_size(env, lam, seeding.stream(r)).r_infinity
+        dyn[r] = gillespie_run(env, lam, seeding.stream(r ^ 5)).r_infinity
     _, _, p = chi_square_two_sample(perc, dyn)
     assert p > 0.01
 
 
 def test_lazy_sampling_counters():
     env = Environment(300, 5, XI2, RHOU)
-    res = percolation_final_size(env, 2.0, 11)
+    res = percolation_final_size(env, 2.0, seeding.stream(11))
     assert res.t_draws <= res.r_infinity
     assert res.u_draws <= res.r_infinity * env.n
 
@@ -73,7 +73,7 @@ def test_constant_weight_scales_out_of_the_bfs(monkeypatch):
 
     def reached(rho, lam, seed):
         found.clear()
-        percolation_final_size(Environment(30, 1, XI2, rho), lam, seed)
+        percolation_final_size(Environment(30, 1, XI2, rho), lam, seeding.stream(seed))
         return list(found)
 
     open_targets = percolation._open_targets
@@ -87,8 +87,8 @@ def test_constant_weight_scales_out_of_the_bfs(monkeypatch):
 
 def test_determinism():
     env = Environment(123, 9, XI2, RHOU)
-    a = percolation_final_size(env, 1.5, 42)
-    b = percolation_final_size(env, 1.5, 42)
+    a = percolation_final_size(env, 1.5, seeding.stream(42))
+    b = percolation_final_size(env, 1.5, seeding.stream(42))
     assert (a.r_infinity, a.t_draws, a.u_draws) == (b.r_infinity, b.t_draws, b.u_draws)
 
 
@@ -99,8 +99,9 @@ _SELLKE_LAWS = {
     "uniform": ("two_point:1:0.5:2", "uniform:0:1"),
     "sparse": ("two_point:1:0.5:2", "two_point:0.01:0.99:1"),
 }
-# sha256 of sellke_final_sizes(xi, rho, n, mult * lambda_c, 256, 17).tobytes():
-# any change to the sampler's arithmetic or draw order shows here.
+# sha256 of the sizes of one block of 256 runs at mult * lambda_c, drawn from
+# seeding.stream(17): any change to the sampler's arithmetic or draw order
+# shows here.
 _GOLDEN_SELLKE = {
     ("classic", 100, 0.5): "ddbc75164eab5c106dd197e9f6a909fd5d47fd7612adb6d06483ff1880e6b1a5",
     ("classic", 100, 2.0): "8aafbe84e80782cbf502f4dc560b693c67394cb8a43f74ae16f332dc64284e35",
@@ -122,7 +123,8 @@ def test_golden_sellke_blocks_are_byte_identical(law, n, mult):
     xi_text, rho_text = _SELLKE_LAWS[law]
     xi = parse_dist(xi_text, ROLE_RECOVERY)
     rho = parse_dist(rho_text, ROLE_WEIGHT)
-    sizes = sellke_final_sizes(xi, rho, n, mult * critical_lambda(xi, rho), 256, 17)
+    sizes = sellke_final_sizes(xi, rho, n, mult * critical_lambda(xi, rho), 256,
+                               seeding.stream(17))
     assert hashlib.sha256(sizes.tobytes()).hexdigest() == _GOLDEN_SELLKE[law, n, mult]
 
 
