@@ -155,7 +155,8 @@ def _cmd_meanfield(args) -> int:
 def _cmd_er(args) -> int:
     resolved = {"subcommand": "er", "n": args.n, "mu": args.mu, "seed": args.seed}
     out = _outdir(args, resolved)
-    size = er_giant_component(args.n, args.mu, args.seed)
+    size = er_giant_component(args.n, args.mu,
+                              seeding.stream(seeding.derive_key(args.seed, _TAG_CLI_RUN)))
     _write_json(out / "er.json", {
         "config": resolved,
         "largest_component": size,

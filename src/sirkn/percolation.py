@@ -33,8 +33,13 @@ every hit without a weight lookup.  A vertex expecting more hits than there
 are unvisited vertices draws those arcs directly.  Expected work
 O(lam * r).
 
-Both final-size engines draw from the generator their caller hands them and
-derive no key; only `er_giant_component` keys a stream of its own.
+Every sampler here draws from the generator its caller hands it and derives
+no key.
+
+The Erdos-Renyi comparison, `er_giant_component(n, mu, rng)`, finds the
+largest component of G(n, mu/n) by the exploration walk (Karp 1990): each
+vertex holds one Geometric(mu/n) clock, the step at which an edge from the
+explorer first reaches it, so the walk needs no edge list.
 """
 
 from __future__ import annotations
@@ -43,13 +48,10 @@ import math
 
 import numpy as np
 
-from . import seeding
 from .distributions import DistSpec, log_laplace, quantile
 from .dynamics import RunResult
 from .environment import Environment
 from .errors import ParamViolation, check_lambda
-
-_TAG_ER = 0x4552
 
 # Expected arc draws of one BFS generation handled at once; a larger
 # generation is processed in frontier slices so memory stays bounded.
@@ -210,38 +212,20 @@ def sellke_final_sizes(xi_spec: DistSpec, rho_spec: DistSpec, n: int, lam: float
 # Erdos-Renyi giant component comparison
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size", "max_size")
+def er_giant_component(n: int, mu: float, rng: np.random.Generator) -> int:
+    """Largest connected component of G(n, min(mu/n, 1)), explored with the
+    draws of rng.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.max_size = 1
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]  # path halving
-            v = parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        if self.size[ra] > self.max_size:
-            self.max_size = self.size[ra]
-
-
-def er_giant_component(n: int, mu: float, seed: int) -> int:
-    """Largest connected component of G(n, min(mu/n, 1)) via union-find.
-
-    Edges are sampled by geometric gap-skipping over the n(n-1)/2 linearized
-    pairs, so the cost is proportional to the edge count, not n^2.
+    The exploration walk (Karp 1990) explores one seen vertex per step and
+    reveals its edges to every unseen vertex, each a fresh Bernoulli(p) coin,
+    p = mu/n.  Vertex w's coins are spent one per step while it is unseen, so
+    it joins at step G_w ~ Geometric(p), its first success, unless it was
+    taken as a root first.  One clock per vertex is drawn up front, and
+    joins[t] counts the clocks that fire at step t.  A component closes when
+    no seen vertex is left to explore; the next root is the lowest-index
+    vertex whose clock has not fired, and its clock leaves joins.  The walk
+    stops once the unseen vertices cannot beat the largest component.
+    Expected work O(n) in numpy and at most n steps in Python.
     """
     if n < 1:
         raise ParamViolation(f"n must satisfy n >= 1 (got {n})")
@@ -252,39 +236,23 @@ def er_giant_component(n: int, mu: float, seed: int) -> int:
     p = mu / n
     if p >= 1.0:
         return n
-    rng = seeding.stream(seeding.derive_key(seed, _TAG_ER))
-    total_pairs = n * (n - 1) // 2
-    uf = _UnionFind(n)
-    log1mp = math.log1p(-p)
-    current = -1
-    block = 1 << 15
-    while True:
-        u = rng.random(block)  # 1 - u lies in (0, 1], keeping the log finite
-        gaps = np.floor(np.log1p(-u) / log1mp).astype(np.int64) + 1
-        idx = current + np.cumsum(gaps)
-        if idx[-1] >= total_pairs:
-            idx = idx[idx < total_pairs]
-            _union_edges(uf, idx)
-            break
-        _union_edges(uf, idx)
-        current = int(idx[-1])
-    return uf.max_size
-
-
-def _union_edges(uf: _UnionFind, linear: np.ndarray) -> None:
-    if linear.size == 0:
-        return
-    # Decode L = j(j-1)/2 + i with 0 <= i < j; float sqrt then integer fixup.
-    j = np.floor((1.0 + np.sqrt(1.0 + 8.0 * linear.astype(np.float64))) / 2.0
-                 ).astype(np.int64)
-    tri = j * (j - 1) // 2
-    over = tri > linear
-    j[over] -= 1
-    tri[over] = j[over] * (j[over] - 1) // 2
-    under = linear - tri >= j
-    j[under] += 1
-    tri[under] = j[under] * (j[under] - 1) // 2
-    i = linear - tri
-    union = uf.union
-    for a, b in zip(i.tolist(), j.tolist()):
-        union(a, b)
+    clock = rng.geometric(p, size=n)
+    # clocks past step n never fire; numpy saturates them at 2**63 - 1 for tiny p
+    joins = np.bincount(clock[clock <= n], minlength=n + 1).tolist()
+    clock = clock.tolist()
+    largest = root = t = 0  # t is also the number of vertices seen
+    while n - t > largest:
+        while clock[root] <= t:
+            root += 1
+        if clock[root] <= n:
+            joins[clock[root]] -= 1
+        root += 1
+        active = size = 1
+        while active:
+            t += 1
+            j = joins[t]
+            active += j - 1
+            size += j
+        if size > largest:
+            largest = size
+    return largest

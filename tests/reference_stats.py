@@ -1,8 +1,9 @@
 """Statistical references that only the tests use.
 
-The two-sample chi-square compares final-size samples from two engines, and
-`cdf` gives the analytic distribution function of a law for goodness-of-fit
-tests.  Neither is needed to run sirkn, so they live here, beside the tests
+The two-sample chi-square compares final-size samples from two engines,
+`gof_p_value` compares samples with an exact law, and `cdf` gives the
+analytic distribution function of a law for goodness-of-fit tests.  None is
+needed to run sirkn, so they live here, beside the tests
 that call them, and the package keeps numpy as its only run-time dependency.
 """
 
@@ -58,6 +59,30 @@ def chi_square_two_sample(a: np.ndarray, b: np.ndarray,
     stat = float((((ma - ea) ** 2) / ea).sum() + (((mb - eb) ** 2) / eb).sum())
     dof = len(ma) - 1
     return stat, dof, float(chi2.sf(stat, dof))
+
+
+def gof_p_value(samples, law):
+    """Chi-square p-value of r samples against P(r = k); cells are merged in
+    k order until each expects at least 5 observations."""
+    from scipy.stats import chisquare
+
+    counts = np.bincount(np.asarray(samples, dtype=np.int64), minlength=law.size + 1)[1:]
+    assert counts.size == law.size, "a sample outside 1 .. n"
+    expected = law * counts.sum()
+    obs, exp = [], []
+    acc_o = acc_e = 0.0
+    for o, e in zip(counts, expected):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5.0:
+            obs.append(acc_o)
+            exp.append(acc_e)
+            acc_o = acc_e = 0.0
+    obs[-1] += acc_o
+    exp[-1] += acc_e
+    if len(obs) < 2:
+        return 1.0
+    return float(chisquare(obs, exp).pvalue)
 
 
 def cdf(spec: DistSpec, x: Union[float, np.ndarray]):

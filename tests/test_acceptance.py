@@ -233,11 +233,11 @@ def test_criterion_8_erdos_renyi_comparison():
     with criterion(8, "Erdos-Renyi giant component against the fixed point", 60):
         n = 100_000
         z_star = brentq(lambda z: 1.0 - math.exp(-2.0 * z) - z, 1e-9, 1.0)
-        frac = er_giant_component(n, 2.0, seed=0) / n
+        frac = er_giant_component(n, 2.0, seeding.stream(0)) / n
         assert abs(frac - z_star) < 0.01, frac
         cap = 10.0 * math.log(n)
         for seed in range(20):
-            assert er_giant_component(n, 0.5, seed=seed) <= cap
+            assert er_giant_component(n, 0.5, seeding.stream(seed)) <= cap
 
 
 def test_criterion_9_cli_determinism(tmp_path):

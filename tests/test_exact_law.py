@@ -7,14 +7,17 @@ T_0 / n)^theta] (`distributions.psi` at s = lam / n),
     sum_{k <= l} C(N - k, l - k) P(T = k) / psi(N - l)^(k + 1) = C(N, l)
 
 for l = 0 .. N, solved by forward substitution.  The solve cancels more as n
-grows, so it is used only up to n = 20 and checks its own output.
+grows, so it is used only up to n = 20 and checks its own output.  For the
+classic law xi = rho = 1 the jump chain of (S, I) gives the law at any n
+without cancellation, in O(n^2); it is checked against the solve up to
+n = 20 and used alone beyond.
 
 Every sampler is tested against that law, not against another engine at a
 shared seed.  The goodness-of-fit cells of the sampler grid share one
 family-wise level: a cell fails when its p-value is below FAMILY_ALPHA /
 CELLS, so a correct program fails the grid with probability at most
 FAMILY_ALPHA.  The cells that drive each branch of the skip BFS are a second
-family at the same level.
+family at the same level, and the classic cells past n = 20 a third.
 """
 
 import math
@@ -22,7 +25,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal
 
 from sirkn import percolation, seeding
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda,
@@ -30,6 +33,8 @@ from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda,
 from sirkn.environment import Environment
 from sirkn.experiment import ExperimentConfig, collect_final_sizes, no_spread_finite_n
 from sirkn.percolation import percolation_final_size
+
+from reference_stats import gof_p_value
 
 LAWS = {
     "classic": ("constant:1", "constant:1"),
@@ -52,6 +57,10 @@ SKIP_BRANCHES = {
     # generations cut into frontier slices of a few expected hits each
     "sliced": ("uniform:0:1", 20, 4.0, 4),
 }
+# classic cells past n = 20: (sampler, n) x MULTS; at n = 400, 2 lambda_c
+# (and in no smaller cell) Sellke chunks reach the _SELLKE_CHUNK cap
+LARGE_CLASSIC = [("sellke", n) for n in (50, 100, 200, 400)] + [("skip", 400)]
+LARGE_CELLS = len(LARGE_CLASSIC) * len(MULTS)
 JOBS = min(2, os.cpu_count() or 1)
 
 
@@ -78,44 +87,23 @@ def exact_final_size_law(xi, rho, lam, n):
 
 
 def classic_embedded_chain_law(lam, n):
-    """P(r = k) for xi = rho = 1 from the jump chain of (S, I): from (s, i) an
-    infection comes next with probability (lam s / n) / (lam s / n + 1)."""
+    """P(r = k) for xi = rho = 1 from the jump chain of (S, I), one level of
+    S at a time.  With s susceptibles and i > 0 infectives an infection comes
+    next with probability p_s = lam s / (lam s + n), whatever i is, so the
+    mass a_s(i) that ever visits (s, i) solves a_s(i) = in_s(i) +
+    (1 - p_s) a_s(i + 1), one first-order filter over i from the top, where
+    in_s(i) = p_(s+1) a_(s+1)(i - 1) comes down from level s + 1.  a_s(0) is
+    P(r = n - s), and the whole law costs O(n^2)."""
     p = np.zeros(n)
-    states = {(n - 1, 1): 1.0}
-    while states:
-        nxt = {}
-        for (s, i), mass in states.items():
-            if i == 0:
-                p[n - s - 1] += mass
-                continue
-            up = lam * s / n / (lam * s / n + 1.0) if s else 0.0
-            if up:
-                nxt[(s - 1, i + 1)] = nxt.get((s - 1, i + 1), 0.0) + mass * up
-            nxt[(s, i - 1)] = nxt.get((s, i - 1), 0.0) + mass * (1.0 - up)
-        states = nxt
+    inflow = np.zeros(n + 1)  # in_s(i), i = 0 .. n
+    inflow[1] = 1.0
+    for s in range(n - 1, -1, -1):
+        up = lam * s / (lam * s + n)
+        mass = signal.lfilter([1.0], [1.0, -(1.0 - up)], inflow[::-1])[::-1]
+        p[n - s - 1] = mass[0]
+        inflow = np.zeros(n + 1)
+        inflow[2:] = up * mass[1:-1]
     return p
-
-
-def gof_p_value(samples, law):
-    """Chi-square p-value of r samples against P(r = k); cells are merged in
-    k order until each expects at least 5 observations."""
-    counts = np.bincount(np.asarray(samples, dtype=np.int64), minlength=law.size + 1)[1:]
-    assert counts.size == law.size, "a sample outside 1 .. n"
-    expected = law * counts.sum()
-    obs, exp = [], []
-    acc_o = acc_e = 0.0
-    for o, e in zip(counts, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= 5.0:
-            obs.append(acc_o)
-            exp.append(acc_e)
-            acc_o = acc_e = 0.0
-    obs[-1] += acc_o
-    exp[-1] += acc_e
-    if len(obs) < 2:
-        return 1.0
-    return float(stats.chisquare(obs, exp).pvalue)
 
 
 def cell_law(law, n, mult):
@@ -150,6 +138,13 @@ def annealed_samples(xi, rho, n, lam, reps, engine, seed):
     return samples
 
 
+def skip_samples(xi, rho, n, lam, reps, env_seed):
+    """Final sizes of the skip BFS, each run on a fresh environment."""
+    return [percolation_final_size(Environment(n, seeding.derive_key(env_seed, r), xi, rho),
+                                   lam, seeding.stream(r)).r_infinity
+            for r in range(reps)]
+
+
 @pytest.mark.parametrize("law,n,mult", GRID)
 def test_sellke_sampler_fits_exact_law(law, n, mult):
     xi, rho, lam, p = cell_law(law, n, mult)
@@ -167,10 +162,7 @@ def test_dynamic_engine_fits_exact_law(law, n, mult):
 @pytest.mark.parametrize("law,n,mult", GRID)
 def test_skip_bfs_on_fresh_environments_fits_exact_law(law, n, mult):
     xi, rho, lam, p = cell_law(law, n, mult)
-    reps = 4_000
-    samples = [percolation_final_size(Environment(n, seeding.derive_key(7003, r), xi, rho),
-                                      lam, seeding.stream(r)).r_infinity
-               for r in range(reps)]
+    samples = skip_samples(xi, rho, n, lam, 4_000, 7003)
     assert gof_p_value(samples, p) > FAMILY_ALPHA / CELLS
 
 
@@ -181,9 +173,18 @@ def test_skip_bfs_branches_fit_exact_law(monkeypatch, branch):
         monkeypatch.setattr(percolation, "_SLICE_HITS", slice_hits)
     xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
     rho = parse_dist(rho_text, ROLE_WEIGHT)
-    reps = 10_000
-    samples = [percolation_final_size(Environment(n, seeding.derive_key(4, r), xi, rho),
-                                      lam, seeding.stream(r)).r_infinity
-               for r in range(reps)]
+    samples = skip_samples(xi, rho, n, lam, 10_000, 4)
     p = exact_final_size_law(xi, rho, lam, n)
     assert gof_p_value(samples, p) > FAMILY_ALPHA / len(SKIP_BRANCHES)
+
+
+@pytest.mark.parametrize("sampler,n", LARGE_CLASSIC)
+@pytest.mark.parametrize("mult", MULTS)
+def test_samplers_fit_classic_law_past_n_20(sampler, n, mult):
+    xi, rho = specs("classic")
+    lam = mult * critical_lambda(xi, rho)
+    if sampler == "sellke":
+        samples = annealed_samples(xi, rho, n, lam, 50_000, "percolation", 7001)
+    else:
+        samples = skip_samples(xi, rho, n, lam, 4_000, 7003)
+    assert gof_p_value(samples, classic_embedded_chain_law(lam, n)) > FAMILY_ALPHA / LARGE_CELLS

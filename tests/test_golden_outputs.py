@@ -56,7 +56,7 @@ _CLI_CASES = {
 # case -> {file name: sha256} of every file it writes
 _GOLDEN_CLI = {
     "er": {
-        "er.json": "3b8917b379947cff55b7101d2f36f3072282f58777842875979d7b2f6be1f644",
+        "er.json": "9196200123c2c3fd30c68831f684079f38cf19e6bbc39a10be9e48bbeb43ffe4",
     },
     "meanfield": {
         "meanfield.csv": "d84ecf92173dd09238f544f08e153b6f9b80a9c466d4f18d30a64ea395172df3",

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from sirkn.errors import ParamViolation
 from sirkn.experiment import wilson_interval
 from sirkn.percolation import er_giant_component, percolation_final_size, sellke_final_sizes
 
-from reference_stats import chi_square_two_sample
+from reference_stats import chi_square_two_sample, gof_p_value
 
 XI1 = parse_dist("constant:1", ROLE_RECOVERY)
 RHO1 = parse_dist("constant:1", ROLE_WEIGHT)
@@ -130,35 +131,71 @@ def test_golden_sellke_blocks_are_byte_identical(law, n, mult):
 
 # -- Erdos-Renyi comparison ---------------------------------------------------
 
+# (n, mu) of the exact-law cells; they share one family-wise level
+ER_LAW_CELLS = ((5, 1.5), (6, 2.0), (6, 4.0))
+ER_FAMILY_ALPHA = 0.01
+
+
+def er_largest_component_law(n, p):
+    """P(largest component of G(n, p) = k) for k = 1 .. n, by enumerating all
+    2^C(n, 2) graphs, each a bitmask over the pairs, in one array."""
+    pairs = list(itertools.combinations(range(n), 2))
+    graphs = np.arange(1 << len(pairs), dtype=np.int64)
+    adj = [np.zeros_like(graphs) for _ in range(n)]  # neighbour bitmask of v
+    for e, (a, b) in enumerate(pairs):
+        bit = (graphs >> e) & 1
+        adj[a] |= bit << b
+        adj[b] |= bit << a
+    largest = np.ones_like(graphs)
+    for v in range(n):
+        reach = np.full_like(graphs, 1 << v)
+        for _ in range(n - 1):
+            for u in range(n):
+                reach |= np.where((reach >> u) & 1, adj[u], 0)
+        largest = np.maximum(largest, np.bitwise_count(reach))
+    edges = np.bitwise_count(graphs)
+    weight = p ** edges * (1.0 - p) ** (len(pairs) - edges)
+    return np.bincount(largest, weights=weight, minlength=n + 1)[1:]
+
+
+def test_er_enumerated_law_is_a_law():
+    law = er_largest_component_law(5, 0.3)
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    assert law[0] == pytest.approx(0.7 ** 10, rel=1e-12)  # no edge
+    # connected graphs on 5 labelled vertices, counted by their edges
+    assert law[4] == pytest.approx(sum(c * 0.3 ** e * 0.7 ** (10 - e) for e, c in
+                                       ((4, 125), (5, 222), (6, 205), (7, 120),
+                                        (8, 45), (9, 10), (10, 1))), rel=1e-12)
+
+
+def test_er_sampler_fits_exact_law():
+    rng = seeding.stream(29)
+    for n, mu in ER_LAW_CELLS:
+        samples = [er_giant_component(n, mu, rng) for _ in range(40_000)]
+        p_value = gof_p_value(samples, er_largest_component_law(n, mu / n))
+        assert p_value > ER_FAMILY_ALPHA / len(ER_LAW_CELLS), (n, mu, p_value)
+
+
 def test_er_trivial_cases():
-    assert er_giant_component(10, 10.0, 0) == 10  # p = 1: complete graph
-    assert er_giant_component(10, 0.0, 0) == 1
-    assert er_giant_component(1, 5.0, 0) == 1
+    assert er_giant_component(10, 10.0, seeding.stream(0)) == 10  # p = 1: complete graph
+    assert er_giant_component(10, 0.0, seeding.stream(0)) == 1
+    assert er_giant_component(1, 5.0, seeding.stream(0)) == 1
 
 
 @pytest.mark.parametrize("mu", [-1.0, float("nan"), float("inf")])
 def test_er_rejects_invalid_mu(mu):
     with pytest.raises(ParamViolation):
-        er_giant_component(10, mu, 0)
-
-
-def test_er_pair_decode_is_exhaustive():
-    # p = 1 forces every linear index through the decoder exactly once
-    from sirkn.percolation import _UnionFind, _union_edges
-    n = 12
-    uf = _UnionFind(n)
-    _union_edges(uf, np.arange(n * (n - 1) // 2, dtype=np.int64))
-    assert uf.max_size == n
+        er_giant_component(10, mu, seeding.stream(0))
 
 
 def test_er_supercritical_fraction():
     n = 30_000
     z = 0.7968121300200202  # root of z = 1 - exp(-2 z)
-    frac = er_giant_component(n, 2.0, 13) / n
+    frac = er_giant_component(n, 2.0, seeding.stream(13)) / n
     assert abs(frac - z) < 0.02
 
 
 def test_er_subcritical_small_components():
     n = 30_000
     for seed in range(5):
-        assert er_giant_component(n, 0.5, seed) <= 10 * math.log(n)
+        assert er_giant_component(n, 0.5, seeding.stream(seed)) <= 10 * math.log(n)
