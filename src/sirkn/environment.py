@@ -3,9 +3,10 @@
 Recovery rates xi(j) and edge weights rho(i, j) are i.i.d. draws that are
 never stored: each is the law's quantile of a uniform keyed by
 `seeding.child_key`, xi(j) by child j of the xi key and rho(i, j), i < j,
-by child j of child i of the rho key.  Keying rho by the unordered pair makes
-rho(i,j) == rho(j,i) structural and keeps n = 1e5 sweeps in O(n) memory.
-Constant laws need no query: the engines test `xi_const` and `rho_const`.
+by child i + 2**32 j of the rho key, unique while n <= 2**32.  One hash per
+value makes rho(i,j) == rho(j,i) structural and a query's work that of its
+indices.  Constant laws need no query: the engines test `xi_const` and
+`rho_const`.
 
 An environment built with seed None is the annealed one, never revealed:
 it has no keys, its hashed queries raise ParamViolation, and the dynamic
@@ -31,18 +32,17 @@ class Environment:
     or of the annealed environment for seed None.
 
     Safe for any number of concurrent readers; every query is a pure function
-    of its arguments.  The key material that queries cache (`_pair_lo_keys`
-    and the `rho_lookup` built on it) and the tuple of `xi_values` change no
-    value.
+    of its arguments.  What queries cache (the `rho_lookup` closure and the
+    tuple of `xi_values`) changes no value.
     """
 
     __slots__ = ("n", "seed", "xi_spec", "rho_spec", "_xi_key", "_rho_key",
-                 "xi_const", "rho_const", "xi_max", "rho_max", "_pair_lo_keys",
-                 "_rho_lookup", "_xi_values")
+                 "xi_const", "rho_const", "xi_max", "rho_max", "_rho_lookup",
+                 "_xi_values")
 
     def __init__(self, n: int, seed: Optional[int], xi_spec: DistSpec, rho_spec: DistSpec):
-        if n < 1:
-            raise ParamViolation(f"environment requires n >= 1 (got {n})")
+        if not 1 <= n <= 1 << 32:  # pair indices i + 2**32 j stay distinct
+            raise ParamViolation(f"environment requires 1 <= n <= 2**32 (got n = {n})")
         check_roles(xi_spec, rho_spec)
         self.n = int(n)
         self.seed = None if seed is None else int(seed)
@@ -62,21 +62,8 @@ class Environment:
                         if keyed and self.xi_const is None else 0)
         self._rho_key = (seeding.derive_key(self.seed, _TAG_RHO)
                          if keyed and self.rho_const is None else 0)
-        self._pair_lo_keys = None
         self._rho_lookup = None
         self._xi_values = None
-
-    def _pair_keys(self) -> np.ndarray:
-        """child_key(rho_key, j) of every vertex j: the key of the pairs
-        whose lower endpoint is j.
-
-        O(n) memory, computed on the first edge query.  Every query path
-        keys rho(i, j) by these keys, so they all give the same weights.
-        """
-        if self._pair_lo_keys is None:
-            self._check_keyed()
-            self._pair_lo_keys = seeding.child_keys(self._rho_key, np.arange(self.n))
-        return self._pair_lo_keys
 
     def _check_keyed(self) -> None:
         if self.seed is None:
@@ -102,11 +89,12 @@ class Environment:
         return self._xi_values
 
     def rho_lookup(self):
-        """The unchecked scalar rho(i, j), i != j, in one Python call; built
-        on first use from the list form of `_pair_keys`."""
+        """The unchecked scalar rho(i, j), i != j, in one Python call; the
+        same hash of the pair index as `rho_pairs`."""
         if self._rho_lookup is None:
-            self._rho_lookup = seeding.pair_quantile(
-                self._pair_keys().tolist(), *quantile_form(self.rho_spec))
+            self._check_keyed()
+            self._rho_lookup = seeding.pair_quantile(self._rho_key,
+                                                     *quantile_form(self.rho_spec))
         return self._rho_lookup
 
     def rho_at(self, i: int, j: int) -> float:
@@ -125,15 +113,18 @@ class Environment:
         return self.rho_lookup()(int(i), int(j))
 
     def rho_pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Vectorized elementwise rho over index arrays (i[k] != j[k] assumed)."""
-        h = seeding.child_keys(self._pair_keys()[np.minimum(i, j)], np.maximum(i, j))
+        """Vectorized elementwise rho over index arrays (i[k] != j[k] assumed);
+        the work is that of the pairs."""
+        self._check_keyed()
+        lo, hi = np.minimum(i, j).astype(np.uint64), np.maximum(i, j).astype(np.uint64)
+        h = seeding.child_keys(self._rho_key, lo + (hi << 32))
         return np.asarray(quantile(self.rho_spec, seeding.to_uniform01(h)), dtype=float)
 
     def rho_full_row(self, i: int) -> np.ndarray:
         """rho(i, j) for every j, with a zero placeholder at position i.
 
-        No engine calls it: it is the row form of `rho_pairs`, whose name
-        the benchmark's tracer wraps.
+        No engine calls it: a quenched point's references read vertex 0's
+        row (`experiment.batch_stats_from_samples`).
         """
         out = self.rho_pairs(np.full(self.n, i), np.arange(self.n))
         out[i] = 0.0

@@ -73,14 +73,14 @@ def child_key(key: int, index: int) -> int:
     return mix64(key ^ (((int(index) & MASK64) + 1) * _CHAIN & MASK64))
 
 
-def pair_quantile(lo_keys: list, cut: float, below: float, a: float, w: float):
+def pair_quantile(key: int, cut: float, below: float, a: float, w: float):
     """The unchecked scalar f(i, j) = below if u < cut else a + w * u, i != j,
-    u the uniform (h >> 11) 2**-53 of h = child_key(lo_keys[min(i, j)],
+    u the uniform (h >> 11) 2**-53 of h = child_key(key, min(i, j) + 2**32
     max(i, j)): one Python call.  Every law of the menu has such a quantile."""
     def f(i: int, j: int) -> float:
         if i > j:
             i, j = j, i
-        x = lo_keys[i] ^ ((j + 1) * _CHAIN & MASK64)
+        x = key ^ ((i + (j << 32) + 1) * _CHAIN & MASK64)
         x = (x ^ x >> 30) * _M1 & MASK64
         x = (x ^ x >> 27) * _M2 & MASK64
         u = ((x ^ x >> 31) >> 11) * _INV53

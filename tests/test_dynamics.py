@@ -345,8 +345,8 @@ def test_envelope_ignores_atoms_without_mass():
 
 
 def test_run_without_a_proposal_builds_no_weight_lookup(monkeypatch):
-    # The lookup and its O(n) key list are fetched at a run's first
-    # proposal, so a run whose only event is the first recovery builds none.
+    # The weight lookup is fetched at a run's first proposal, so a run whose
+    # only event is the first recovery builds none.
     def no_lookup(*args):
         raise AssertionError("a run without proposals built the weight lookup")
 
@@ -383,17 +383,17 @@ def test_constant_weight_scales_out_of_thinning(monkeypatch):
 # cap), so that every case exercises its path.
 _GOLDEN_RUNS = {
     "thinning": (("shifted:uniform:0:1:+1", "uniform:0:1", 300, 11, 2.0, 2, None),
-                 (210, 419, "0x1.2f144478a8419p+3",
-                  "b8c4ae54f082ca09276d5ad3ca37ee1a90d3b8dfa32d8f44a7052898f5d91fb7")),
+                 (228, 455, "0x1.87a8e65b08632p+2",
+                  "ca28b7a26f2ddc5031be69b86a63c906bf605027cadea7ecad2ae8b90a9ec614")),
     "classic": (("constant:1", "constant:1", 300, 12, 3.0, 1, None),
                 (268, 535, "0x1.3f5ce25211b2bp+3",
                  "b21ee54f86256c6e7c7cdd1f7ba92f1aaf584f1dc0f31ed624db23efdb8b0ea5")),
-    "sparse": (("two_point:1:0.5:2", RHO_SPARSE, 200, 13, 2.0, 7, None),
-               (128, 255, "0x1.6ed410a878bb8p+3",
-                "3c04e3e645e8bcdb3c4f8831d6246750e68e7b180a5a52d79c8b6995714de78e")),
+    "sparse": (("two_point:1:0.5:2", RHO_SPARSE, 200, 13, 2.0, 10, None),
+               (143, 285, "0x1.95f2e3d7ef0f3p+3",
+                "efa7175e18284db6c3e2b35bbb3d1f18a9a5e12b182213da666f80e299b6b13d")),
     "truncated": (("two_point:1:0.5:2", RHO_SPARSE, 3000, 14, 2.0, 7, 400),
-                  (245, 400, "0x1.20f80a3d507f2p+2",
-                   "1f8256ab3044aaefec0703822ec3b9740a07dcabfc9f178d8d189bd354ffe09c")),
+                  (265, 400, "0x1.045bba3f2da2bp+2",
+                   "4a6f326d3ecaf1c6e9b67c1cb555e1af5b2f66536a4e97ad869641e4d0d0ad63")),
 }
 
 

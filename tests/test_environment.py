@@ -23,6 +23,23 @@ def xi_reference(env, j):
     return float(quantile(env.xi_spec, (seeding.child_key(env._xi_key, j) >> 11) * 2**-53))
 
 
+def rho_reference(env, i, j):
+    """rho(i, j) from its definition: the quantile of the uniform of child
+    lo + 2**32 hi of the rho key."""
+    lo, hi = min(i, j), max(i, j)
+    u = (seeding.child_key(env._rho_key, lo + (hi << 32)) >> 11) * 2**-53
+    return float(quantile(env.rho_spec, u))
+
+
+def traced_peak(query):
+    """query() and the tracemalloc peak, in bytes, that it reached."""
+    tracemalloc.start()
+    try:
+        return query(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_constant_rho_value():
     env = Environment(10, 123, XI1, RHO1)
     assert env.rho_at(3, 7) == 1.0
@@ -88,7 +105,8 @@ def test_scalar_matches_vector_paths():
     i, j = np.array([0, 3, 12]), np.array([5, 9, 2])
     rp = env.rho_pairs(i, j)
     for k in range(3):
-        assert env.rho_at(int(i[k]), int(j[k])) == rp[k]
+        a, b = int(i[k]), int(j[k])
+        assert env.rho_at(a, b) == rp[k] == rho_reference(env, a, b)
 
 
 @pytest.mark.parametrize("rho_text", ["uniform:0:1", "two_point:0.2:0.3:0.9",
@@ -153,14 +171,49 @@ def test_xi_block_keys_only_the_vertices_asked_for():
     # Key work scales with the indices given, not with n: two recovery rates
     # of a 1e7-vertex environment allocate no n-long key array.
     env = Environment(10 ** 7, 5, parse_dist("two_point:1:0.5:2", ROLE_RECOVERY), RHO1)
-    tracemalloc.start()
-    try:
-        values = env.xi_block(np.array([0, 5]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    values, peak = traced_peak(lambda: env.xi_block(np.array([0, 5])))
     assert peak < 1 << 20
     assert values.tolist() == [xi_reference(env, 0), xi_reference(env, 5)]
+
+
+def test_rho_queries_key_only_the_pairs_asked_for():
+    # One hash per weight: two pairs of a 1e7-vertex environment, and the
+    # engine's scalar lookup at n = 1e6, allocate nothing n-long.
+    rho = parse_dist("uniform:0:1", ROLE_WEIGHT)
+    env = Environment(10 ** 7, 5, XI1, rho)
+    values, peak = traced_peak(lambda: env.rho_pairs(np.array([0, 10 ** 7 - 1]),
+                                                     np.array([9_999_998, 3])))
+    assert peak < 1 << 20
+    assert values.tolist() == [rho_reference(env, 0, 9_999_998),
+                               rho_reference(env, 3, 10 ** 7 - 1)]
+    env = Environment(10 ** 6, 5, XI1, rho)
+    lookup, peak = traced_peak(env.rho_lookup)
+    assert peak < 1 << 20
+    assert lookup(999_999, 17) == env.rho_at(17, 999_999) == rho_reference(env, 17, 999_999)
+
+
+def test_environments_of_one_seed_agree_on_shared_pairs():
+    # The pair index does not depend on n, so a larger environment of the
+    # same seed extends a smaller one on both the vector and the scalar path.
+    xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
+    rho = parse_dist("two_point:0.2:0.3:0.9", ROLE_WEIGHT)
+    small, large = Environment(100, 41, xi, rho), Environment(1000, 41, xi, rho)
+    i, j = np.triu_indices(100, k=1)
+    np.testing.assert_array_equal(small.rho_pairs(i, j), large.rho_pairs(j, i))
+    np.testing.assert_array_equal(small.xi_block(), large.xi_block(np.arange(100)))
+    lookup = large.rho_lookup()
+    for a, b in zip(i[::37].tolist(), j[::37].tolist()):
+        assert small.rho_at(a, b) == lookup(b, a)
+
+
+def test_largest_environment_keys_its_top_pair_and_no_larger_is_built():
+    top = 1 << 32
+    env = Environment(top, 5, XI1, parse_dist("uniform:0:1", ROLE_WEIGHT))
+    want = rho_reference(env, top - 2, top - 1)
+    assert env.rho_at(top - 1, top - 2) == want
+    assert env.rho_pairs(np.array([top - 1]), np.array([top - 2])).tolist() == [want]
+    with pytest.raises(ParamViolation, match=f"n = {top + 1}"):
+        Environment(top + 1, 5, XI1, RHO1)
 
 
 @pytest.mark.parametrize("xi_text,xi_max", [
@@ -240,7 +293,7 @@ def test_constant_family_exact():
 
 
 def test_constant_rho_at_builds_no_lookup(monkeypatch):
-    # a constant law answers rho_at after its checks, without the O(n) keys
+    # a constant law answers rho_at after its checks, without a lookup
     def no_lookup(*args):
         raise AssertionError("constant law built a weight lookup")
 
@@ -248,7 +301,7 @@ def test_constant_rho_at_builds_no_lookup(monkeypatch):
     env = Environment(100_000, 3, XI1, parse_dist("constant:0.25", ROLE_WEIGHT))
     assert env.rho_at(0, 99_999) == 0.25
     assert type(env.rho_at(np.int64(7), 3)) is float
-    assert env._pair_lo_keys is None
+    assert env._rho_lookup is None
     with pytest.raises(SelfLoop):
         env.rho_at(4, 4)
     for i, j in ((4, 100_000), (-1, 4)):

@@ -10,16 +10,21 @@ for l = 0 .. N, solved by forward substitution.  The solve cancels more as n
 grows, so it is used only up to n = 20 and checks its own output.  For the
 classic law xi = rho = 1 the jump chain of (S, I) gives the law at any n
 without cancellation, in O(n^2); it is checked against the solve up to
-n = 20 and used alone beyond.
+n = 20 and used alone beyond.  When xi and rho are both two-point, psi is a
+finite sum of positive terms, so the solve runs in decimal arithmetic at two
+precisions 40 digits apart, which must agree; that law is used up to n = 200.
 
 Every sampler is tested against that law, not against another engine at a
 shared seed.  The goodness-of-fit cells of the sampler grid share one
 family-wise level: a cell fails when its p-value is below FAMILY_ALPHA /
 CELLS, so a correct program fails the grid with probability at most
 FAMILY_ALPHA.  The cells that drive each branch of the skip BFS are a second
-family at the same level, and the classic cells past n = 20 a third.
+family at the same level, the classic cells past n = 20 a third, and the
+two-point cells past n = 20 a fourth.
 """
 
+import decimal
+import functools
 import math
 import os
 
@@ -61,6 +66,14 @@ SKIP_BRANCHES = {
 # (and in no smaller cell) Sellke chunks reach the _SELLKE_CHUNK cap
 LARGE_CLASSIC = [("sellke", n) for n in (50, 100, 200, 400)] + [("skip", 400)]
 LARGE_CELLS = len(LARGE_CLASSIC) * len(MULTS)
+# xi and rho both two-point, past n = 20: (sampler, n) x MULTS against the
+# decimal solve; the skip BFS keys new weights on every fresh environment
+PAIR_XI = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
+PAIR_RHO = parse_dist("two_point:0.25:0.5:1", ROLE_WEIGHT)
+PAIR_NS = (50, 100, 200)
+LARGE_PAIR = [(sampler, n) for sampler in ("sellke", "dynamic") for n in PAIR_NS]
+LARGE_PAIR += [("skip", 200)]
+PAIR_CELLS = len(LARGE_PAIR) * len(MULTS)
 JOBS = min(2, os.cpu_count() or 1)
 
 
@@ -104,6 +117,44 @@ def classic_embedded_chain_law(lam, n):
         inflow = np.zeros(n + 1)
         inflow[2:] = up * mass[1:-1]
     return p
+
+
+@functools.lru_cache(maxsize=None)
+def two_point_pair_law(n, mult, digits):
+    """P(r = k) for k = 1 .. n under PAIR_XI, PAIR_RHO at mult lambda_c, as Decimals
+    indexed by k - 1, from the triangular solve in `digits`-digit arithmetic.
+
+    With rho = v1 w.p. p1 else v2, phi(u)^theta is the binomial sum over j of
+    C(theta, j) p1^j (1 - p1)^(theta - j) e^(-u (j v1 + (theta - j) v2)), and
+    E e^(-c T) = E[xi / (xi + c)] for T ~ Exp(xi), a two-term mean; so psi is
+    exact to the precision, whatever the solve then cancels.
+    """
+    lam = mult * critical_lambda(PAIR_XI, PAIR_RHO)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        (x1, px, x2), (v1, p1, v2) = ([decimal.Decimal(v) for v in spec.params]
+                                      for spec in (PAIR_XI, PAIR_RHO))
+        s = decimal.Decimal(lam) / n
+
+        def psi_exact(theta):
+            total = decimal.Decimal(0)
+            for j in range(theta + 1):
+                c = s * (j * v1 + (theta - j) * v2)
+                total += (math.comb(theta, j) * p1 ** j * (1 - p1) ** (theta - j)
+                          * (px * x1 / (x1 + c) + (1 - px) * x2 / (x2 + c)))
+            return total
+
+        big_n = n - 1
+        psis = [psi_exact(theta) for theta in range(big_n + 1)]
+        p = []
+        for l in range(big_n + 1):
+            inv = 1 / psis[big_n - l]
+            known, scale = decimal.Decimal(0), inv  # scale = psi^-(k + 1)
+            for k in range(l):
+                known += math.comb(big_n - k, l - k) * p[k] * scale
+                scale *= inv
+            p.append((math.comb(big_n, l) - known) / scale)
+    return tuple(p)
 
 
 def cell_law(law, n, mult):
@@ -188,3 +239,30 @@ def test_samplers_fit_classic_law_past_n_20(sampler, n, mult):
     else:
         samples = skip_samples(xi, rho, n, lam, 4_000, 7003)
     assert gof_p_value(samples, classic_embedded_chain_law(lam, n)) > FAMILY_ALPHA / LARGE_CELLS
+
+
+@pytest.mark.parametrize("n", PAIR_NS)
+@pytest.mark.parametrize("mult", MULTS)
+def test_two_point_pair_law_agrees_across_precisions(n, mult):
+    low, high = (two_point_pair_law(n, mult, digits) for digits in (100, 140))
+    assert max(abs(a - b) for a, b in zip(low, high)) <= 1e-15
+    assert min(high) >= -1e-15
+    assert abs(float(sum(high)) - 1.0) <= 1e-12
+    lam = mult * critical_lambda(PAIR_XI, PAIR_RHO)
+    assert float(high[0]) == pytest.approx(no_spread_finite_n(PAIR_XI, PAIR_RHO, lam, n),
+                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("sampler,n", LARGE_PAIR)
+@pytest.mark.parametrize("mult", MULTS)
+def test_samplers_fit_two_point_pair_law_past_n_20(sampler, n, mult):
+    xi, rho = PAIR_XI, PAIR_RHO
+    lam = mult * critical_lambda(xi, rho)
+    if sampler == "sellke":
+        samples = annealed_samples(xi, rho, n, lam, 50_000, "percolation", 7001)
+    elif sampler == "dynamic":
+        samples = annealed_samples(xi, rho, n, lam, 4_000, "dynamic", 7002)
+    else:
+        samples = skip_samples(xi, rho, n, lam, 4_000, 7003)
+    p = np.array([float(v) for v in two_point_pair_law(n, mult, 140)])
+    assert gof_p_value(samples, p) > FAMILY_ALPHA / PAIR_CELLS

@@ -8,13 +8,17 @@ the test prints the observed entry in this file's own syntax.  The digests
 pin the platform's float formatting and libm, as the other goldens do.
 
 Sweeps run at `--jobs` 1 and 2 against one entry, since a sweep's files do
-not depend on the worker count.
+not depend on the worker count.  A single run must reach at least half of
+its n vertices, so that no case pins a run that stops at its source, and
+`percolate-dense` must take the skip BFS's dense branch.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from sirkn import percolation
 from sirkn.cli import main
 
 _RANDOM = " --xi two_point:1:0.5:2 --rho uniform:0:1"
@@ -22,11 +26,11 @@ _CLASSIC = " --xi constant:1 --rho constant:1"
 
 # case -> its arguments, without --outdir (and --jobs for a sweep)
 _CLI_CASES = {
-    "simulate-classic": "simulate --n 60 --lambda 2 --seed 3 --trajectory",
-    "simulate-random": "simulate --n 60 --lambda 3 --seed 4 --trajectory" + _RANDOM,
-    "percolate-classic": "percolate --n 500 --lambda 2 --seed 5",
-    "percolate-random": "percolate --n 500 --lambda 3 --seed 6" + _RANDOM,
-    "percolate-dense": "percolate --n 8 --lambda 40 --seed 7" + _RANDOM,
+    "simulate-classic": "simulate --n 60 --lambda 2 --seed 6 --trajectory",
+    "simulate-random": "simulate --n 60 --lambda 6 --seed 5 --trajectory" + _RANDOM,
+    "percolate-classic": "percolate --n 500 --lambda 2 --seed 3",
+    "percolate-random": "percolate --n 500 --lambda 6 --seed 6" + _RANDOM,
+    "percolate-dense": "percolate --n 8 --lambda 40 --seed 8" + _RANDOM,
     "no-spread-dynamic": "no-spread --n 40 --lambda 1 --reps 200 --engine dynamic "
                          "--jobs 1 --seed 8" + _RANDOM,
     "no-spread-percolation": "no-spread --n 40 --lambda 1 --reps 2000 "
@@ -69,21 +73,21 @@ _GOLDEN_CLI = {
         "no_spread.json": "15485461cd8eccc3776d0efa64fe8a22607d58f096ebda0ab9fcbda133227ac1",
     },
     "percolate-classic": {
-        "run.json": "e06685832696ff4e0acf837dcb03ff9680ebc9d1647a3ee9377025b36ddcd444",
+        "run.json": "2b1bc106331fbf9ac24949df103fe5cc414ad3510504ababf5d94f66ff395a60",
     },
     "percolate-dense": {
-        "run.json": "a8ef64a2ed56bad6300d0f24ad6294f704ca5161c8624bc7b112591b87b3f193",
+        "run.json": "ea7085f921289afa8b279b4ffe83d4a8d94c0ae755a79193c747b9ffe4a397ae",
     },
     "percolate-random": {
-        "run.json": "64fa01aa5281f8ea91b5ace21e9f3810bf98ac676d5272a02523be2452358ee6",
+        "run.json": "dd29f549a599440445b365fd15de76f56faabca8bbcb92ccba954bc855d4ab5a",
     },
     "simulate-classic": {
-        "run.json": "12f5532c8e261694489a21f4bdf8cfdee7805df8c3e4cddeb0112e0c65e77a7d",
-        "trajectory.csv": "48d94d21102417ec0755b10e5c67ddb19af9f7241abf94909363cafedba1716d",
+        "run.json": "0d3c7e9094d8d6e1f99ebd5b355459d0ccb25a774fd86fc104d5ffd753d40885",
+        "trajectory.csv": "8167a8709f1b38857920234939cd8a5294c48e1833ffafd119d44653b88d9ee2",
     },
     "simulate-random": {
-        "run.json": "35ac3c8006cdf129c997f0be1ba07d6f055bec445c7856e2f0471f7f0bc95f4e",
-        "trajectory.csv": "69d34a1ad6c233074d290a08aafd2151d02b929d3e9509d21a48fae89d89c2f2",
+        "run.json": "efee228936f1c587b9146892b0f78cb17239a8090ece2e754a42bc02bf46b0ab",
+        "trajectory.csv": "74b1f6c9a045b488f8982eb6b4d76cf624aaf9678f6ce0b1432a1f86605097c1",
     },
     "sweep-dyn-classic": {
         "sweep.csv": "bdd6ac918d22c16b8678103b9f2a1516b082f0d3df0166c3311aee826b7e653a",
@@ -102,12 +106,12 @@ _GOLDEN_CLI = {
         "sweep.json": "2964049952ad3750bed39803449f8f337e6cbfd9a8cc4fcaee23ca7f144d4ff9",
     },
     "sweep-quenched-dynamic": {
-        "sweep.csv": "1d99cc702191daab56baedf887c32768caf2bbca6b3f5a994a5ecd37c2e25075",
-        "sweep.json": "409259b84ad74a628371e728850bd59eaee9749062a4d247b17b8917a50a3ed3",
+        "sweep.csv": "caf47a3080f1f3bfd9067181b02035904f936129b8d7a197c571669fa7a5cb6a",
+        "sweep.json": "d5eba40682f52849143182b8138f285065e8e675a4a90bf4467bd66c1156d144",
     },
     "sweep-quenched-percolation": {
-        "sweep.csv": "ff371a4e91765828677e3147afafc97cd46a9eaa3a64aaff03b7932647d5aead",
-        "sweep.json": "ad3bd8ccd9d2db0d21475e1ddb96829a9196daaafc2c4bb6a9db3a4172657948",
+        "sweep.csv": "e7645bd1fe31bc6ae4705c243b442ce700a5181f94c540a53c221b63f7f0c1c5",
+        "sweep.json": "d7752eefb9766b33d7e16c086a8a7a1256ba30f919ef40e712d70e67484394ca",
     },
 }
 
@@ -118,10 +122,21 @@ _CASES += [(case, jobs) for case in sorted(_CLI_CASES) if case.startswith("sweep
 
 @pytest.mark.parametrize("case,jobs", _CASES,
                          ids=[case + (f"-jobs{jobs}" if jobs else "") for case, jobs in _CASES])
-def test_cli_outputs_are_byte_identical(tmp_path, case, jobs):
+def test_cli_outputs_are_byte_identical(tmp_path, monkeypatch, case, jobs):
+    open_targets, dense = percolation._open_targets, []
+
+    def spy(env, rng, visited, m, lam_n, src, t_clock, mu):
+        dense.append(bool((mu > m).any()))  # the dense branch runs iff this holds
+        return open_targets(env, rng, visited, m, lam_n, src, t_clock, mu)
+
+    monkeypatch.setattr(percolation, "_open_targets", spy)
     argv = _CLI_CASES[case].split() + (["--jobs", jobs] if jobs else [])
     assert main(argv + ["--outdir", str(tmp_path)]) == 0
     observed = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(tmp_path.iterdir())}
     entry = "".join(f"\n        {name!r}: {digest!r}," for name, digest in observed.items())
     assert observed == _GOLDEN_CLI.get(case), f"observed entry:\n    {case!r}: {{{entry}\n    }},"
+    if "run.json" in observed:
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert run["result"]["r_infinity"] >= run["config"]["n"] / 2
+    assert case != "percolate-dense" or any(dense)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -60,14 +61,14 @@ def test_derive_key_values_are_pinned():
     assert seeding.derive_key(seeding.MASK64, 1 << 70) == 0x5908D5698A8F5AA3
 
 
-def test_pair_quantile_inlines_uniform01_of_the_lower_key():
-    # The engine's scalar weight: the uniform of the lower index's key at the
-    # higher index, in either argument order, through the law's quantile.
-    keys = [0, 7, (1 << 63) + 5, seeding.MASK64, seeding.derive_key(9)]
-    u = seeding.pair_quantile(keys, 0.0, 0.0, 0.0, 1.0)
-    cut = seeding.pair_quantile(keys, 0.5, 0.25, 0.75, 0.0)
-    for lo in range(len(keys)):
-        for hi in range(lo + 1, len(keys)):
-            want = (seeding.child_key(keys[lo], hi) >> 11) * 2**-53
+def test_pair_quantile_inlines_uniform01_of_the_pair_index():
+    # The engine's scalar weight: the uniform of the key's child at the pair
+    # index lo + 2**32 hi, in either argument order, through the law's quantile.
+    vertices = [0, 1, 4, 12_345, (1 << 32) - 1]
+    for key in (0, 7, (1 << 63) + 5, seeding.MASK64, seeding.derive_key(9)):
+        u = seeding.pair_quantile(key, 0.0, 0.0, 0.0, 1.0)
+        cut = seeding.pair_quantile(key, 0.5, 0.25, 0.75, 0.0)
+        for lo, hi in itertools.combinations(vertices, 2):
+            want = (seeding.child_key(key, lo + (hi << 32)) >> 11) * 2**-53
             assert u(lo, hi) == u(hi, lo) == want
             assert cut(hi, lo) == (0.25 if want < 0.5 else 0.75)
