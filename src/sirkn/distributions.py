@@ -175,17 +175,6 @@ def quantile(spec: DistSpec, u: Union[float, np.ndarray]):
     return np.where(u < p1, v1, v2)
 
 
-def quantile_form(spec: DistSpec) -> tuple:
-    """(cut, below, a, w) such that the quantile of u is below if u < cut
-    else a + w * u: the scalar form every law of the menu has (two-point
-    v1, p1, v2: p1, v1, v2, 0; uniform a, b: 0, 0, a, b - a; constant v:
-    0, 0, v, 0)."""
-    p = spec.params
-    if spec.kind == "two_point":
-        return float(p[1]), float(p[0]), float(p[2]), 0.0
-    return 0.0, 0.0, float(p[0]), float(p[-1] - p[0])
-
-
 def as_mixture(spec: DistSpec) -> list:
     """Normalize a spec to mixture components for closed-form expectations.
 
@@ -211,6 +200,33 @@ def mean(spec: DistSpec) -> float:
     for w, comp in as_mixture(spec):
         total += w * (comp[1] if comp[0] == "atom" else 0.5 * (comp[1] + comp[2]))
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def hazard(spec: DistSpec):
+    """The scalar h(s) = E[X e^{-sX}] / E[e^{-sX}], s >= 0, built once per law:
+    the rate of a clock of rate X ~ law that has not rung by age s.  It falls
+    from h(0) = E[X].  Atoms v1 <= v2 of masses p, q give v1 + d q e / (p + q e),
+    d = v2 - v1, e = e^{-s d}; Uniform(a, b) gives a + w (1/z - 1/expm1(z)), z = s w."""
+    if spec.kind == "uniform":
+        a, b = spec.params
+        w = b - a
+
+        def h(s):
+            z = s * w
+            if z < 0.1:  # the Bernoulli series, free of cancellation
+                y = z * z
+                return a + w * (0.5 - z * (1 / 12 - y * (1 / 720 - y / 30240)))
+            return a + w * (1.0 / z - 1.0 / math.expm1(min(z, 700.0)))
+        return h
+    atoms = sorted((comp[1], w) for w, comp in as_mixture(spec))  # one or two, with mass
+    (lo, p), (hi, q) = atoms[0], atoms[-1]
+    d = hi - lo
+
+    def h(s):
+        e = q * math.exp(-s * d)
+        return lo + d * e / (p + e)
+    return h
 
 
 def mean_inverse(spec: DistSpec) -> float:

@@ -4,38 +4,34 @@ The process starts from one infective at vertex 0.  An infective i recovers
 at rate xi(i); a susceptible i is infected at rate (lam/n) * sum of rho(i, j)
 over infective j.  `EpidemicState.run` is the one event loop: it holds the
 state in local variables and executes events until absorption or a cap.
-Each event picks its vertex by a position in the list of S or of I and
-moves the list's last entry into that place.  `gillespie_run(env, lam,
+An event moves the last entry of the list of S or of I into the place it
+picks; annealed runs keep no list of S.  `gillespie_run(env, lam,
 rng)`, called like `percolation.percolation_final_size`, runs it once on the
 generator it is handed, deriving no key; runs handed one generator in turn
 draw successive stretches of its stream.  Tests step the loop one event at
 a time.
 
-Infections are selected by thinning (Lewis & Shedler) for every weight law:
-a uniform pair (i, j) in S x I is proposed at the envelope rate
-(lam/n) * rho_max * |S| * |I| and accepted with probability
-rho(i, j) / rho_max, one call of `Environment.rho_lookup`; rho_max is the
-largest weight the law puts mass on (`Environment.rho_max`).  Constant laws
-accept every proposal and never look up a weight.
-
+On a keyed environment infections are selected by thinning (Lewis &
+Shedler) for every weight law: a uniform pair (i, j) in S x I is proposed at
+the envelope rate (lam/n) * rho_max * |S| * |I| and accepted with
+probability rho(i, j) / rho_max, one call of `Environment.rho_lookup`;
+rho_max is the largest weight the law puts mass on (`Environment.rho_max`).
 A recovery draws uniform infectives until one, v, is kept with probability
-xi(v) / xi_max (`Environment.xi_max`); constant xi laws keep the first one
-without an acceptance draw.  Exponentials and uniforms come from the run's
-generator in blocks of _BLOCK, each used once, and a run leaves the rest of
-its last blocks unused: the block size changes the samples, not their law.
+xi(v) / xi_max (`Environment.xi_max`).
 
-On the annealed environment (built with seed None) xi and rho are i.i.d.,
-so a run reveals each value from its own `uniform` iterator the first time
-it needs it, through the law's quantile form `below if u < cut else
-a + w * u` (`distributions.quantile_form`), and keeps it for the rest of the
-run.  The draw order: xi(0) is the first uniform of the state's first `run`;
-xi(v) is the uniform right after v's infection is selected; rho(i, j), with
-i susceptible and j infective, is the uniform between the proposal of the
-pair and its acceptance test, at the pair's first proposal only, and is
-stored under the key i * n + j.  An edge is only ever proposed in that one
-orientation, since its infective end was infected first, so a re-proposal
-reads the stored weight.  Constant laws reveal nothing, so their samples
-are those of any seeded environment.
+On the annealed environment (seed None) no value is drawn.  Each edge
+enters at most one arc, from whichever end was infected first, so given the
+history an infective of age a recovers at rate h_xi(a) and infects each
+susceptible at rate (lam/n) h_rho(lam a / n), h(s) = E[X e^{-sX}] /
+E[e^{-sX}] (`distributions.hazard`; Sellke 1983).  h falls from h(0) = E[X],
+so both kinds of event are proposed at E[xi] |I| and (lam/n) E[rho] |S| |I|
+by a uniform infective and kept with probability h(age) / E[X].  The state
+keeps infection times and no vertex label, so it holds nothing n-long.
+
+Constant laws accept without an acceptance draw, so they draw alike on both
+environments.  Exponentials and uniforms come from the run's generator in
+blocks of _BLOCK, each used once, and a run leaves the rest of its last
+blocks unused: the block size changes the samples, not their law.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .distributions import quantile_form
+from .distributions import hazard
 from .environment import Environment
 from .errors import DeadState, ParamViolation, check_lambda
 
@@ -87,127 +83,113 @@ class RunResult:
 
 
 class EpidemicState:
-    """State (S_t, I_t, R_t) of one run plus its total recovery rate.
+    """State (S_t, I_t, R_t) of one run.
 
-    S and I are the first s_count entries of s_list and the first i_count
-    entries of i_list; R is every other vertex, and removed vertices never
-    leave.  The lists are Python lists; xi is the environment's read-only
-    tuple of recovery rates, or on the annealed environment the dict of the
-    rates revealed so far, with rho_seen the dict of revealed weights (None
-    when nothing is revealed).  The annealed state's total recovery rate is
-    0 until its first `run` reveals xi(0).  The incrementally maintained
-    total recovery rate must agree with a from-scratch sum to relative 1e-9.
+    On a keyed environment S is the first s_count entries of s_list, i_list
+    holds I and total_recovery_rate its summed xi, within relative 1e-9 of a
+    fresh sum; removed vertices never leave R.  On the annealed environment
+    no vertex has a label: s_list is None, i_list holds infection times and
+    total_recovery_rate is E[xi] |I|, the rate recoveries are proposed at.
     """
 
-    __slots__ = ("env", "lam", "n", "xi", "rho_seen", "s_list", "s_count", "i_list",
-                 "i_count", "total_recovery_rate", "time")
+    __slots__ = ("env", "lam", "s_list", "s_count", "i_list", "total_recovery_rate", "time")
 
     def __init__(self, env: Environment, lam: float):
         check_lambda(lam)
-        n = env.n
         self.env = env
         self.lam = float(lam)
-        self.n = n
-        self.s_list = list(range(1, n))
-        self.s_count = n - 1
-        self.i_list = [0] * n
-        self.i_count = 1
-        annealed = env.seed is None
-        self.xi = {} if annealed and env.xi_const is None else env.xi_values()
-        self.rho_seen = {} if annealed and env.rho_const is None else None
-        self.total_recovery_rate = self.xi[0] if self.xi else 0.0
+        self.s_count = env.n - 1
         self.time = 0.0
+        if env.seed is None:
+            self.s_list, self.i_list = None, [0.0]
+            self.total_recovery_rate = hazard(env.xi_spec)(0.0)
+        else:
+            self.s_list, self.i_list = list(range(1, env.n)), [0]
+            self.total_recovery_rate = env.xi_values()[0]
 
     def run(self, rng: np.random.Generator, max_events: int,
             trajectory: Optional[list] = None) -> int:
         """Execute events until no infective is left or max_events have run.
 
         Each event advances the clock by an exponential with the total rate
-        and is a recovery of i in I with probability xi(i)/total, else an
-        infection of i in S with probability (lam/n) sum_{j in I} rho(i, j) /
-        total; thinning loops its rejected proposals inside one event, so it
-        realizes this law.  Appends (time, kind, vertex) per event to
-        `trajectory` when given, and returns the number of events executed.
-        The state lives in local variables while the loop runs and is
-        written back before returning.
+        and is an infection or a recovery with probability proportional to
+        its rate; thinning loops its rejected proposals inside one event.
+        Appends (time, kind, vertex) per event to `trajectory` when given,
+        which an annealed state, without labels, rejects.  Returns the
+        number of events executed.
         """
-        if self.i_count == 0:
+        s_list, i_list = self.s_list, self.i_list
+        if not i_list:
             raise DeadState("no infectives: total rate is zero")
-        env, n = self.env, self.n
-        xi, xi_max, xi_varies = self.xi, env.xi_max, env.xi_const is None
-        s_list, s_count = self.s_list, self.s_count
-        i_list, i_count = self.i_list, self.i_count
+        annealed = s_list is None
+        if annealed and trajectory is not None:
+            raise ParamViolation("an annealed run has no vertex labels to record a "
+                                 "trajectory with; key the environment with a seed")
+        env, lam_n = self.env, self.lam / self.env.n
+        xi_const, rho_const = env.xi_const, env.rho_const
+        if annealed:  # thinned at the hazards' tops, the laws' means
+            h_xi, rho = hazard(env.xi_spec), hazard(env.rho_spec)
+            xi_top, rho_top = h_xi(0.0), rho(0.0)
+        else:  # rho, the weight lookup, is built at the run's first proposal
+            xi, xi_top, rho_top, rho = env.xi_values(), env.xi_max, env.rho_max, None
+        s_count, i_count = self.s_count, len(i_list)
         rec, time = self.total_recovery_rate, self.time
         exponential = _variates(rng.standard_exponential, _BLOCK).__next__
         uniform = _variates(rng.random, _BLOCK).__next__
-        rho, rho_const, rho_max = None, env.rho_const, env.rho_max
-        seen, reveal_xi = self.rho_seen, type(xi) is dict
-        if reveal_xi or seen is not None:  # the annealed environment's quantile forms
-            xi_cut, xi_below, xi_a, xi_w = quantile_form(env.xi_spec)
-            cut, below, a, w = quantile_form(env.rho_spec)
-        if reveal_xi and not xi:  # vertex 0, infective from the start
-            u = uniform()
-            xi[0] = rec = xi_below if u < xi_cut else xi_a + xi_w * u
-        envelope = self.lam / n * rho_max
+        envelope = lam_n * rho_top
         events = 0
         while i_count and events < max_events:
             elapsed = 0.0
             while True:
                 total = rec + envelope * s_count * i_count
                 elapsed += exponential() / total
-                if uniform() * total < rec:
-                    k = -1  # a recovery; else k is the infected one's place in s_list
+                kind = RECOVERY if uniform() * total < rec else INFECTION
+                if kind is RECOVERY:  # of the infective at place k of i_list
+                    k = int(uniform() * i_count) if i_count > 1 else 0
+                    if xi_const is None:
+                        if annealed:  # kept with probability h_xi(age) / E[xi]
+                            if uniform() * xi_top >= h_xi(time + elapsed - i_list[k]):
+                                continue
+                        elif i_count > 1:  # kept with probability xi(v) / xi_max
+                            while uniform() * xi_top >= xi[i_list[k]]:
+                                k = int(uniform() * i_count)
+                    break
+                if rho_const is not None:  # k: the infected one's place in s_list
+                    k = int(uniform() * s_count)
                     break
                 if rho is None:
-                    if rho_const is not None:
-                        k = int(uniform() * s_count)
-                        break
-                    # once, at the run's first proposal
-                    rho = env.rho_lookup() if seen is None else seen.get
-                # one uniform picks the proposed pair (i, j) in S x I
+                    rho = env.rho_lookup()
+                # one uniform picks the proposed pair (i, j) in S x I, kept with
+                # probability rho(i, j) / rho_max or h_rho(lam age(j) / n) / E[rho]
                 k, m = divmod(int(uniform() * (s_count * i_count)), i_count)
-                if seen is None:
-                    weight = rho(s_list[k], i_list[m])
-                else:
-                    key = s_list[k] * n + i_list[m]
-                    weight = rho(key)
-                    if weight is None:  # the pair's first proposal reveals its weight
-                        u = uniform()
-                        weight = seen[key] = below if u < cut else a + w * u
-                if uniform() * rho_max < weight:
+                if uniform() * rho_top < (rho(lam_n * (time + elapsed - i_list[m])) if annealed
+                                          else rho(s_list[k], i_list[m])):
                     break
                 # rejected proposal: time already advanced, redraw
             time += elapsed
-            if k >= 0:
-                v = s_list[k]
+            if kind is INFECTION:
                 s_count -= 1
-                s_list[k] = s_list[s_count]
-                i_list[i_count] = v
                 i_count += 1
-                if reveal_xi:
-                    u = uniform()
-                    xi[v] = xi_below if u < xi_cut else xi_a + xi_w * u
-                rec += xi[v]
-                kind = INFECTION
+                if annealed:
+                    i_list.append(time)
+                else:
+                    v = s_list[k]
+                    s_list[k] = s_list[s_count]
+                    i_list.append(v)
+                    rec += xi[v]
             else:
-                k = 0
-                if i_count > 1:
-                    # a uniform infective, kept with probability xi(v) / xi_max
-                    k = int(uniform() * i_count)
-                    while xi_varies and uniform() * xi_max >= xi[i_list[k]]:
-                        k = int(uniform() * i_count)
-                v = i_list[k]
                 i_count -= 1
+                v = i_list[k]
                 i_list[k] = i_list[i_count]
-                rec -= xi[v]
-                if i_count == 0:
-                    rec = 0.0
-                kind = RECOVERY
+                i_list.pop()
+                if not annealed:
+                    rec = rec - xi[v] if i_count else 0.0
+            if annealed:
+                rec = xi_top * i_count
             events += 1
             if trajectory is not None:
                 trajectory.append((time, kind, v))
-        self.s_count, self.i_count = s_count, i_count
-        self.total_recovery_rate, self.time = rec, time
+        self.s_count, self.total_recovery_rate, self.time = s_count, rec, time
         return events
 
 
@@ -231,12 +213,12 @@ def gillespie_run(env: Environment, lam: float, rng: np.random.Generator,
     trajectory = [] if record_trajectory else None
     events = state.run(rng, max_events, trajectory)
     return RunResult(
-        r_infinity=state.n - state.s_count,
+        r_infinity=env.n - state.s_count,
         extinction_time=state.time,
         events_executed=events,
         engine="dynamic",
         env_seed=env.seed,
-        truncated=state.i_count > 0,
+        truncated=bool(state.i_list),
         trajectory=trajectory,
     )
 

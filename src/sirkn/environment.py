@@ -8,9 +8,9 @@ value makes rho(i,j) == rho(j,i) structural and a query's work that of its
 indices.  Constant laws need no query: the engines test `xi_const` and
 `rho_const`.
 
-An environment built with seed None is the annealed one, never revealed:
-it has no keys, its hashed queries raise ParamViolation, and the dynamic
-engine draws each value it needs from the run's generator (`dynamics`).
+An environment built with seed None is the annealed one: it has no keys,
+its hashed queries raise ParamViolation, and the dynamic engine integrates
+its values out through the laws' hazards (`dynamics`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import seeding
-from .distributions import DistSpec, as_mixture, check_roles, quantile, quantile_form
+from .distributions import DistSpec, as_mixture, check_roles, quantile
 from .errors import IndexOutOfRange, ParamViolation, SelfLoop
 
 _TAG_XI = 0x5849
@@ -53,8 +53,8 @@ class Environment:
         self.xi_const = xi_spec.params[0] if xi_spec.kind == "constant" else None
         self.rho_const = rho_spec.params[0] if rho_spec.kind == "constant" else None
         # Largest value each law can produce: the top of its atoms and
-        # intervals that carry mass.  Both engines thin rho at its envelope,
-        # and the dynamic engine picks recoveries by rejection at xi_max.
+        # intervals that carry mass.  Keyed runs of both engines thin rho at
+        # its envelope, and dynamic ones pick recoveries by rejection at xi_max.
         self.rho_max = max(comp[-1] for _, comp in as_mixture(rho_spec))
         self.xi_max = max(comp[-1] for _, comp in as_mixture(xi_spec))
         keyed = self.seed is not None
@@ -90,11 +90,14 @@ class Environment:
 
     def rho_lookup(self):
         """The unchecked scalar rho(i, j), i != j, in one Python call; the
-        same hash of the pair index as `rho_pairs`."""
+        same hash of the pair index as `rho_pairs`, whose quantile every law
+        of the menu has in the form below if u < cut else a + w * u."""
         if self._rho_lookup is None:
             self._check_keyed()
-            self._rho_lookup = seeding.pair_quantile(self._rho_key,
-                                                     *quantile_form(self.rho_spec))
+            p = [float(v) for v in self.rho_spec.params]
+            form = ((p[1], p[0], p[2], 0.0) if self.rho_spec.kind == "two_point"
+                    else (0.0, 0.0, p[0], p[-1] - p[0]))  # uniform (a, b) or constant (v,)
+            self._rho_lookup = seeding.pair_quantile(self._rho_key, *form)
         return self._rho_lookup
 
     def rho_at(self, i: int, j: int) -> float:

@@ -6,8 +6,8 @@ block of STREAM_BLOCK replications) from the master seed, for every engine
 and measure.  Annealed percolation points hand a block's stream to
 `percolation.sellke_final_sizes`; every other point hands it to one engine
 call after another, so a block's runs draw successive stretches of it.  No
-annealed point hashes an environment: annealed dynamic runs reveal theirs
-from the stream, on the unseeded `Environment`.  Quenched points run either
+annealed point draws an environment: annealed dynamic runs integrate it out
+on the unseeded `Environment`.  Quenched points run either
 engine on the one environment the master seed keys.  Every block is a
 generator of its own, so results are independent of worker count and
 scheduling.  The layer also computes the order-parameter estimators with
@@ -441,10 +441,9 @@ def run_batch(config: ExperimentConfig, n: int, lam: float,
               jobs: int = 1) -> BatchStats:
     """All estimators for one (n, lambda) grid point.
 
-    Annealed mode averages over environments: the Sellke sampler and the
-    dynamic engine each reveal a replication's values from its block's
-    stream, without hashing any.  Quenched mode fixes one environment from
-    the master seed and varies only the runs' draws.
+    Annealed mode averages over environments, which neither the Sellke
+    sampler nor the dynamic engine draws.  Quenched mode fixes one
+    environment from the master seed and varies only the runs' draws.
     """
     [(samples, failures)] = collect_final_sizes(config, [(0, n, lam)], jobs)
     return batch_stats_from_samples(config, n, lam, samples, failures)

@@ -13,7 +13,7 @@ from scipy import integrate, special
 from sirkn.distributions import (DistSpec, ROLE_RECOVERY, ROLE_WEIGHT, _exp_tail,
                                  as_mixture, critical_lambda,
                                  expect_self_over_self_plus, format_dist,
-                                 gamma_p2, log_laplace, log_laplace_deriv, mean,
+                                 gamma_p2, hazard, log_laplace, log_laplace_deriv, mean,
                                  mean_inverse, parse_dist, psi, quantile, support)
 from sirkn.errors import ParamViolation, SupportViolation
 from sirkn.quadrature import quad
@@ -395,3 +395,55 @@ def test_psi_with_constant_weights_matches_quadrature(xi_text, rho_text, lam, n)
     want, err = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-14, limit=400)
     assert err <= 1e-13 * want
     assert psi(xi, rho, s, theta) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# -- hazards -----------------------------------------------------------------
+
+# every recovery and weight law of the exact-law and engine-agreement tests
+HAZARD_LAWS = [(text, ROLE_RECOVERY) for text in (
+    "constant:1", "two_point:1:0.5:2", "uniform:1:3", "two_point:1:0.9:10",
+    "two_point:1:0.5:4", "shifted:uniform:0:1:+1")]
+HAZARD_LAWS += [(text, ROLE_WEIGHT) for text in (
+    "constant:1", "constant:0.5", "uniform:0:1", "two_point:0.01:0.99:1",
+    "two_point:0.25:0.5:1", "uniform:0.1:1")]
+HAZARD_S = np.concatenate([[0.0], np.geomspace(1e-9, 50.0, 400), np.linspace(0.05, 0.2, 301)])
+
+
+@pytest.mark.parametrize("text,role", HAZARD_LAWS)
+def test_hazard_matches_the_laplace_helpers(text, role):
+    spec = parse_dist(text, role)
+    h = hazard(spec)
+    assert h is hazard(parse_dist(text, role))  # built once per law
+    s = HAZARD_S[1:]
+    expected = np.exp(log_laplace_deriv(spec, s) - log_laplace(spec, s))
+    np.testing.assert_allclose([h(x) for x in s], expected, rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("text,role", HAZARD_LAWS + [("two_point:0:0.5:1", ROLE_WEIGHT),
+                                                     ("two_point:0.1:1:1", ROLE_WEIGHT),
+                                                     ("two_point:0.5:0:1", ROLE_WEIGHT)])
+def test_hazard_falls_from_the_mean_within_the_support(text, role):
+    spec = parse_dist(text, role)
+    values = [hazard(spec)(x) for x in np.sort(HAZARD_S)]
+    assert values[0] == pytest.approx(mean(spec), rel=1e-15)
+    assert all(b <= a * (1 + 1e-15) for a, b in zip(values, values[1:]))
+    lo, hi = support(spec)
+    assert all(lo <= v <= hi for v in values)
+    # far out, the clock is the slowest one that the law gives mass
+    assert hazard(spec)(1e6) == pytest.approx(min(comp[1] for _, comp in as_mixture(spec)),
+                                              abs=1e-5)
+
+
+def test_hazard_of_a_weight_atom_at_zero_is_its_closed_form():
+    # the log helper has no value there: E[X e^{-sX}] drops the atom at 0
+    h = hazard(parse_dist("two_point:0:0.3:1", ROLE_WEIGHT))
+    for s in (0.0, 1e-9, 0.5, 10.0, 50.0):
+        assert h(s) == pytest.approx(0.7 * math.exp(-s) / (0.3 + 0.7 * math.exp(-s)),
+                                     rel=1e-14)
+
+
+def test_hazard_ignores_atoms_without_mass():
+    # two_point:0.1:1:1 puts all its mass at 0.1 and two_point:0.5:0:1 at 1
+    assert [hazard(parse_dist("two_point:0.1:1:1", ROLE_WEIGHT))(s)
+            for s in (0.0, 1.0, 1e3)] == [0.1] * 3
+    assert hazard(parse_dist("two_point:0.5:0:1", ROLE_WEIGHT))(7.0) == 1.0

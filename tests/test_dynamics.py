@@ -159,14 +159,14 @@ def test_next_event_forced_recovery():
     assert state.run(seeding.stream(1), 1, trajectory) == 1
     [(t, kind, vertex)] = trajectory
     assert kind == RECOVERY and vertex == 0 and t > 0
-    assert state.i_count == 0 and state.time == t
+    assert state.i_list == [] and state.time == t
 
 
 def test_next_event_dead_state():
     env = Environment(2, 2, XI1, RHO1)
     state = EpidemicState(env, lam=2.0)
     state.run(seeding.stream(1), 3)  # n = 2 absorbs within 3 events
-    assert state.i_count == 0
+    assert state.i_list == []
     with pytest.raises(DeadState):
         state.run(seeding.stream(1), 1)
 
@@ -247,55 +247,76 @@ def test_rate_consistency_along_trajectory(xi_text, rho_text):
     lam = 2.0 * critical_lambda(xi, rho)
     state = EpidemicState(env, lam=lam)
     rng = seeding.stream(314)
+    xi_of = env.xi_values()
     peak = 1
     for _ in range(160):
-        if state.i_count == 0:
+        if not state.i_list:
             state = EpidemicState(env, lam=lam)  # restart: check live states only
         assert state.run(rng, 1) == 1
-        peak = max(peak, state.i_count)
-        rec = float(np.asarray(state.xi)[state.i_list[: state.i_count]].sum())
+        peak = max(peak, len(state.i_list))
+        rec = sum(xi_of[v] for v in state.i_list)
         assert state.total_recovery_rate == pytest.approx(rec, rel=1e-9, abs=1e-12)
-        # S and I lead their lists: distinct vertices, disjoint, in range(n)
+        # S leads its list and I is its list: distinct vertices, disjoint, in range(n)
         s_set = set(state.s_list[: state.s_count])
-        i_set = set(state.i_list[: state.i_count])
-        assert len(s_set) == state.s_count and len(i_set) == state.i_count
+        i_set = set(state.i_list)
+        assert len(s_set) == state.s_count and len(i_set) == len(state.i_list)
         assert not s_set & i_set
         assert s_set | i_set <= set(range(env.n))
     assert peak > 1
 
 
-def test_annealed_state_keeps_what_it_reveals():
+def test_annealed_state_keeps_infection_times_and_no_labels(monkeypatch):
     # Runs stepped one event at a time on the unseeded environment, until
-    # one infects more than 5: xi(0) is revealed once, every infective's
-    # rate is revealed and they sum to the total, and each stored weight
-    # belongs to a pair whose infective end j was infected before its
-    # susceptible end i.
+    # one infects more than 5: the state holds no S list, one infection time
+    # per infective, each entering no earlier than those before it, and
+    # never queries the environment's hashed values.
+    def no_hash(*args):
+        raise AssertionError("an annealed run queried a hashed value")
+
+    for name in ("xi_values", "xi_block", "rho_lookup", "rho_pairs"):
+        monkeypatch.setattr(Environment, name, no_hash)
     xi = parse_dist("shifted:uniform:0:1:+1", ROLE_RECOVERY)
     rho = parse_dist(RHO_THINNING, ROLE_WEIGHT)
     env = Environment(200, None, xi, rho)
+    lam = 2.0 * critical_lambda(xi, rho)
     rng = seeding.stream(314)
-    order = []
-    while len(order) <= 5:
-        state = EpidemicState(env, lam=2.0 * critical_lambda(xi, rho))
-        assert state.xi == {} and state.total_recovery_rate == 0.0
-        order, xi0 = [0], None
-        while state.i_count:
-            trajectory = []
-            state.run(rng, 1, trajectory)
-            (_, kind, v), = trajectory
-            if kind == INFECTION:
-                order.append(v)
-            xi0 = state.xi[0] if xi0 is None else xi0
-            assert state.xi[0] == xi0
-            infectives = state.i_list[: state.i_count]
-            assert state.total_recovery_rate == pytest.approx(
-                sum(state.xi[u] for u in infectives), rel=1e-9, abs=1e-12)
-            assert set(state.xi) == set(order)
-            assert all(1 <= x < 2 for x in state.xi.values())
-            rank = {u: k for k, u in enumerate(order)}
-            for key, weight in state.rho_seen.items():
-                i, j = divmod(key, env.n)
-                assert rank.get(i, len(order)) > rank[j] and 0 <= weight < 1
+    infected = 1
+    while infected <= 5:
+        state = EpidemicState(env, lam=lam)
+        assert state.s_list is None and state.i_list == [0.0]
+        infected, removed, latest = 1, 0, 0.0
+        while state.i_list:
+            assert state.run(rng, 1) == 1
+            if env.n - state.s_count > infected:  # an infection, at the state's time
+                infected += 1
+                assert state.i_list[-1] == state.time >= latest
+                latest = state.time
+            else:
+                removed += 1
+            assert len(state.i_list) == infected - removed
+            assert state.s_list is None and max(state.i_list, default=0.0) <= latest
+    with pytest.raises(ParamViolation, match="trajectory"):
+        gillespie_run(env, lam, rng, record_trajectory=True)
+    with pytest.raises(ParamViolation, match="trajectory"):
+        EpidemicState(env, lam=lam).run(rng, 1, [])
+
+
+def test_annealed_runs_allocate_nothing_n_long():
+    # At n = 1e6 a list of the vertices takes 8 MB; subcritical runs reach
+    # a few of them.
+    import tracemalloc
+
+    xi = parse_dist("two_point:1:0.5:2", ROLE_RECOVERY)
+    rho = parse_dist(RHO_THINNING, ROLE_WEIGHT)
+    env, rng = Environment(10 ** 6, None, xi, rho), seeding.stream(3)
+    lam = 0.5 * critical_lambda(xi, rho)
+    tracemalloc.start()
+    try:
+        sizes = [gillespie_run(env, lam, rng).r_infinity for _ in range(20)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and max(sizes) < 1000
 
 
 @pytest.mark.parametrize("rho_text", [RHO_THINNING, RHO_SPARSE], ids=LAW_IDS)
@@ -315,6 +336,33 @@ def test_dynamic_matches_percolation_distribution(rho_text):
         perc[r] = percolation_final_size(env, lam, seeding.stream(r)).r_infinity
     _, _, p = chi_square_two_sample(dyn, perc)
     assert p > 0.01
+
+
+# Law pairs whose annealed runs thin recoveries, infections or both
+KS_LAWS = [("two_point:1:0.5:2", RHO_THINNING), ("two_point:1:0.9:10", "constant:1"),
+           ("uniform:1:3", "two_point:0.25:0.5:1")]
+KS_CELLS = [(xi, rho, n) for xi, rho in KS_LAWS for n in (10, 30)]
+
+
+@pytest.mark.parametrize("xi_text, rho_text, n", KS_CELLS)
+def test_annealed_extinction_times_match_quenched_runs_on_fresh_environments(
+        xi_text, rho_text, n):
+    # The annealed hazards integrate the environment out; quenched runs on
+    # a fresh keyed environment each draw it.  Extinction times carry the
+    # whole timing of a run, which final sizes do not.  One family-wise
+    # level over the cells.
+    from scipy.stats import ks_2samp
+
+    xi = parse_dist(xi_text, ROLE_RECOVERY)
+    rho = parse_dist(rho_text, ROLE_WEIGHT)
+    lam = 2.0 * critical_lambda(xi, rho)
+    reps = 3_000
+    annealed, rng = Environment(n, None, xi, rho), seeding.stream(8101)
+    times = [gillespie_run(annealed, lam, rng).extinction_time for _ in range(reps)]
+    rng = seeding.stream(8102)
+    keyed = [gillespie_run(Environment(n, seeding.derive_key(8103, r), xi, rho), lam,
+                           rng).extinction_time for r in range(reps)]
+    assert ks_2samp(times, keyed).pvalue > 0.01 / len(KS_CELLS)
 
 
 def test_engine_makes_no_row_queries(monkeypatch):

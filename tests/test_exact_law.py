@@ -19,8 +19,14 @@ shared seed.  The goodness-of-fit cells of the sampler grid share one
 family-wise level: a cell fails when its p-value is below FAMILY_ALPHA /
 CELLS, so a correct program fails the grid with probability at most
 FAMILY_ALPHA.  The cells that drive each branch of the skip BFS are a second
-family at the same level, the classic cells past n = 20 a third, and the
-two-point cells past n = 20 a fourth.
+family at the same level, the classic cells past n = 20 a third, the
+two-point cells past n = 20 a fourth, and the dynamic engine's cells with a
+wide recovery law, whose annealed runs thin every recovery, a fifth.
+
+Quenched runs are held to the law of one fixed environment, P(r = k |
+xi, rho), from a memoized recursion over the (S, I) bitmasks of the chain
+(Kiss, Miller & Simon 2017, ch. 2); both engines on each environment form a
+sixth family.
 """
 
 import decimal
@@ -35,6 +41,7 @@ from scipy import signal
 from sirkn import percolation, seeding
 from sirkn.distributions import (ROLE_RECOVERY, ROLE_WEIGHT, critical_lambda,
                                  parse_dist, psi)
+from sirkn.dynamics import gillespie_run
 from sirkn.environment import Environment
 from sirkn.experiment import ExperimentConfig, collect_final_sizes, no_spread_finite_n
 from sirkn.percolation import percolation_final_size
@@ -74,6 +81,19 @@ PAIR_NS = (50, 100, 200)
 LARGE_PAIR = [(sampler, n) for sampler in ("sellke", "dynamic") for n in PAIR_NS]
 LARGE_PAIR += [("skip", 200)]
 PAIR_CELLS = len(LARGE_PAIR) * len(MULTS)
+# the dynamic engine, xi wide and rho constant: an annealed run thins its
+# recoveries at E[xi] and accepts every infection
+WIDE_XI = ("two_point:1:0.9:10", "constant:1")
+WIDE_CELLS = len(NS) * len(MULTS)
+# fixed environments: (xi, rho, n, environment seed, lambda / lambda_c)
+FIXED_ENVS = {
+    "uniform": ("two_point:1:0.5:4", "uniform:0:1", 8, 12345, 2.0),
+    # one edge at weight 1, every other at 0.01
+    "sparse": ("two_point:1:0.5:10", "two_point:0.01:0.99:1", 6, 108, 2.0),
+    # most runs' sources expect more hits than there are unvisited vertices
+    "dense": ("uniform:1:10", "uniform:0:1", 6, 778, 3.0),
+}
+FIXED_CELLS = 2 * len(FIXED_ENVS)
 JOBS = min(2, os.cpu_count() or 1)
 
 
@@ -266,3 +286,106 @@ def test_samplers_fit_two_point_pair_law_past_n_20(sampler, n, mult):
         samples = skip_samples(xi, rho, n, lam, 4_000, 7003)
     p = np.array([float(v) for v in two_point_pair_law(n, mult, 140)])
     assert gof_p_value(samples, p) > FAMILY_ALPHA / PAIR_CELLS
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("mult", MULTS)
+def test_dynamic_engine_with_wide_recovery_law_fits_exact_law(n, mult):
+    xi, rho = parse_dist(WIDE_XI[0], ROLE_RECOVERY), parse_dist(WIDE_XI[1], ROLE_WEIGHT)
+    lam = mult * critical_lambda(xi, rho)
+    samples = annealed_samples(xi, rho, n, lam, 4_000, "dynamic", 7002)
+    assert gof_p_value(samples, exact_final_size_law(xi, rho, lam, n)) > FAMILY_ALPHA / WIDE_CELLS
+
+
+def quenched_final_size_law(xi, rho, lam):
+    """P(r = k | xi, rho) for k = 1 .. n, indexed by k - 1, on the recovery
+    rates xi[v] and weights rho[u][v] of one environment.
+
+    From (S, I) the next event recovers v in I at rate xi[v] or infects u
+    in S at rate (lam/n) sum over v in I of rho[u][v]; the law of r from a
+    state is the event-probability mixture of the laws after each event.
+    """
+    n = len(xi)
+
+    @functools.lru_cache(maxsize=None)
+    def law(s, i):
+        if not i:
+            out = np.zeros(n)
+            out[n - bin(s).count("1") - 1] = 1.0
+            return out
+        infectives = [v for v in range(n) if i >> v & 1]
+        moves = [(xi[v], s, i ^ 1 << v) for v in infectives]
+        moves += [(lam / n * math.fsum(rho[u][v] for v in infectives), s ^ 1 << u, i | 1 << u)
+                  for u in range(n) if s >> u & 1]
+        total = math.fsum(rate for rate, _, _ in moves)
+        return sum(rate / total * law(s_next, i_next) for rate, s_next, i_next in moves)
+
+    return law((1 << n) - 2, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def fixed_environment(name):
+    """The environment, lambda, and the exact law of its values and of its
+    values with xi(1 .. n - 1) reversed."""
+    xi_text, rho_text, n, env_seed, mult = FIXED_ENVS[name]
+    xi_spec, rho_spec = parse_dist(xi_text, ROLE_RECOVERY), parse_dist(rho_text, ROLE_WEIGHT)
+    env = Environment(n, env_seed, xi_spec, rho_spec)
+    lam = mult * critical_lambda(xi_spec, rho_spec)
+    xi = env.xi_values()
+    rho = [[env.rho_at(u, v) if u != v else 0.0 for v in range(n)] for u in range(n)]
+    return (env, lam, quenched_final_size_law(xi, rho, lam),
+            quenched_final_size_law(xi[:1] + xi[:0:-1], rho, lam))
+
+
+@functools.lru_cache(maxsize=None)
+def fixed_environment_samples(name, engine):
+    env, lam, _, _ = fixed_environment(name)
+    run = percolation_final_size if engine == "skip" else gillespie_run
+    rng = seeding.stream(7004)
+    return tuple(run(env, lam, rng).r_infinity for _ in range(3_000))
+
+
+def test_quenched_law_is_a_law_of_the_environment():
+    for name in FIXED_ENVS:
+        _, _, p, reversed_p = fixed_environment(name)
+        assert abs(math.fsum(p) - 1.0) <= 1e-12 and (p >= 0.0).all()
+        assert abs(p - reversed_p).max() > 0.01, name  # the law reads the labels
+    env = fixed_environment("sparse")[0]
+    assert sorted(env.rho_at(u, v) for u in range(6) for v in range(u))[-2:] == [0.01, 1.0]
+    # constant rates and weights: the recursion gives the classic chain law
+    classic = Environment(6, 1, *specs("classic"))
+    np.testing.assert_allclose(
+        quenched_final_size_law(classic.xi_values(), [[1.0] * 6] * 6, 2.0),
+        classic_embedded_chain_law(2.0, 6), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("engine", ["dynamic", "skip"])
+@pytest.mark.parametrize("name", list(FIXED_ENVS))
+def test_quenched_engines_fit_the_law_of_their_environment(name, engine):
+    _, _, p, _ = fixed_environment(name)
+    assert gof_p_value(fixed_environment_samples(name, engine), p) > FAMILY_ALPHA / FIXED_CELLS
+
+
+def test_dense_environment_takes_the_skip_bfs_dense_branch(monkeypatch):
+    open_targets, dense = percolation._open_targets, []
+
+    def spy(env, rng, visited, m, lam_n, src, t_clock, mu):
+        dense.append(bool((mu > m).any()))  # the dense branch runs iff this holds
+        return open_targets(env, rng, visited, m, lam_n, src, t_clock, mu)
+
+    monkeypatch.setattr(percolation, "_open_targets", spy)
+    env, lam, _, _ = fixed_environment("dense")
+    rng = seeding.stream(7005)
+    for _ in range(200):
+        percolation_final_size(env, lam, rng)
+    assert sum(dense) > len(dense) / 4
+
+
+@pytest.mark.parametrize("name", list(FIXED_ENVS))
+def test_quenched_engines_reject_the_law_of_reversed_recovery_rates(name):
+    # The same samples against the law of xi(1 .. n - 1) reversed: the
+    # family above would miss an engine that reads xi at the wrong vertex
+    # only if its reference could not tell the two apart.
+    samples = sum((fixed_environment_samples(name, engine) for engine in ("dynamic", "skip")),
+                  ())
+    assert gof_p_value(samples, fixed_environment(name)[3]) < 1e-9

@@ -793,9 +793,9 @@ def test_witness_flags_epsilon_at_or_above_z_star():
 # family that looks up weights; a change to any draw, its order or a float
 # expression of the dynamic engine or the sweep statistics shows here.
 _GOLDEN_DYNAMIC_SWEEPS = {
-    "uniform:0:1": "401e813f5f829dc37935006df73d3dd238733ceadaf8b2365ab0c75a7466f9c7",
+    "uniform:0:1": "e1be56aae5c1ad7024b67ef8eabe9a614a982371eda7100274f143e019aa51eb",
     "two_point:0.01:0.99:1":
-        "ea31c34bd1c888f219a091c981c29f9937ff5b998c49b41fe66338406989427c",
+        "33ab7b3e3c093e617cd657838675b856da334a4e8fe3a9c715ab433fa0c58d0e",
 }
 
 

@@ -46,7 +46,7 @@ _CLI_CASES = {
                              "--seed 12" + _RANDOM,
     "sweep-dyn-uniform": "sweep --n-grid 100,300 --lambda-grid 0.5,2 --lambda-units lambda_c "
                          "--reps 20 --engine dynamic --seed 13" + _RANDOM,
-    # classic laws reveal nothing: the same samples as on seeded environments
+    # constant laws draw alike on both environments: the same samples as on seeded ones
     "sweep-dyn-classic": "sweep --n-grid 100,300 --lambda-grid 0.5,2 --lambda-units lambda_c "
                          "--reps 20 --engine dynamic --seed 16" + _CLASSIC,
     "sweep-quenched-percolation": "sweep --n-grid 200,1000 --lambda-grid 0.5,2 "
@@ -67,7 +67,7 @@ _GOLDEN_CLI = {
         "meanfield.json": "8fae78a3651858c65de665a9b5046397af1d416387729d8410049e69743eff64",
     },
     "no-spread-dynamic": {
-        "no_spread.json": "454b1ef3bcf7dd03e32575e9a82418d8d3e6157d75953395de0b2e0c70fd605b",
+        "no_spread.json": "ff8f211fec341de89c70d27ff4a2928b8be5ca85753ed363050ab4d4e5a2ba25",
     },
     "no-spread-percolation": {
         "no_spread.json": "15485461cd8eccc3776d0efa64fe8a22607d58f096ebda0ab9fcbda133227ac1",
@@ -94,8 +94,8 @@ _GOLDEN_CLI = {
         "sweep.json": "2a9a717d89759be7c58c4c30f7ffc3c8e9e050a4b56b0189dd30ba7bd2a53e30",
     },
     "sweep-dyn-uniform": {
-        "sweep.csv": "ae9dde998ab2d203c4b15c3897355c26dc3c64b8c4db1eb7cb81bd6f097ae442",
-        "sweep.json": "3d690fdb8d27fe422737d39e68a86efe4238955b940e3d356e2a36493cb4d788",
+        "sweep.csv": "b19f80c98db05044967776c694ba7c557fb38dafb81c2baafe0cb70e92c9d203",
+        "sweep.json": "623aadd2ee6f7e0520be11a411294f3c3839ce57915355190b9598316fc590b8",
     },
     "sweep-perc-random-env": {
         "sweep.csv": "e75b85129dcc3bc0fb9e8839f78122268945c1035c087af8c83ebca612bc07e9",
